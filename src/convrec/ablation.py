@@ -103,9 +103,7 @@ def evaluate_pop(
             seen = history_for(split, u, part)
             if seen:
                 s[np.asarray(seen, dtype=np.int64)] = -np.inf
-        order = ranked_order(s)
-        n_eligible = int(np.isfinite(s).sum())
-        prec, rec, ap = metrics_for_ranking(order, n_eligible, set(held[u]), cutoffs, ap_mode)
+        prec, rec, ap = metrics_for_ranking(s, set(held[u]), cutoffs, ap_mode)
         for n in cutoffs:
             prec_sum[n] += prec[n]
             rec_sum[n] += rec[n]

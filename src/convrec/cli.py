@@ -138,6 +138,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    if args.N < 1:
+        raise ConfigError(f"--N must be >= 1, got {args.N}")
     cfg = _build_config(args)
     params, hp = load_checkpoint(args.checkpoint)
     split = _resolve_split(args, cfg)

@@ -7,6 +7,7 @@ an experiment config never pass silently.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -60,6 +61,9 @@ class HyperParams:
         for name in ("conv_act", "fc_act", "vertical_act"):
             if getattr(self, name) not in ACTIVATIONS:
                 raise ConfigError(f"{name} must be one of {ACTIVATIONS}")
+        for name in ("dropout", "l2", "lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.l2 < 0:
@@ -153,6 +157,7 @@ class RunConfig:
                 raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
             setattr(self, key, value)
             self.explicit.add(key)
+        self.eval_cutoffs()  # fail on a bad eval_n now, not after training
 
     def hyperparams(self) -> HyperParams:
         heights: tuple[int, ...] = ()
@@ -176,7 +181,13 @@ class RunConfig:
         )
 
     def eval_cutoffs(self) -> tuple[int, ...]:
-        return tuple(int(n) for n in self.eval_n.split(","))
+        try:
+            cutoffs = tuple(int(n) for n in self.eval_n.split(","))
+            if min(cutoffs) >= 1:
+                return cutoffs
+        except ValueError:
+            pass
+        raise ConfigError(f"eval_n must be a comma list of integers >= 1, got {self.eval_n!r}")
 
     def to_pairs(self) -> dict[str, str]:
         pairs = {}

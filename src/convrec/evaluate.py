@@ -86,9 +86,14 @@ def recommend_top_n(
     scores = trace.scores.copy()
     if exclude_seen:
         scores[np.asarray(list(history), dtype=np.int64)] = -np.inf
-    order = ranked_order(scores)
-    eligible = int(np.isfinite(scores).sum())
-    top = order[: min(n, eligible)]
+    n = min(n, int(np.isfinite(scores).sum()))
+    if n == 0:
+        return RankedList(user_index, np.empty(0, dtype=np.int64), np.empty(0))
+    # Select instead of sorting the catalog: every item scoring at least the
+    # n-th largest score, boundary ties included, then rank only those.
+    nth = -np.partition(-scores, n - 1)[n - 1]
+    candidates = np.flatnonzero(scores >= nth)
+    top = candidates[ranked_order(scores[candidates])[:n]]
     return RankedList(user_index, top, scores[top])
 
 
@@ -164,12 +169,23 @@ def score_matrix(
     return out
 
 
-def metrics_for_ranking(order: np.ndarray, n_eligible: int, relevant: set, cutoffs, ap_mode, cutoff=None):
-    """Metrics for one user's full ranking (used by model and baseline paths)."""
-    rel_arr = np.fromiter(relevant, dtype=np.int64)
-    eligible_order = order[:n_eligible]
-    positions = np.flatnonzero(np.isin(eligible_order, rel_arr))
-    hit_ranks = positions + 1
+def metrics_for_ranking(scores: np.ndarray, relevant: set, cutoffs, ap_mode, cutoff=None):
+    """Metrics for one user's masked score row (used by model and baseline paths).
+
+    Each relevant item's rank is counted, not read off a sort of the whole
+    row: 1 + the items scoring higher + the items scoring equal at a smaller
+    index, which is its 1-based position in ``ranked_order(scores)``. Items
+    at -inf (padding, excluded history) or NaN never rank.
+    """
+    n_eligible = int(np.isfinite(scores).sum())
+    ranks = [
+        1 + np.count_nonzero(scores > scores[r]) + np.count_nonzero(scores[:r] == scores[r])
+        for r in relevant
+        if scores[r] > -np.inf
+    ]
+    hit_ranks = np.sort(np.array(ranks, dtype=np.int64))
+    # +inf scores rank first without being eligible; the ranking holds n_eligible items
+    hit_ranks = hit_ranks[hit_ranks <= n_eligible]
     return _metrics_from_positions(hit_ranks, len(relevant), n_eligible, cutoffs, ap_mode, cutoff)
 
 
@@ -208,17 +224,14 @@ def evaluate(
         if exclude_seen and histories[row]:
             s = s.copy()
             s[np.asarray(histories[row], dtype=np.int64)] = -np.inf
-        order = ranked_order(s)
-        n_eligible = int(np.isfinite(s).sum())
-        relevant = set(held[u])
-        prec, rec, ap = metrics_for_ranking(order, n_eligible, relevant, cutoffs, ap_mode, ap_cutoff)
+        prec, rec, ap = metrics_for_ranking(s, set(held[u]), cutoffs, ap_mode, ap_cutoff)
         for n in cutoffs:
             prec_sum[n] += prec[n]
             rec_sum[n] += rec[n]
         ap_sum += ap
         if per_user is not None:
-            hits_at = sum(1 for item in order[:max_n] if item in relevant)
-            per_user.append((u, ap, hits_at))
+            # prec[max_n] is hits / max_n, exactly, so this recovers the hit count
+            per_user.append((u, ap, round(prec[max_n] * max_n)))
 
     count = len(users)
     return EvalReport(

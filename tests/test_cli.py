@@ -222,3 +222,28 @@ def test_config_file_roundtrip(data_file, tmp_path, capsys):
     assert code == 0
     _, hp = load_checkpoint(ck)
     assert hp.latent_dim == 4 and hp.order == 2
+
+
+def test_recommend_rejects_n_below_one(prepared, checkpoint, capsys):
+    code = main(["recommend", "--data-dir", prepared, "--checkpoint", checkpoint,
+                 "--user", "u1", "--N", "0"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--N" in err[0]
+
+
+@pytest.mark.parametrize("value", ["0", "a", "5,,10", ""])
+def test_bad_eval_n_exits_2(prepared, checkpoint, capsys, value):
+    code = main(["evaluate", "--data-dir", prepared, "--checkpoint", checkpoint,
+                 "--set", f"eval_n={value}"])
+    assert code == 2
+    assert "eval_n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["lr", "l2", "dropout"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_hyperparameter_exits_2(prepared, tmp_path, capsys, key, value):
+    code = main(["train", "--data-dir", prepared, "--checkpoint", str(tmp_path / "x.ckpt"),
+                 "--quiet"] + BASE + ["--set", f"{key}={value}"])
+    assert code == 2
+    assert f"{key} must be finite" in capsys.readouterr().err

@@ -5,14 +5,17 @@ import hypothesis.strategies as st
 
 from convrec.ablation import evaluate_pop, popularity_counts
 from convrec.evaluate import (
+    AP_MODES,
+    _metrics_from_positions,
     average_precision,
     evaluate,
+    metrics_for_ranking,
     prec_recall_at,
     ranked_order,
     recommend_top_n,
     score_matrix,
 )
-from convrec.model import forward
+from convrec.model import forward, init_params
 
 
 # --------------------------------------------------------------------------
@@ -64,6 +67,55 @@ def test_recommend_matches_exhaustive_scoring(tiny_params, tiny_hp, tiny_split):
 def test_recommend_rejects_bad_n(tiny_params, tiny_hp):
     with pytest.raises(ValueError):
         recommend_top_n(tiny_params, tiny_hp, [1, 2], 1, n=0)
+
+
+# --------------------------------------------------------------------------
+# counted ranks and top-N selection against a full sort of the row
+
+def _sorted_metrics(scores, relevant, cutoffs, ap_mode, cutoff):
+    """Hit ranks read off a full lexsort of the row: the oracle for counting."""
+    order = np.lexsort((np.arange(scores.size), -scores))
+    n_eligible = int(np.isfinite(scores).sum())
+    hit_ranks = np.flatnonzero(np.isin(order[:n_eligible], list(relevant))) + 1
+    return _metrics_from_positions(hit_ranks, len(relevant), n_eligible, cutoffs, ap_mode, cutoff)
+
+
+@st.composite
+def tied_rows(draw):
+    """Small integer-valued scores (many exact ties, a few +inf and NaN), a
+    nonempty excluded set, and a relevant set that may overlap it."""
+    m = draw(st.integers(1, 30))
+    value = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
+    values = np.array([0.0] + draw(st.lists(value, min_size=m, max_size=m)))
+    excluded = sorted(draw(st.sets(st.integers(1, m), min_size=1, max_size=m)))
+    relevant = draw(st.sets(st.integers(1, m), min_size=1, max_size=m))
+    scores = values.copy()
+    scores[[0] + excluded] = -np.inf
+    return values, scores, excluded, relevant
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_rows(), st.sampled_from(AP_MODES), st.one_of(st.none(), st.integers(1, 35)))
+def test_counted_ranks_match_full_sort(row, ap_mode, cutoff):
+    _, scores, _, relevant = row
+    cutoffs = tuple(range(1, scores.size + 1))  # prec at every n pins down every hit rank
+    got = metrics_for_ranking(scores, relevant, cutoffs, ap_mode, cutoff)
+    assert got == _sorted_metrics(scores, relevant, cutoffs, ap_mode, cutoff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_rows())
+def test_recommend_selection_matches_full_sort(tiny_hp, row):
+    values, scores, excluded, _ = row
+    m = values.size - 1
+    params = init_params(tiny_hp, 1, m, np.random.default_rng(0))
+    params.out_w[:] = 0.0  # every score is the output bias
+    params.out_b[:] = values
+    eligible = int(np.isfinite(scores).sum())
+    for n in range(1, m + 3):
+        ranked = recommend_top_n(params, tiny_hp, excluded, 1, n)
+        assert ranked.items.tolist() == ranked_order(scores)[: min(n, eligible)].tolist()
+        assert ranked.scores.tolist() == scores[ranked.items].tolist()
 
 
 # --------------------------------------------------------------------------
