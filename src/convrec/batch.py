@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HyperParams
-from .gradients import GradientSet, _enabled_fc_cols, softplus
+from .gradients import GradientSet, _enabled_fc_cols, softplus, unique_rows
 from .model import FULL_MASK, ComponentMask, ModelParams, activate, activate_grad, sigmoid
 
 
@@ -87,7 +87,8 @@ def batch_forward(
 
     xo = np.concatenate([z, p_u], axis=1)
     if score_ids is None:
-        scores = xo @ params.out_w.T + params.out_b
+        scores = xo @ params.out_w.T
+        scores += params.out_b
         scores[:, 0] = -np.inf
     else:
         scores = np.einsum("bsk,bk->bs", params.out_w[score_ids], xo) + params.out_b[score_ids]
@@ -138,11 +139,13 @@ def _batch_backward(params, hp, bt, ids, gy) -> GradientSet:
     np.add.at(g.out_b, ids.ravel(), gy.ravel())
     g.out_w[0] = 0.0
     g.out_b[0] = 0.0
+    g.out_rows = unique_rows(ids)
     dxo = np.einsum("bs,bsk->bk", gy, params.out_w[ids])
     dz, dp = dxo[:, :d], dxo[:, d:]
 
     if mask.p:
         np.add.at(g.user_emb, bt.users, dp)
+        g.user_rows = unique_rows(bt.users)
 
     if mask.h or mask.v:
         da = dz * activate_grad(bt.fc_pre, hp.fc_act)
@@ -176,6 +179,7 @@ def _batch_backward(params, hp, bt, ids, gy) -> GradientSet:
             dE += np.einsum("bkd,kl->bld", dc, params.v_filters)
         np.add.at(g.item_emb, bt.prev.ravel(), dE.reshape(-1, d))
         g.item_emb[0] = 0.0
+        g.item_rows = unique_rows(bt.prev)
     return g
 
 

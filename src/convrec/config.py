@@ -157,17 +157,18 @@ class RunConfig:
                 raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
             setattr(self, key, value)
             self.explicit.add(key)
-        self.eval_cutoffs()  # fail on a bad eval_n now, not after training
+        # fail on a bad value now, not inside or after training
+        self.eval_cutoffs()
+        self.height_list()
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def hyperparams(self) -> HyperParams:
-        heights: tuple[int, ...] = ()
-        if self.heights.strip():
-            heights = tuple(int(h) for h in self.heights.split(","))
         return HyperParams(
             latent_dim=self.latent_dim,
             order=self.order,
             num_targets=self.num_targets,
-            heights=heights,
+            heights=self.height_list(),
             num_h_filters=self.num_h_filters,
             num_v_filters=self.num_v_filters,
             conv_act=self.conv_act,
@@ -179,6 +180,16 @@ class RunConfig:
             num_negatives=self.num_negatives,
             negatives_per_instance=self.negatives_per_instance,
         )
+
+    def height_list(self) -> tuple[int, ...]:
+        if not self.heights.strip():
+            return ()
+        try:
+            return tuple(int(h) for h in self.heights.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"heights must be empty or a comma list of integers, got {self.heights!r}"
+            ) from None
 
     def eval_cutoffs(self) -> tuple[int, ...]:
         try:

@@ -34,9 +34,27 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def unique_rows(ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of ids; np.unique without its fixed overhead."""
+    s = np.sort(ids, axis=None)
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 @dataclass
 class GradientSet:
-    """One gradient tensor per model tensor, shape-congruent."""
+    """One gradient tensor per model tensor, shape-congruent.
+
+    The row-indexed tables also carry the sorted unique rows that may be
+    nonzero: ``user_rows`` for user_emb, ``item_rows`` for item_emb and
+    ``out_rows`` for out_w/out_b. Every other row is exactly +0.0. None
+    means any row may be nonzero.
+    """
 
     user_emb: np.ndarray
     item_emb: np.ndarray
@@ -46,6 +64,9 @@ class GradientSet:
     fc_b: np.ndarray
     out_w: np.ndarray
     out_b: np.ndarray
+    user_rows: np.ndarray | None = None
+    item_rows: np.ndarray | None = None
+    out_rows: np.ndarray | None = None
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "GradientSet":
@@ -58,6 +79,9 @@ class GradientSet:
             np.zeros_like(params.fc_b),
             np.zeros_like(params.out_w),
             np.zeros_like(params.out_b),
+            _NO_ROWS,
+            _NO_ROWS,
+            _NO_ROWS,
         )
 
     def tensors(self):
@@ -71,13 +95,16 @@ class GradientSet:
         yield "out_w", self.out_w
         yield "out_b", self.out_b
 
-    def scale(self, factor: float) -> None:
-        for _, arr in self.tensors():
-            arr *= factor
-
-    def add(self, other: "GradientSet") -> None:
-        for (_, a), (_, b) in zip(self.tensors(), other.tensors()):
-            a += b
+    def rows(self):
+        """Per tensor, in tensors() order, the index of its possibly nonzero rows."""
+        every = slice(None)
+        yield every if self.user_rows is None else self.user_rows
+        yield every if self.item_rows is None else self.item_rows
+        for _ in self.h_filters:
+            yield every
+        yield from (every, every, every)
+        out = every if self.out_rows is None else self.out_rows
+        yield from (out, out)
 
 
 def _check_target_negative_sets(targets, negatives) -> None:
@@ -165,11 +192,13 @@ def backward(
     xo = np.concatenate([trace.z, trace.p_u])
     np.add.at(g.out_w, ids, gy[:, None] * xo[None, :])
     np.add.at(g.out_b, ids, gy)
+    g.out_rows = unique_rows(ids)
     dxo = params.out_w[ids].T @ gy
     dz, dp = dxo[:d], dxo[d:]
 
     if mask.p:
         g.user_emb[trace.user_index] += dp
+        g.user_rows = np.array([trace.user_index], dtype=np.int64)
 
     if mask.h or mask.v:
         da = dz * activate_grad(trace.fc_pre, hp.fc_act)
@@ -203,8 +232,10 @@ def backward(
             dE += params.v_filters.T @ dc
         if trace.zeroed_rows:
             dE[list(trace.zeroed_rows)] = 0.0
-        np.add.at(g.item_emb, np.asarray(trace.prev_items, dtype=np.int64), dE)
+        prev = np.asarray(trace.prev_items, dtype=np.int64)
+        np.add.at(g.item_emb, prev, dE)
         g.item_emb[0] = 0.0
+        g.item_rows = unique_rows(prev)
 
     if hp.l2 > 0.0:
         _add_l2_gradient(g, params, trace, targets, negatives, hp.l2)

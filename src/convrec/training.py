@@ -19,6 +19,9 @@ from .gradients import GradientSet
 from .model import FULL_MASK, ComponentMask, ModelParams, init_params
 
 
+ADAM_BLOCK = 65536  # elements per block of the parameter update
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
@@ -27,6 +30,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    # block-sized scratch for the parameter update
+    scratch: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)), repr=False
+    )
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -37,21 +44,52 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, lr: float) -> None:
-    """Standard bias-corrected Adam update; padding rows re-pinned afterwards."""
-    for name, g in grads.tensors():
-        if not np.all(np.isfinite(g)):
+    """Bias-corrected dense Adam; padding rows re-pinned afterwards.
+
+    Every moment decays every step, as in plain Adam. The gradient terms are
+    added only on the rows the gradient set declares (every other row of its
+    gradient is exactly +0.0, so adding it would change no bit), and the
+    parameter update runs in place over blocks of ADAM_BLOCK elements.
+    """
+    touched = []
+    for (name, g), rows in zip(grads.tensors(), grads.rows()):
+        g_rows = g[rows]
+        if not np.all(np.isfinite(g_rows)):
             raise NonFiniteGradientError(f"non-finite gradient in {name} at step {state.step + 1}")
+        touched.append((rows, g_rows))
     state.step += 1
-    c1 = 1.0 - state.beta1**state.step
-    c2 = 1.0 - state.beta2**state.step
-    for (name, p), (_, g) in zip(params.tensors(), grads.tensors()):
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1**state.step
+    c2 = 1.0 - b2**state.step
+    for (name, p), (rows, g_rows) in zip(params.tensors(), touched):
         m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= b1
+        v *= b2
+        m[rows] += (1.0 - b1) * g_rows
+        sq = (1.0 - b2) * g_rows
+        sq *= g_rows
+        v[rows] += sq
+        _update_in_blocks(p, m, v, state, lr, c1, c2)
     params.pin_rows()
+
+
+def _update_in_blocks(p, m, v, state: AdamState, lr: float, c1: float, c2: float) -> None:
+    """p -= lr * (m / c1) / (sqrt(v / c2) + eps), one block at a time."""
+    if not p.flags.c_contiguous:  # reshape would copy and the update would be lost
+        raise ValueError("Adam updates only C-contiguous parameter tensors")
+    flat_p, flat_m, flat_v = p.reshape(-1), m.reshape(-1), v.reshape(-1)
+    buf_a, buf_b = state.scratch
+    for start in range(0, flat_p.size, ADAM_BLOCK):
+        stop = min(start + ADAM_BLOCK, flat_p.size)
+        step = buf_a[: stop - start]
+        denom = buf_b[: stop - start]
+        np.divide(flat_m[start:stop], c1, out=step)
+        step *= lr
+        np.divide(flat_v[start:stop], c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        flat_p[start:stop] -= step
 
 
 @dataclass

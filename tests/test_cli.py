@@ -247,3 +247,20 @@ def test_non_finite_hyperparameter_exits_2(prepared, tmp_path, capsys, key, valu
                  "--quiet"] + BASE + ["--set", f"{key}={value}"])
     assert code == 2
     assert f"{key} must be finite" in capsys.readouterr().err
+
+
+def test_zero_batch_size_exits_2(prepared, tmp_path, capsys):
+    code = main(["train", "--data-dir", prepared, "--checkpoint", str(tmp_path / "x.ckpt"),
+                 "--quiet"] + BASE + ["--set", "batch_size=0"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "batch_size" in err[0]
+
+
+@pytest.mark.parametrize("value", ["a", "1,,2", "1;2"])
+def test_bad_heights_exit_2(prepared, tmp_path, capsys, value):
+    code = main(["train", "--data-dir", prepared, "--checkpoint", str(tmp_path / "x.ckpt"),
+                 "--quiet"] + BASE + ["--set", f"heights={value}"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "heights" in err[0]

@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from convrec.batch import batch_loss_and_grads
 from convrec.config import HyperParams
 from convrec.gradients import TOY_HP, backward, bce_loss, gradient_check
 from convrec.model import ComponentMask, dropout_mask_for, forward, init_params
@@ -123,6 +125,39 @@ def test_pinned_rows_never_touched():
     g = backward(p, HP, tr, (4,), (5, 6, 7))
     assert not g.item_emb[0].any()
     assert not g.out_w[0].any() and g.out_b[0] == 0.0
+
+
+def _assert_rows_cover(g):
+    for table, rows in ((g.user_emb, g.user_rows), (g.item_emb, g.item_rows),
+                        (g.out_w, g.out_rows), (g.out_b, g.out_rows)):
+        assert np.array_equal(rows, np.unique(rows))  # sorted, unique
+        nonzero = np.flatnonzero(table.reshape(len(table), -1).any(axis=1))
+        assert set(nonzero) <= set(rows)
+
+
+MASKS = [ComponentMask(p, h, v) for p, h, v in itertools.product((True, False), repeat=3) if p or h or v]
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+@pytest.mark.parametrize("mask", MASKS, ids=str)
+def test_recorded_rows_cover_every_nonzero_gradient_row(mask, l2):
+    hp = dataclasses.replace(HP, l2=l2, dropout=0.3)
+    p, rng = _setup(hp, seed=9)
+    B, T = 5, hp.num_targets
+    prev = np.array([[0, 0, 2, 3], [3, 3, 7, 1], [0, 4, 4, 4], [9, 8, 7, 6], [0, 0, 0, 5]])
+    users = np.array([1, 4, 4, 6, 2])
+    tgt = np.array([[10, 11], [12, 0], [10, 13], [14, 15], [16, 0]])
+    tmask = (tgt != 0).astype(float)
+    neg = np.array([[17, 18, 19, 20, 21, 22], [19, 23, 24, 0, 0, 0], [17, 17, 18, 25, 20, 21],
+                    [1, 2, 3, 4, 5, 6], [7, 8, 9, 0, 0, 0]])
+    nmask = (neg != 0).astype(float)
+    dmask = (rng.random((B, hp.fc_input_dim)) >= hp.dropout) / (1 - hp.dropout)
+    _, g = batch_loss_and_grads(p, hp, prev, users, tgt, tmask, neg, nmask, mask, dmask)
+    _assert_rows_cover(g)
+    assert g.item_emb.any() == (mask.h or mask.v) and g.user_emb.any() == mask.p
+    for b in range(B):
+        tr = forward(p, hp, prev[b], int(users[b]), mode="train", dropout_mask=dmask[b], comp_mask=mask)
+        _assert_rows_cover(backward(p, hp, tr, tuple(tgt[b][tmask[b] > 0]), tuple(neg[b][nmask[b] > 0])))
 
 
 # --------------------------------------------------------------------------

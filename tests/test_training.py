@@ -10,7 +10,7 @@ from convrec.errors import NonFiniteGradientError
 from convrec.gradients import GradientSet, backward, bce_loss
 from convrec.model import ComponentMask, forward, init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
-from convrec.training import AdamState, adam_step, sample_negative_batch, train
+from convrec.training import ADAM_BLOCK, AdamState, adam_step, sample_negative_batch, train
 
 HP = HyperParams(latent_dim=6, order=4, num_targets=2, heights=(1, 2, 4),
                  num_h_filters=2, num_v_filters=2, dropout=0.0, l2=0.0, lr=1e-3)
@@ -18,6 +18,12 @@ HP = HyperParams(latent_dim=6, order=4, num_targets=2, heights=(1, 2, 4),
 
 def _params(hp=HP, users=6, items=25, seed=0):
     return init_params(hp, users, items, np.random.default_rng(seed))
+
+
+def _declare_all_rows(g):
+    g.user_rows = np.arange(len(g.user_emb))
+    g.item_rows = np.arange(len(g.item_emb))
+    g.out_rows = np.arange(len(g.out_w))
 
 
 # --------------------------------------------------------------------------
@@ -38,6 +44,7 @@ def test_adam_first_step_matches_hand_computation():
     g = GradientSet.zeros_like(p)
     for _, arr in g.tensors():
         arr[:] = 0.25
+    _declare_all_rows(g)
     before = p.copy()
     state = AdamState.for_params(p)
     adam_step(p, g, state, lr=0.01)
@@ -60,9 +67,77 @@ def test_adam_repins_padding_rows():
     g = GradientSet.zeros_like(p)
     for _, arr in g.tensors():
         arr[:] = 1.0  # including pinned rows
+    _declare_all_rows(g)
     adam_step(p, g, AdamState.for_params(p), lr=0.5)
     assert not p.item_emb[0].any()
     assert not p.out_w[0].any() and p.out_b[0] == 0.0
+
+
+def _dense_adam(params, grads, state, lr):
+    """The textbook dense update: reads every row of every gradient."""
+    state.step += 1
+    c1 = 1.0 - state.beta1**state.step
+    c2 = 1.0 - state.beta2**state.step
+    for (name, p), (_, g) in zip(params.tensors(), grads.tensors()):
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    params.pin_rows()
+
+
+def _row_sparse_grads(p, rng, step):
+    g = GradientSet.zeros_like(p)
+    for arr in g.h_filters + [g.v_filters, g.fc_w, g.fc_b]:
+        arr[:] = rng.normal(size=arr.shape)
+    ids = {}
+    for name, table in (("user", g.user_emb), ("item", g.item_emb), ("out", g.out_w)):
+        # duplicates, row 0, the last row and the rows on either side of each
+        # block boundary, scattered like the kernel does
+        edges = np.arange(ADAM_BLOCK, table.size, ADAM_BLOCK) // table[0].size
+        hit = np.concatenate([[0, 0, len(table) - 1], edges - 1, edges, rng.integers(0, len(table), size=40)])
+        np.add.at(table, hit, rng.normal(size=(hit.size,) + table.shape[1:]))
+        if name == "out":
+            np.add.at(g.out_b, hit, rng.normal(size=hit.size))
+        rows = np.unique(hit)
+        table[rows[1 + step % (len(rows) - 1)]] = 0.0  # touched, gradient exactly 0
+        ids[name] = rows
+    g.user_rows, g.item_rows, g.out_rows = ids["user"], ids["item"], ids["out"]
+    return g
+
+
+def test_adam_matches_dense_oracle_bitwise():
+    p = _params(users=9, items=11000, seed=4)
+    assert p.item_emb.size > ADAM_BLOCK and p.item_emb.size % ADAM_BLOCK != 0
+    assert p.out_w.size > 2 * ADAM_BLOCK and p.out_w.size % ADAM_BLOCK != 0
+    want = p.copy()
+    state, want_state = AdamState.for_params(p), AdamState.for_params(want)
+    rng = np.random.default_rng(5)
+    for step in range(6):
+        g = _row_sparse_grads(p, rng, step)
+        adam_step(p, g, state, lr=0.01)
+        _dense_adam(want, g, want_state, lr=0.01)
+        assert state.step == want_state.step
+        for (name, got), (_, arr) in zip(p.tensors(), want.tensors()):
+            assert np.array_equal(got.view(np.uint64), arr.view(np.uint64)), name
+            assert np.array_equal(state.m[name].view(np.uint64), want_state.m[name].view(np.uint64)), name
+            assert np.array_equal(state.v[name].view(np.uint64), want_state.v[name].view(np.uint64)), name
+
+
+def test_adam_rejects_non_finite_touched_row():
+    p = _params()
+    before = p.copy()
+    g = GradientSet.zeros_like(p)
+    g.item_emb[3, 1] = np.inf
+    g.item_rows = np.array([3])
+    state = AdamState.for_params(p)
+    with pytest.raises(NonFiniteGradientError, match="item_emb"):
+        adam_step(p, g, state, lr=0.01)
+    assert state.step == 0
+    for (_, a), (_, b) in zip(p.tensors(), before.tensors()):
+        assert np.array_equal(a, b)
 
 
 # --------------------------------------------------------------------------
@@ -99,8 +174,10 @@ def test_batch_matches_per_instance_mean():
                          dropout_mask=dmask[b], comp_mask=mask)
             t, n = packed[b]
             total += bce_loss(tr, t, n, p, hp.l2)
-            acc.add(backward(p, hp, tr, t, n))
-        acc.scale(1.0 / B)
+            for (_, a), (_, g_i) in zip(acc.tensors(), backward(p, hp, tr, t, n).tensors()):
+                a += g_i
+        for _, a in acc.tensors():
+            a *= 1.0 / B
         assert loss_b == pytest.approx(total / B, abs=1e-12)
         for (_, a), (_, want) in zip(g_b.tensors(), acc.tensors()):
             assert np.max(np.abs(a - want)) < 1e-12
