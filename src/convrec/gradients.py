@@ -52,8 +52,8 @@ class GradientSet:
 
     The row-indexed tables also carry the sorted unique rows that may be
     nonzero: ``user_rows`` for user_emb, ``item_rows`` for item_emb and
-    ``out_rows`` for out_w/out_b. Every other row is exactly +0.0. None
-    means any row may be nonzero.
+    ``out_rows`` for out_w/out_b. Every other row must be exactly +0.0:
+    adam_step reads and checks only the recorded rows of these tables.
     """
 
     user_emb: np.ndarray
@@ -64,12 +64,18 @@ class GradientSet:
     fc_b: np.ndarray
     out_w: np.ndarray
     out_b: np.ndarray
-    user_rows: np.ndarray | None = None
-    item_rows: np.ndarray | None = None
-    out_rows: np.ndarray | None = None
+    user_rows: np.ndarray
+    item_rows: np.ndarray
+    out_rows: np.ndarray
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "GradientSet":
+        """All-zero tensors with empty row sets.
+
+        A caller that writes into user_emb, item_emb, out_w or out_b must also
+        record those rows in user_rows, item_rows or out_rows; adam_step
+        ignores every row that is not recorded.
+        """
         return cls(
             np.zeros_like(params.user_emb),
             np.zeros_like(params.item_emb),
@@ -98,13 +104,12 @@ class GradientSet:
     def rows(self):
         """Per tensor, in tensors() order, the index of its possibly nonzero rows."""
         every = slice(None)
-        yield every if self.user_rows is None else self.user_rows
-        yield every if self.item_rows is None else self.item_rows
+        yield self.user_rows
+        yield self.item_rows
         for _ in self.h_filters:
             yield every
         yield from (every, every, every)
-        out = every if self.out_rows is None else self.out_rows
-        yield from (out, out)
+        yield from (self.out_rows, self.out_rows)
 
 
 def _check_target_negative_sets(targets, negatives) -> None:

@@ -47,9 +47,11 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, lr: flo
     """Bias-corrected dense Adam; padding rows re-pinned afterwards.
 
     Every moment decays every step, as in plain Adam. The gradient terms are
-    added only on the rows the gradient set declares (every other row of its
-    gradient is exactly +0.0, so adding it would change no bit), and the
-    parameter update runs in place over blocks of ADAM_BLOCK elements.
+    added only on the rows the gradient set records in user_rows, item_rows
+    and out_rows (every other row of its gradient is exactly +0.0, so adding
+    it would change no bit), and the parameter update runs in place over
+    blocks of ADAM_BLOCK elements. A gradient written into a row that is not
+    recorded is ignored and not checked for finiteness.
     """
     touched = []
     for (name, g), rows in zip(grads.tensors(), grads.rows()):
