@@ -17,10 +17,10 @@ from .data import (
     chronological_split,
     generate_instances,
     load_interactions,
-    sample_negatives,
 )
-from .model import ComponentMask, ModelParams, forward, init_params
-from .gradients import GradientSet, backward, bce_loss, gradient_check
+from .model import ComponentMask, ModelParams, init_params
+from .batch import forward
+from .gradients import GradientSet, gradient_check
 from .training import AdamState, TrainResult, adam_step, train
 from .evaluate import EvalReport, RankedList, average_precision, evaluate, prec_recall_at, recommend_top_n
 from .rules import MiningConfig, Rule, mine_rules, sequential_intensity
@@ -40,14 +40,11 @@ __all__ = [
     "build_sequences",
     "chronological_split",
     "generate_instances",
-    "sample_negatives",
     "ModelParams",
     "ComponentMask",
     "init_params",
     "forward",
     "GradientSet",
-    "bce_loss",
-    "backward",
     "gradient_check",
     "AdamState",
     "adam_step",

@@ -7,20 +7,29 @@ latent-factor form out_w[:, d:] @ p_u + out_b, exactly.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .batch import forward
 from .config import HyperParams
-from .data import SplitDataset, history_for, pad_left
-from .evaluate import EvalReport, RankedList, evaluate, metrics_for_ranking, ranked_order
-from .model import ComponentMask, ModelParams, forward
+from .data import PADDING_INDEX, SplitDataset, history_for, pad_left
+# metrics_for_ranking is unused here, but perfbench hooks it under this module's name
+from .evaluate import (  # noqa: F401
+    EvalReport,
+    RankedList,
+    evaluate,
+    evaluate_scores,
+    metrics_for_ranking,
+    ranked_order,
+)
+from .model import ComponentMask, ModelParams
 from .training import TrainResult, train
 
 __all__ = [
     "ComponentMask",
     "masked_forward",
-    "fpmc_like_scores",
     "pop_baseline",
     "evaluate_pop",
     "run_ablation",
@@ -33,17 +42,7 @@ def masked_forward(
     params: ModelParams, hp: HyperParams, prev_items, user_index: int, mask: ComponentMask
 ) -> np.ndarray:
     """Inference scores with the given components disabled."""
-    return forward(params, hp, prev_items, user_index, mode="infer", comp_mask=mask).scores
-
-
-def fpmc_like_scores(params: ModelParams, prev_item: int, user_index: int) -> np.ndarray:
-    """First-order reduction: the previous item's embedding stands in for the
-    sequence embedding and all bias terms are dropped."""
-    z = params.item_emb[prev_item]
-    x = np.concatenate([z, params.user_emb[user_index]])
-    y = params.out_w @ x
-    y[0] = -np.inf
-    return y
+    return forward(params, hp, prev_items, user_index, mask)
 
 
 def popularity_counts(split: SplitDataset) -> np.ndarray:
@@ -87,34 +86,11 @@ def evaluate_pop(
     exclude_seen: bool = True,
     part: str = "test",
 ) -> EvalReport:
-    """POP baseline metrics, streaming one user at a time."""
-    counts = popularity_counts(split).astype(float)
-    held = split.test if part == "test" else split.validation
-    users = [u for u in split.users() if held[u]]
-    if not users:
-        raise ValueError(f"no users with a nonempty {part} part")
-    prec_sum = {n: 0.0 for n in cutoffs}
-    rec_sum = {n: 0.0 for n in cutoffs}
-    ap_sum = 0.0
-    for u in users:
-        s = counts.copy()
-        s[0] = -np.inf
-        if exclude_seen:
-            seen = history_for(split, u, part)
-            if seen:
-                s[np.asarray(seen, dtype=np.int64)] = -np.inf
-        prec, rec, ap = metrics_for_ranking(s, set(held[u]), cutoffs, ap_mode)
-        for n in cutoffs:
-            prec_sum[n] += prec[n]
-            rec_sum[n] += rec[n]
-        ap_sum += ap
-    count = len(users)
-    return EvalReport(
-        {n: prec_sum[n] / count for n in cutoffs},
-        {n: rec_sum[n] / count for n in cutoffs},
-        ap_sum / count,
-        count,
-        ap_mode,
+    """POP baseline metrics: every user gets the training-count score row."""
+    row = popularity_counts(split).astype(float)
+    row[0] = -np.inf
+    return evaluate_scores(
+        split, lambda users, _: itertools.repeat(row), cutoffs, ap_mode, exclude_seen, part
     )
 
 
@@ -180,19 +156,17 @@ def mask_history_items(
     probe_item: int,
     exclude_seen: bool = True,
 ) -> tuple[np.ndarray, int]:
-    """Zero selected rows of the embedded history and report the probe's rank.
+    """Mask selected slots of the history window and report the probe's rank.
 
+    A masked slot holds the padding item, whose embedding row is zero.
     ``mask_positions`` are 1-based slots of the L-window, 1 = oldest. Returns
     (scores, rank), rank being 1-based among the eligible items.
     """
     if any(p < 1 or p > hp.order for p in mask_positions):
         raise ValueError(f"mask positions must lie in 1..{hp.order}")
-    window = pad_left(list(history), hp.order)
-    trace = forward(
-        params, hp, window, user_index, mode="infer",
-        zero_rows=tuple(p - 1 for p in sorted(mask_positions)),
-    )
-    scores = trace.scores.copy()
+    window = np.asarray(pad_left(list(history), hp.order), dtype=np.int64)
+    window[[p - 1 for p in mask_positions]] = PADDING_INDEX
+    scores = forward(params, hp, window, user_index)
     if exclude_seen:
         seen = np.asarray(list(history), dtype=np.int64)
         scores[seen] = -np.inf

@@ -1,9 +1,17 @@
-"""Vectorized forward/backward over mini-batches of instances.
+"""The network's only forward/backward: mini-batches of instances.
 
-The training loop runs these kernels for speed; they must reproduce the mean
-of the per-instance results from model.forward / gradients.backward exactly
-(an equivalence test pins this down). Target/negative slots are rectangular:
-unused slots carry item id 0 with a zero weight in the slot mask.
+Training, evaluation and single-user scoring all run these kernels;
+``forward`` scores one user as a batch of one. The loss of an instance
+contrasts its target items against sampled negatives through a sigmoid
+(negative log-likelihood of independent Bernoullis), averaged over the
+batch. Target/negative slots are rectangular: unused slots carry item id 0
+with a zero weight in the slot mask.
+
+Regularization is coupled into the objective: each instance adds an L2
+penalty over the parameters it actually touches (one term per occurrence for
+embedding/output rows, the dense conv/FC tensors once), so the gradient's
+support is exactly the touched set. gradients.gradient_check verifies the
+backward pass against central finite differences of this loss.
 """
 from __future__ import annotations
 
@@ -12,8 +20,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HyperParams
-from .gradients import GradientSet, _enabled_fc_cols, softplus, unique_rows
-from .model import FULL_MASK, ComponentMask, ModelParams, activate, activate_grad, sigmoid
+from .gradients import GradientSet, unique_rows
+from .model import (
+    FULL_MASK,
+    ComponentMask,
+    ModelParams,
+    activate,
+    activate_grad,
+    horizontal_conv,
+    sigmoid,
+    vertical_conv,
+)
+
+
+def softplus(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _enabled_fc_cols(params: ModelParams, mask: ComponentMask) -> np.ndarray:
+    n = sum(len(f) for f in params.h_filters)
+    cols = np.zeros(params.fc_w.shape[1], dtype=bool)
+    if mask.h:
+        cols[:n] = True
+    if mask.v:
+        cols[n:] = True
+    return cols
 
 
 @dataclass
@@ -47,29 +79,16 @@ def batch_forward(
     d = params.latent_dim
     E = params.item_emb[prev]
     p_u = params.user_emb[users] if comp_mask.p else np.zeros((B, d))
-    n = sum(len(f) for f in params.h_filters)
 
     hpre = hamax = None
     if comp_mask.h:
-        hpre, hamax, pooled = [], [], []
-        for filt in params.h_filters:
-            n_h, h, _ = filt.shape
-            n_windows = prev.shape[1] - h + 1
-            pre = np.empty((B, n_h, n_windows))
-            for i in range(n_windows):
-                pre[:, :, i] = np.tensordot(E[:, i : i + h, :], filt, axes=([1, 2], [1, 2]))
-            vals = activate(pre, hp.conv_act)
-            amax = np.argmax(vals, axis=2)
-            pooled.append(np.take_along_axis(vals, amax[:, :, None], axis=2)[:, :, 0])
-            hpre.append(pre)
-            hamax.append(amax)
-        o = np.concatenate(pooled, axis=1)
+        o, hpre, hamax = horizontal_conv(E, params.h_filters, hp.conv_act)
     else:
-        o = np.zeros((B, n))
+        o = np.zeros((B, sum(len(f) for f in params.h_filters)))
 
     ot_pre = None
     if comp_mask.v:
-        ot_pre = np.einsum("bld,kl->bkd", E, params.v_filters).reshape(B, -1)
+        ot_pre = vertical_conv(E, params.v_filters)
         ot = activate(ot_pre, hp.vertical_act)
     else:
         ot = np.zeros((B, len(params.v_filters) * d))
@@ -93,6 +112,27 @@ def batch_forward(
     else:
         scores = np.einsum("bsk,bk->bs", params.out_w[score_ids], xo) + params.out_b[score_ids]
     return BatchTrace(prev, users, comp_mask, E, p_u, hpre, hamax, ot_pre, dropout_mask, x, fc_pre, z, scores)
+
+
+def forward(
+    params: ModelParams,
+    hp: HyperParams,
+    prev_items,
+    user_index: int,
+    comp_mask: ComponentMask = FULL_MASK,
+) -> np.ndarray:
+    """Inference scores over every item for one (user, previous-L-items) pair.
+
+    Runs batch_forward on a batch of one; the row is the caller's to modify.
+    The padding score, index 0, is -inf.
+    """
+    prev = np.asarray(prev_items, dtype=np.int64)
+    if prev.min() < 0 or prev.max() > params.item_count:
+        raise IndexError(f"item index out of range 0..{params.item_count}")
+    if not 1 <= user_index <= params.user_count:
+        raise IndexError(f"user index {user_index} out of range 1..{params.user_count}")
+    users = np.array([user_index], dtype=np.int64)
+    return batch_forward(params, hp, prev[None], users, comp_mask).scores[0]
 
 
 def batch_loss_and_grads(

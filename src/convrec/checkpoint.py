@@ -97,6 +97,7 @@ def load_checkpoint(path: str, expect_hp: HyperParams | None = None) -> tuple[Mo
         out_b=tensors["out_b"],
     )
     _validate_shapes(path, params, hp)
+    _validate_padding_rows(path, params)
     if expect_hp is not None:
         _check_structural(path, hp, expect_hp)
     return params, hp
@@ -122,11 +123,20 @@ def _validate_shapes(path: str, params: ModelParams, hp: HyperParams) -> None:
         raise CheckpointError(f"{path}: tensor shapes inconsistent with stored hyperparameters")
 
 
-_STRUCTURAL = ("latent_dim", "order", "heights", "num_h_filters", "num_v_filters")
+def _validate_padding_rows(path: str, params: ModelParams) -> None:
+    """Padded windows and masked history slots read these rows as zeros."""
+    for name in ("user_emb", "item_emb", "out_w", "out_b"):
+        table = getattr(params, name)
+        if len(table) == 0 or np.any(table[0]):
+            raise CheckpointError(f"{path}: padding row 0 of {name} is missing or not zero")
+
+
+# hyperparameters that fix tensor shapes
+STRUCTURAL_KEYS = ("latent_dim", "order", "heights", "num_h_filters", "num_v_filters")
 
 
 def _check_structural(path: str, hp: HyperParams, expect: HyperParams) -> None:
-    for name in _STRUCTURAL:
+    for name in STRUCTURAL_KEYS:
         if getattr(hp, name) != getattr(expect, name):
             raise CheckpointError(
                 f"{path}: shape mismatch, checkpoint has {name}={getattr(hp, name)} "

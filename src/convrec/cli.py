@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import ablation, rules
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import STRUCTURAL_KEYS, load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_override_args
 from .data import (
     build_sequences,
@@ -29,8 +29,6 @@ from .errors import ConfigError, ConvrecError
 from .evaluate import evaluate, recommend_top_n
 from .gradients import gradient_check
 from .training import train
-
-_STRUCTURAL_KEYS = ("latent_dim", "order", "heights", "num_h_filters", "num_v_filters")
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -119,7 +117,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _build_config(args)
-    expect = cfg.hyperparams() if cfg.explicit & set(_STRUCTURAL_KEYS) else None
+    expect = cfg.hyperparams() if cfg.explicit & set(STRUCTURAL_KEYS) else None
     params, hp = load_checkpoint(args.checkpoint, expect_hp=expect)
     split = _resolve_split(args, cfg)
     report = evaluate(

@@ -6,7 +6,6 @@ an experiment config never pass silently.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, fields
 
@@ -160,8 +159,11 @@ class RunConfig:
         # fail on a bad value now, not inside or after training
         self.eval_cutoffs()
         self.height_list()
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for key in ("batch_size", "epochs", "patience"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def hyperparams(self) -> HyperParams:
         return HyperParams(
@@ -238,6 +240,3 @@ def parse_override_args(args: list[str]) -> dict[str, str]:
         pairs[key.strip()] = value.strip()
     return pairs
 
-
-def asdict(cfg) -> dict:
-    return dataclasses.asdict(cfg)

@@ -10,9 +10,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import CacheError, EmptyDatasetError, ParseError, SamplingError
+from .errors import CacheError, EmptyDatasetError, ParseError
 
 PADDING_INDEX = 0
 
@@ -244,41 +242,6 @@ def generate_instances(
             for t in range(start, len(full)):
                 prev = pad_left(full[max(0, t - L) : t], L)
                 out.append(TrainingInstance(u, prev, tuple(full[t : t + T])))
-    return out
-
-
-def sample_negatives(
-    instance: TrainingInstance,
-    count: int,
-    rng: np.random.Generator,
-    item_count: int,
-    exclude: set[int] | None = None,
-    per_instance: bool = False,
-) -> list[int]:
-    """Draw negatives uniformly from 1..item_count, never hitting the targets.
-
-    Returns ``count * len(targets)`` draws (or ``count`` with per_instance),
-    sampled with replacement. ``exclude`` extends the exclusion set, e.g. with
-    the user's whole history.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    excluded = {PADDING_INDEX} | set(instance.targets)
-    if exclude:
-        excluded |= set(exclude)
-    eligible = item_count - sum(1 for x in excluded if 1 <= x <= item_count)
-    if eligible < 1:
-        raise SamplingError("every item is excluded; cannot sample negatives")
-    total = count if per_instance else count * len(instance.targets)
-
-    if eligible < max(4, item_count // 4):
-        pool = np.setdiff1d(np.arange(1, item_count + 1), np.fromiter(excluded, dtype=np.int64))
-        return [int(x) for x in rng.choice(pool, size=total, replace=True)]
-
-    out: list[int] = []
-    while len(out) < total:
-        draw = rng.integers(1, item_count + 1, size=total - len(out))
-        out.extend(int(x) for x in draw if x not in excluded)
     return out
 
 

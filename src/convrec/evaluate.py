@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import batch_forward
+from .batch import batch_forward, forward
 from .config import HyperParams
 from .data import SplitDataset, history_for, pad_left
-from .model import FULL_MASK, ComponentMask, ModelParams, forward
+from .model import FULL_MASK, ComponentMask, ModelParams
 
 AP_MODES = ("standard", "paper_literal")
 
@@ -80,10 +80,7 @@ def recommend_top_n(
         raise ValueError("n must be >= 1")
     if not len(history):
         raise ValueError("history must be nonempty")
-    trace = forward(
-        params, hp, pad_left(list(history), hp.order), user_index, mode="infer", comp_mask=comp_mask
-    )
-    scores = trace.scores.copy()
+    scores = forward(params, hp, pad_left(list(history), hp.order), user_index, comp_mask)
     if exclude_seen:
         scores[np.asarray(list(history), dtype=np.int64)] = -np.inf
     n = min(n, int(np.isfinite(scores).sum()))
@@ -189,21 +186,22 @@ def metrics_for_ranking(scores: np.ndarray, relevant: set, cutoffs, ap_mode, cut
     return _metrics_from_positions(hit_ranks, len(relevant), n_eligible, cutoffs, ap_mode, cutoff)
 
 
-def evaluate(
-    params: ModelParams,
-    hp: HyperParams,
+def evaluate_scores(
     split: SplitDataset,
+    score_rows,
     cutoffs=(1, 5, 10),
     ap_mode: str = "standard",
     exclude_seen: bool = True,
     part: str = "test",
-    comp_mask: ComponentMask = FULL_MASK,
     collect_per_user: bool = False,
     ap_cutoff: int | None = None,
 ) -> EvalReport:
     """Average per-user metrics against the held-out part of the split.
 
-    Users whose held-out part is empty are excluded from all averages.
+    ``score_rows(users, histories)`` returns one score row per user, with
+    -inf at index 0 and at any item that must never rank. The model and the
+    POP baseline are both evaluated here. Users whose held-out part is empty
+    are excluded from all averages.
     """
     if ap_mode not in AP_MODES:
         raise ValueError(f"ap_mode must be one of {AP_MODES}")
@@ -212,18 +210,16 @@ def evaluate(
     if not users:
         raise ValueError(f"no users with a nonempty {part} part")
     histories = [history_for(split, u, part) for u in users]
-    scores = score_matrix(params, hp, histories, users, comp_mask=comp_mask)
 
     prec_sum = {n: 0.0 for n in cutoffs}
     rec_sum = {n: 0.0 for n in cutoffs}
     ap_sum = 0.0
     per_user = [] if collect_per_user else None
     max_n = max(cutoffs)
-    for row, u in enumerate(users):
-        s = scores[row]
-        if exclude_seen and histories[row]:
+    for u, history, s in zip(users, histories, score_rows(users, histories)):
+        if exclude_seen and history:
             s = s.copy()
-            s[np.asarray(histories[row], dtype=np.int64)] = -np.inf
+            s[np.asarray(history, dtype=np.int64)] = -np.inf
         prec, rec, ap = metrics_for_ranking(s, set(held[u]), cutoffs, ap_mode, ap_cutoff)
         for n in cutoffs:
             prec_sum[n] += prec[n]
@@ -241,4 +237,26 @@ def evaluate(
         users_evaluated=count,
         ap_mode=ap_mode,
         per_user=per_user,
+    )
+
+
+def evaluate(
+    params: ModelParams,
+    hp: HyperParams,
+    split: SplitDataset,
+    cutoffs=(1, 5, 10),
+    ap_mode: str = "standard",
+    exclude_seen: bool = True,
+    part: str = "test",
+    comp_mask: ComponentMask = FULL_MASK,
+    collect_per_user: bool = False,
+    ap_cutoff: int | None = None,
+) -> EvalReport:
+    """The model's metrics against the held-out part (see evaluate_scores)."""
+
+    def score_rows(users, histories):
+        return score_matrix(params, hp, histories, users, comp_mask=comp_mask)
+
+    return evaluate_scores(
+        split, score_rows, cutoffs, ap_mode, exclude_seen, part, collect_per_user, ap_cutoff
     )

@@ -1,10 +1,11 @@
-"""Network parameters and the forward pass.
+"""Network parameters, activations, component masks and the conv layers.
 
-The forward computation embeds the previous L items as an L x d matrix,
-runs horizontal (windowed, max-pooled) and vertical (per-item weighting)
-convolutions over it, projects the concatenated conv outputs to a d-dim
-sequence embedding through one fully-connected layer, and scores every item
-from the concatenation of that embedding with the user embedding.
+The network embeds the previous L items as an L x d matrix, runs horizontal
+(windowed, max-pooled) and vertical (per-item weighting) convolutions over
+it, projects the concatenated conv outputs to a d-dim sequence embedding
+through one fully-connected layer, and scores every item from the
+concatenation of that embedding with the user embedding. batch.py composes
+these layers into the forward and backward passes.
 
 All arithmetic is float64. Item row 0 and output row 0 are pinned to zero
 (padding) and the padding score is forced to -inf so it can never be ranked.
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HyperParams
-from .data import PADDING_INDEX
 
 
 # --------------------------------------------------------------------------
@@ -185,190 +185,50 @@ def init_params(hp: HyperParams, user_count: int, item_count: int, rng: np.rando
 
 
 # --------------------------------------------------------------------------
-# forward pieces
+# convolution layers and dropout
 
-@dataclass
-class HConvOut:
-    pooled: np.ndarray  # (n,) max-pooled activated values, heights ascending
-    argmax: np.ndarray  # (n,) window index of each filter's max
-    pre: list[np.ndarray]  # per height: (num_h_filters, L-h+1) pre-activations
+def horizontal_conv(
+    E: np.ndarray, h_filters: list[np.ndarray], conv_act: str
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Slide each h x d filter over the rows of every E in a (B, L, d) batch.
 
-
-def embed_lookup(params: ModelParams, prev_items, user_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the previous items' embeddings (oldest first) and fetch the user's."""
-    prev = np.asarray(prev_items, dtype=np.int64)
-    if prev.min() < 0 or prev.max() > params.item_count:
-        raise IndexError(f"item index out of range 0..{params.item_count}")
-    if not 1 <= user_index <= params.user_count:
-        raise IndexError(f"user index {user_index} out of range 1..{params.user_count}")
-    return params.item_emb[prev], params.user_emb[user_index]
-
-
-def horizontal_conv(E: np.ndarray, h_filters: list[np.ndarray], conv_act: str) -> HConvOut:
-    """Slide each h x d filter over the rows of E, activate, max-pool.
-
+    Per height the windows are gathered once, im2col style, and scored by one
+    stacked matmul (W, B, h*d) @ (h*d, n_h). Returns the activated values
+    max-pooled over windows, (B, n) with heights ascending, and per height the
+    pre-activations (B, n_h, W) and the winning window of each filter (B, n_h).
     Ties in the max go to the smallest window index (np.argmax semantics),
     which fixes the backprop routing deterministically.
     """
-    L = E.shape[0]
-    pooled_parts, argmax_parts, pre_list = [], [], []
+    B, L, d = E.shape
+    pooled, pre_list, amax_list = [], [], []
     for filt in h_filters:
-        h = filt.shape[1]
+        n_h, h, _ = filt.shape
         n_windows = L - h + 1
         if n_windows < 1:
             raise ValueError(f"filter height {h} exceeds sequence length {L}")
-        windows = np.stack([E[i : i + h] for i in range(n_windows)])  # (W, h, d)
-        pre = np.tensordot(filt, windows, axes=([1, 2], [1, 2]))  # (n_h, W)
+        idx = np.arange(n_windows)[:, None] + np.arange(h)
+        windows = E[:, idx].reshape(B, n_windows, h * d).transpose(1, 0, 2)
+        pre = (windows @ filt.reshape(n_h, h * d).T).transpose(1, 2, 0)
         vals = activate(pre, conv_act)
-        amax = np.argmax(vals, axis=1)
-        pooled_parts.append(vals[np.arange(len(filt)), amax])
-        argmax_parts.append(amax)
+        pooled.append(vals.max(axis=2))
         pre_list.append(pre)
-    return HConvOut(np.concatenate(pooled_parts), np.concatenate(argmax_parts), pre_list)
+        amax_list.append(vals.argmax(axis=2))
+    return np.concatenate(pooled, axis=1), pre_list, amax_list
 
 
 def vertical_conv(E: np.ndarray, v_filters: np.ndarray) -> np.ndarray:
-    """Weighted sums over the rows of E, one d-vector per filter, concatenated.
+    """Weighted sums over the rows of E (..., L, d), one d-vector per filter.
 
-    No activation and no pooling: each filter is a learned aggregator of the
-    L previous items' embeddings.
+    The vectors are concatenated filter-major into (..., n_v * d). No
+    activation and no pooling: each filter is a learned aggregator of the L
+    previous items' embeddings.
     """
-    return (v_filters @ E).ravel()
+    return np.einsum("...ld,kl->...kd", E, v_filters).reshape(*E.shape[:-2], -1)
 
 
-def fc_embed(
-    o: np.ndarray,
-    o_tilde: np.ndarray,
-    fc_w: np.ndarray,
-    fc_b: np.ndarray,
-    fc_act: str,
-    dropout_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Project the concatenated conv outputs to the d-dim sequence embedding."""
-    z, _, _ = _fc_embed_full(o, o_tilde, fc_w, fc_b, fc_act, dropout_mask)
-    return z
-
-
-def _fc_embed_full(o, o_tilde, fc_w, fc_b, fc_act, dropout_mask):
-    x = np.concatenate([o, o_tilde])
-    if dropout_mask is not None:
-        x = x * dropout_mask
-    pre = fc_w @ x + fc_b
-    return activate(pre, fc_act), pre, x
-
-
-def output_scores(
-    z: np.ndarray,
-    p_u: np.ndarray,
-    out_w: np.ndarray,
-    out_b: np.ndarray,
-    items: np.ndarray | None = None,
-) -> np.ndarray:
-    """Score items from [z; p_u]. Full scoring pins the padding score at -inf."""
-    x = np.concatenate([z, p_u])
-    if items is not None:
-        return out_w[items] @ x + out_b[items]
-    y = out_w @ x + out_b
-    y[PADDING_INDEX] = -np.inf
-    return y
-
-
-def dropout_mask_for(hp: HyperParams, rng: np.random.Generator) -> np.ndarray | None:
-    """Inverted-dropout mask over the conv concatenation, or None at rate 0."""
+def dropout_mask_for(hp: HyperParams, rng: np.random.Generator, rows: int) -> np.ndarray | None:
+    """Inverted-dropout masks over the conv concatenation, one per row; None at rate 0."""
     if hp.dropout <= 0.0:
         return None
-    keep = rng.random(hp.fc_input_dim) >= hp.dropout
-    return keep.astype(float) / (1.0 - hp.dropout)
-
-
-@dataclass
-class ForwardTrace:
-    """Every intermediate needed to backpropagate one instance."""
-
-    prev_items: tuple[int, ...]
-    user_index: int
-    mode: str
-    comp_mask: ComponentMask
-    E: np.ndarray
-    p_u: np.ndarray  # zeros when personalization is masked
-    hconv: HConvOut | None
-    o_tilde: np.ndarray | None  # activated vertical output entering the FC layer
-    o_tilde_pre: np.ndarray | None  # raw weighted sums (differs only when vertical_act is set)
-    dropout_mask: np.ndarray | None
-    x: np.ndarray | None  # FC input after dropout
-    fc_pre: np.ndarray | None
-    z: np.ndarray
-    scores: np.ndarray  # (item_count+1,), scores[0] = -inf
-    zeroed_rows: tuple[int, ...] = ()
-
-
-def forward(
-    params: ModelParams,
-    hp: HyperParams,
-    prev_items,
-    user_index: int,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-    dropout_mask: np.ndarray | None = None,
-    comp_mask: ComponentMask = FULL_MASK,
-    zero_rows: tuple[int, ...] = (),
-) -> ForwardTrace:
-    """Run the full network on one (user, previous-L-items) pair.
-
-    In train mode dropout is applied to the FC input; pass ``rng`` to draw a
-    mask or ``dropout_mask`` to fix one. ``zero_rows`` zeroes selected rows of
-    the embedding matrix (0-based window positions), used by the history
-    masking analysis.
-    """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be train or infer, got {mode!r}")
-    E, p_u = embed_lookup(params, prev_items, user_index)
-    if zero_rows:
-        E = E.copy()
-        E[list(zero_rows)] = 0.0
-    if not comp_mask.p:
-        p_u = np.zeros_like(p_u)
-
-    n = sum(len(f) for f in params.h_filters)
-    hconv = horizontal_conv(E, params.h_filters, hp.conv_act) if comp_mask.h else None
-    o = hconv.pooled if hconv is not None else np.zeros(n)
-    o_tilde_pre = o_tilde = None
-    if comp_mask.v:
-        o_tilde_pre = vertical_conv(E, params.v_filters)
-        o_tilde = activate(o_tilde_pre, hp.vertical_act)
-    ot = o_tilde if o_tilde is not None else np.zeros(params.v_filters.shape[0] * params.latent_dim)
-
-    if comp_mask.h or comp_mask.v:
-        mask = None
-        if mode == "train" and hp.dropout > 0.0:
-            if dropout_mask is not None:
-                mask = dropout_mask
-            elif rng is not None:
-                mask = dropout_mask_for(hp, rng)
-            else:
-                raise ValueError("train mode with dropout needs rng or dropout_mask")
-        z, fc_pre, x = _fc_embed_full(o, ot, params.fc_w, params.fc_b, hp.fc_act, mask)
-    else:
-        # both conv paths disabled: the sequence embedding is absent, which
-        # reduces scoring to out_w[:, d:] @ p_u + out_b exactly
-        z = np.zeros(params.latent_dim)
-        mask = x = fc_pre = None
-
-    scores = output_scores(z, p_u, params.out_w, params.out_b)
-    return ForwardTrace(
-        prev_items=tuple(int(i) for i in np.asarray(prev_items, dtype=np.int64)),
-        user_index=user_index,
-        mode=mode,
-        comp_mask=comp_mask,
-        E=E,
-        p_u=p_u,
-        hconv=hconv,
-        o_tilde=o_tilde,
-        o_tilde_pre=o_tilde_pre,
-        dropout_mask=mask,
-        x=x,
-        fc_pre=fc_pre,
-        z=z,
-        scores=scores,
-        zeroed_rows=tuple(zero_rows),
-    )
+    keep = rng.random((rows, hp.fc_input_dim)) >= hp.dropout
+    return keep / (1.0 - hp.dropout)

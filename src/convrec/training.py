@@ -16,7 +16,7 @@ from .config import HyperParams
 from .data import SplitDataset, generate_instances
 from .errors import EmptyDatasetError, NonFiniteGradientError, SamplingError
 from .gradients import GradientSet
-from .model import FULL_MASK, ComponentMask, ModelParams, init_params
+from .model import FULL_MASK, ComponentMask, ModelParams, dropout_mask_for, init_params
 
 
 ADAM_BLOCK = 65536  # elements per block of the parameter update
@@ -230,10 +230,7 @@ def train(
                 hp.negatives_per_instance,
                 [history[u] for u in users[rows]] if history is not None else None,
             )
-            dmask = None
-            if hp.dropout > 0.0:
-                keep = erng.random((len(rows), hp.fc_input_dim)) >= hp.dropout
-                dmask = keep / (1.0 - hp.dropout)
+            dmask = dropout_mask_for(hp, erng, len(rows))
             loss, grads = batch_loss_and_grads(
                 params, hp, prev[rows], users[rows], tgt[rows], tgt_mask[rows],
                 neg, neg_mask, comp_mask, dmask,

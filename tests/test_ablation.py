@@ -4,7 +4,6 @@ import pytest
 from convrec.ablation import (
     ablation_csv,
     evaluate_pop,
-    fpmc_like_scores,
     mask_history_items,
     masked_forward,
     pop_baseline,
@@ -14,7 +13,8 @@ from convrec.ablation import (
 from convrec.config import HyperParams
 from convrec.data import build_sequences, chronological_split
 from convrec.evaluate import evaluate, ranked_order
-from convrec.model import ComponentMask, forward, init_params
+from convrec.batch import forward
+from convrec.model import ComponentMask, init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
 from convrec.training import train
 
@@ -32,7 +32,7 @@ def test_mask_codes():
 def test_all_enabled_mask_is_identity(tiny_params, tiny_hp):
     prev, user = [1, 2, 3, 4], 1
     a = masked_forward(tiny_params, tiny_hp, prev, user, ComponentMask())
-    b = forward(tiny_params, tiny_hp, prev, user).scores
+    b = forward(tiny_params, tiny_hp, prev, user)
     assert np.array_equal(a, b)
 
 
@@ -67,14 +67,6 @@ def test_v_only_single_filter_matches_weighted_sum_scorer(tiny_split):
     z = params.fc_w[:, n:] @ agg + params.fc_b
     y = params.out_w @ np.concatenate([z, params.user_emb[user]]) + params.out_b
     assert np.max(np.abs(scores[1:] - y[1:])) < 1e-12
-
-
-def test_fpmc_like_reduction(tiny_params):
-    y = fpmc_like_scores(tiny_params, prev_item=5, user_index=2)
-    z = tiny_params.item_emb[5]
-    want = tiny_params.out_w @ np.concatenate([z, tiny_params.user_emb[2]])
-    assert np.allclose(y[1:], want[1:], atol=0)
-    assert y[0] == -np.inf
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +183,7 @@ def test_ablation_csv_shape():
 def test_empty_mask_keeps_rank(tiny_params, tiny_hp):
     history = [2, 3, 4, 5, 6]
     _, rank0 = mask_history_items(tiny_params, tiny_hp, history, 1, set(), probe_item=10)
-    scores = forward(tiny_params, tiny_hp, [3, 4, 5, 6], 1).scores.copy()
+    scores = forward(tiny_params, tiny_hp, [3, 4, 5, 6], 1)
     scores[np.asarray(history)] = -np.inf
     order = ranked_order(scores)
     want = int(np.where(order == 10)[0][0]) + 1

@@ -82,3 +82,14 @@ def test_matching_nonstructural_fields_may_differ(tmp_path):
     save_checkpoint(path, _params(), HP)
     expect = dataclasses.replace(HP, dropout=0.9, lr=123.0)
     load_checkpoint(path, expect_hp=expect)  # only shape fields are compared
+
+
+@pytest.mark.parametrize("name, value", [("item_emb", 0.25), ("item_emb", np.nan), ("user_emb", 0.25),
+                                         ("out_w", -1.0), ("out_b", 1e-300)])
+def test_nonzero_padding_row_rejected(tmp_path, name, value):
+    p = _params()
+    getattr(p, name)[0] = value
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, p, HP)
+    with pytest.raises(CheckpointError, match=f"padding row 0 of {name}"):
+        load_checkpoint(path)

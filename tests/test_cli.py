@@ -264,3 +264,15 @@ def test_bad_heights_exit_2(prepared, tmp_path, capsys, value):
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "heights" in err[0]
+
+
+@pytest.mark.parametrize("args", [["--seed", "-1"], ["--set", "seed=-1"], ["--set", "epochs=0"],
+                                  ["--set", "patience=0"], ["--set", "patience=-3"]])
+def test_out_of_range_training_keys_exit_2(prepared, tmp_path, capsys, args):
+    ckpt = tmp_path / "x.ckpt"
+    code = main(["train", "--data-dir", prepared, "--checkpoint", str(ckpt), "--quiet"] + BASE + args)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    key = args[1].lstrip("-").split("=")[0] if args[0] == "--set" else "seed"
+    assert len(err) == 1 and err[0].startswith("config error") and key in err[0]
+    assert not ckpt.exists()

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -12,11 +11,10 @@ from convrec.data import (
     load_instance_cache,
     load_interactions,
     load_split,
-    sample_negatives,
     save_instance_cache,
     save_split,
 )
-from convrec.errors import CacheError, EmptyDatasetError, ParseError, SamplingError
+from convrec.errors import CacheError, EmptyDatasetError, ParseError
 
 
 # --------------------------------------------------------------------------
@@ -284,62 +282,6 @@ def test_validation_instances_use_training_history():
     assert len(inst) == 1
     assert inst[0].prev == tuple(split.train[1][-4:])
     assert inst[0].targets == tuple(split.validation[1])
-
-
-# --------------------------------------------------------------------------
-# negative sampling
-
-def test_negatives_avoid_targets():
-    inst = TrainingInstance(1, (1, 2), (3, 4))
-    rng = np.random.default_rng(0)
-    negs = sample_negatives(inst, 3, rng, item_count=20)
-    assert len(negs) == 6
-    assert not set(negs) & {0, 3, 4}
-
-
-def test_forced_single_negative():
-    inst = TrainingInstance(1, (1,), (1, 2))
-    rng = np.random.default_rng(0)
-    negs = sample_negatives(inst, 3, rng, item_count=3)
-    assert negs == [3] * 6
-
-
-def test_negatives_deterministic_under_seed():
-    inst = TrainingInstance(1, (1, 2), (3,))
-    a = sample_negatives(inst, 5, np.random.default_rng(42), item_count=50)
-    b = sample_negatives(inst, 5, np.random.default_rng(42), item_count=50)
-    assert a == b
-
-
-def test_sampling_error_when_universe_exhausted():
-    inst = TrainingInstance(1, (1,), (1, 2, 3))
-    with pytest.raises(SamplingError):
-        sample_negatives(inst, 1, np.random.default_rng(0), item_count=3)
-
-
-def test_negative_frequencies_uniform():
-    inst = TrainingInstance(1, (1,), (5,))
-    rng = np.random.default_rng(7)
-    draws = sample_negatives(inst, 100_000, rng, item_count=20)
-    counts = np.bincount(draws, minlength=21)
-    assert counts[0] == 0 and counts[5] == 0
-    n, p = 100_000, 1 / 19
-    sigma = np.sqrt(n * p * (1 - p))
-    eligible = [i for i in range(1, 21) if i != 5]
-    assert all(abs(counts[i] - n * p) < 3 * sigma for i in eligible)
-
-
-def test_history_exclusion():
-    inst = TrainingInstance(1, (1, 2), (3,))
-    rng = np.random.default_rng(0)
-    negs = sample_negatives(inst, 50, rng, item_count=10, exclude={1, 2})
-    assert not set(negs) & {1, 2, 3}
-
-
-def test_per_instance_mode_count():
-    inst = TrainingInstance(1, (1,), (3, 4, 5))
-    negs = sample_negatives(inst, 4, np.random.default_rng(0), item_count=30, per_instance=True)
-    assert len(negs) == 4
 
 
 # --------------------------------------------------------------------------

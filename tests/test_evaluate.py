@@ -15,7 +15,8 @@ from convrec.evaluate import (
     recommend_top_n,
     score_matrix,
 )
-from convrec.model import forward, init_params
+from convrec.batch import forward
+from convrec.model import init_params
 
 
 # --------------------------------------------------------------------------
@@ -57,7 +58,7 @@ def test_recommend_excludes_seen(tiny_params, tiny_hp):
 def test_recommend_matches_exhaustive_scoring(tiny_params, tiny_hp, tiny_split):
     history = [3, 1, 4, 1, 5]
     ranked = recommend_top_n(tiny_params, tiny_hp, history, 2, n=8, exclude_seen=False)
-    scores = forward(tiny_params, tiny_hp, [1, 4, 1, 5], 2).scores
+    scores = forward(tiny_params, tiny_hp, [1, 4, 1, 5], 2)
     expected = sorted(
         range(1, tiny_split.item_count + 1), key=lambda i: (-scores[i], i)
     )[:8]
@@ -212,7 +213,7 @@ def _reference_evaluate(params, hp, split, cutoffs, ap_mode):
         if not relevant:
             continue
         hist = history_for(split, u, "test")
-        scores = forward(params, hp, pad_left(hist, hp.order), u).scores.copy()
+        scores = forward(params, hp, pad_left(hist, hp.order), u)
         scores[np.asarray(hist, dtype=np.int64)] = -np.inf
         eligible = [i for i in range(1, split.item_count + 1) if np.isfinite(scores[i])]
         ranked = sorted(eligible, key=lambda i: (-scores[i], i))
@@ -278,6 +279,6 @@ def test_score_matrix_matches_forward(tiny_params, tiny_hp):
     from convrec.data import pad_left
 
     for row, (h, u) in enumerate(zip(hist, [1, 2])):
-        want = forward(tiny_params, tiny_hp, pad_left(h, tiny_hp.order), u).scores
+        want = forward(tiny_params, tiny_hp, pad_left(h, tiny_hp.order), u)
         fin = np.isfinite(want)
         assert np.allclose(mat[row][fin], want[fin], atol=1e-12)

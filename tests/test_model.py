@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from convrec.batch import batch_forward, forward
 from convrec.config import HyperParams
 from convrec.model import (
-    embed_lookup,
-    fc_embed,
-    forward,
+    ComponentMask,
+    dropout_mask_for,
     horizontal_conv,
     init_params,
-    output_scores,
     sigmoid,
     vertical_conv,
 )
@@ -69,9 +68,13 @@ def test_init_mean_within_statistical_bound():
 # --------------------------------------------------------------------------
 # embedding lookup
 
+def _trace(p, hp, prev, user, **kw):
+    return batch_forward(p, hp, np.array([prev]), np.array([user]), **kw)
+
+
 def test_lookup_padding_rows_zero():
     p = _params(HP)
-    E, _ = embed_lookup(p, [0, 0, 3, 4], 1)
+    E = _trace(p, HP, [0, 0, 3, 4], 1).E[0]
     assert not E[:2].any()
     assert np.array_equal(E[2], p.item_emb[3])
     assert np.array_equal(E[3], p.item_emb[4])
@@ -80,53 +83,83 @@ def test_lookup_padding_rows_zero():
 def test_lookup_row_order_oldest_first():
     p = _params(HP)
     prev = [2, 7, 1, 9]
-    E, pu = embed_lookup(p, prev, 3)
+    bt = _trace(p, HP, prev, 3)
     for r, item in enumerate(prev):
-        assert np.array_equal(E[r], p.item_emb[item])
-    assert np.array_equal(pu, p.user_emb[3])
+        assert np.array_equal(bt.E[0, r], p.item_emb[item])
+    assert np.array_equal(bt.p_u[0], p.user_emb[3])
 
 
 def test_lookup_out_of_range():
     p = _params(HP)
     with pytest.raises(IndexError):
-        embed_lookup(p, [1, 2, 3, 999], 1)
+        forward(p, HP, [1, 2, 3, 999], 1)
     with pytest.raises(IndexError):
-        embed_lookup(p, [1, 2, 3, 4], 0)
+        forward(p, HP, [1, 2, -1, 4], 1)
+    with pytest.raises(IndexError):
+        forward(p, HP, [1, 2, 3, 4], 0)
+    with pytest.raises(IndexError):
+        forward(p, HP, [1, 2, 3, 4], p.user_count + 1)
 
 
 # --------------------------------------------------------------------------
 # horizontal convolution
 
+def _hconv(E, filters, act):
+    """horizontal_conv on a batch of one: pooled, per-height pre, argmax."""
+    pooled, pre, amax = horizontal_conv(E[None], filters, act)
+    return pooled[0], [x[0] for x in pre], np.concatenate([a[0] for a in amax])
+
+
 def test_horizontal_hand_case():
     E = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     filt = [np.ones((1, 2, 2))]
-    out = horizontal_conv(E, filt, "identity")
-    assert out.pooled.tolist() == [3.0]
-    assert out.pre[0].tolist() == [[2.0, 3.0]]
-    assert out.argmax.tolist() == [1]
+    pooled, pre, argmax = _hconv(E, filt, "identity")
+    assert pooled.tolist() == [3.0]
+    assert pre[0].tolist() == [[2.0, 3.0]]
+    assert argmax.tolist() == [1]
 
 
 def test_horizontal_zero_filter():
     E = np.random.default_rng(0).normal(size=(4, 3))
     filt = [np.zeros((1, 2, 3))]
-    out = horizontal_conv(E, filt, "sigmoid")
-    assert out.pooled.tolist() == [0.5]  # sigmoid(0)
+    pooled, pre, argmax = _hconv(E, filt, "sigmoid")
+    assert pooled.tolist() == [0.5]  # sigmoid(0)
 
 
 def test_horizontal_full_height_single_window():
     rng = np.random.default_rng(1)
     E = rng.normal(size=(4, 3))
     filt = [rng.normal(size=(1, 4, 3))]
-    out = horizontal_conv(E, filt, "identity")
-    assert out.pre[0].shape == (1, 1)
-    assert out.pooled[0] == pytest.approx(np.sum(E * filt[0][0]), abs=1e-12)
+    pooled, pre, argmax = _hconv(E, filt, "identity")
+    assert pre[0].shape == (1, 1)
+    assert pooled[0] == pytest.approx(np.sum(E * filt[0][0]), abs=1e-12)
 
 
 def test_horizontal_tie_breaks_to_smallest_window():
     E = np.zeros((3, 2))
     filt = [np.random.default_rng(2).normal(size=(1, 2, 2))]
-    out = horizontal_conv(E, filt, "identity")
-    assert out.argmax.tolist() == [0]
+    pooled, pre, argmax = _hconv(E, filt, "identity")
+    assert argmax.tolist() == [0]
+
+
+@pytest.mark.parametrize("B", [1, 7, 37])
+def test_horizontal_conv_equals_window_loop(B):
+    """The im2col product does the arithmetic of one product per window, so the bits agree."""
+    rng = np.random.default_rng(B)
+    E = rng.normal(size=(B, 5, 6))
+    filters = [rng.normal(size=(3, h, 6)) for h in (1, 2, 5)]
+    pooled, pre, amax = horizontal_conv(E, filters, "relu")
+    want = []
+    for j, filt in enumerate(filters):
+        h = filt.shape[1]
+        loop = np.empty((B, len(filt), 6 - h))
+        for i in range(6 - h):
+            loop[:, :, i] = np.tensordot(E[:, i : i + h, :], filt, axes=([1, 2], [1, 2]))
+        assert pre[j].tobytes() == loop.tobytes()
+        vals = np.maximum(loop, 0.0)
+        assert np.array_equal(amax[j], vals.argmax(axis=2))
+        want.append(vals.max(axis=2))
+    assert pooled.tobytes() == np.concatenate(want, axis=1).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,14 +169,14 @@ def test_max_pool_dominance(seed):
     L, d = 5, 3
     E = rng.normal(size=(L, d))
     filt = [rng.normal(size=(2, h, d)) for h in (1, 3)]
-    out = horizontal_conv(E, filt, "tanh")
+    pooled, pre, argmax = _hconv(E, filt, "tanh")
     off = 0
-    for f, pre in zip(filt, out.pre):
+    for f, pre in zip(filt, pre):
         vals = np.tanh(pre)
         for k in range(len(f)):
-            amax = out.argmax[off + k]
-            assert np.all(out.pooled[off + k] >= vals[k] - 1e-15)
-            assert out.pooled[off + k] == vals[k, amax]
+            amax = argmax[off + k]
+            assert np.all(pooled[off + k] >= vals[k] - 1e-15)
+            assert pooled[off + k] == vals[k, amax]
         off += len(f)
 
 
@@ -197,68 +230,72 @@ def test_vertical_concat_order_filter_major():
 # FC and output layers
 
 def test_fc_zero_weights_relu():
-    z = fc_embed(np.ones(3), np.ones(4), np.zeros((2, 7)), np.zeros(2), "relu")
-    assert not z.any()
+    p = _params(HP, random_biases=True)
+    p.fc_w[:] = 0.0
+    p.fc_b[:] = -1.0
+    assert not _trace(p, HP, [1, 2, 3, 4], 1).z.any()
 
 
-def test_fc_dropout_rate_zero_equals_inference(tiny_hp, tiny_split):
-    rng = np.random.default_rng(0)
-    p = init_params(tiny_hp, tiny_split.user_count, tiny_split.item_count, rng)
-    prev = [1, 2, 3, 4]
-    a = forward(p, tiny_hp, prev, 1, mode="train")
-    b = forward(p, tiny_hp, prev, 1, mode="infer")
-    assert np.array_equal(a.scores, b.scores)
+def test_dropout_rate_zero_draws_no_mask(tiny_hp):
+    assert dropout_mask_for(tiny_hp, np.random.default_rng(0), 4) is None
 
 
 def test_fc_matches_naive_matvec():
-    rng = np.random.default_rng(5)
-    o, ot = rng.normal(size=3), rng.normal(size=8)
-    w, b = rng.normal(size=(4, 11)), rng.normal(size=4)
-    z = fc_embed(o, ot, w, b, "identity")
-    x = np.concatenate([o, ot])
-    naive = np.array([sum(w[r, c] * x[c] for c in range(11)) + b[r] for r in range(4)])
-    assert np.max(np.abs(z - naive)) < 1e-12
+    hp = HyperParams(latent_dim=4, order=3, heights=(1, 2), num_h_filters=1, num_v_filters=2,
+                     fc_act="identity", dropout=0.0)
+    p = _params(hp, random_biases=True)
+    bt = _trace(p, hp, [3, 1, 2], 2)
+    x, w, b = bt.x[0], p.fc_w, p.fc_b
+    naive = np.array([sum(w[r, c] * x[c] for c in range(len(x))) + b[r] for r in range(4)])
+    assert np.max(np.abs(bt.z[0] - naive)) < 1e-12
+
+
+def test_dropout_mask_scales_fc_input():
+    hp = HyperParams(latent_dim=4, order=3, heights=(1, 2), num_h_filters=1, num_v_filters=2, dropout=0.5)
+    p = _params(hp)
+    mask = dropout_mask_for(hp, np.random.default_rng(1), 1)
+    plain = _trace(p, hp, [3, 1, 2], 2)
+    dropped = _trace(p, hp, [3, 1, 2], 2, dropout_mask=mask)
+    assert np.array_equal(dropped.x, plain.x * mask)
 
 
 def test_output_scores_bias_only():
-    rng = np.random.default_rng(6)
-    out_b = rng.normal(size=9)
-    y = output_scores(np.zeros(2), np.zeros(2), np.zeros((9, 4)), out_b)
+    p = _params(HP, random_biases=True)
+    p.out_w[:] = 0.0
+    y = forward(p, HP, [1, 2, 3, 4], 1)
     assert y[0] == -np.inf
-    assert np.array_equal(y[1:], out_b[1:])
+    assert np.array_equal(y[1:], p.out_b[1:])
 
 
 def test_output_scores_naive_double_loop():
-    rng = np.random.default_rng(7)
-    z, pu = rng.normal(size=3), rng.normal(size=3)
-    w, b = rng.normal(size=(6, 6)), rng.normal(size=6)
-    y = output_scores(z, pu, w, b)
-    x = np.concatenate([z, pu])
-    for i in range(1, 6):
-        naive = sum(w[i, c] * x[c] for c in range(6)) + b[i]
-        assert y[i] == pytest.approx(naive, abs=1e-12)
+    p = _params(HP, random_biases=True)
+    bt = _trace(p, HP, [4, 1, 2, 3], 2)
+    x = np.concatenate([bt.z[0], p.user_emb[2]])
+    for i in range(1, p.item_count + 1):
+        naive = sum(p.out_w[i, c] * x[c] for c in range(len(x))) + p.out_b[i]
+        assert bt.scores[0, i] == pytest.approx(naive, abs=1e-12)
 
 
 def test_output_scores_subset():
-    rng = np.random.default_rng(8)
-    z, pu = rng.normal(size=3), rng.normal(size=3)
-    w, b = rng.normal(size=(6, 6)), rng.normal(size=6)
-    full = output_scores(z, pu, w, b)
-    sub = output_scores(z, pu, w, b, items=np.array([2, 4]))
-    assert np.allclose(sub, full[[2, 4]], atol=0)
+    p = _params(HP, random_biases=True)
+    full = _trace(p, HP, [4, 1, 2, 3], 2).scores[0]
+    sub = _trace(p, HP, [4, 1, 2, 3], 2, score_ids=np.array([[2, 4]])).scores[0]
+    assert np.allclose(sub, full[[2, 4]], atol=1e-15)
 
 
 # --------------------------------------------------------------------------
 # full forward
 
 def test_trace_dimensions(tiny_hp, tiny_params, tiny_split):
-    tr = forward(tiny_params, tiny_hp, [1, 2, 3, 4], 1, mode="train")
+    B = 3
+    bt = batch_forward(tiny_params, tiny_hp, np.tile([1, 2, 3, 4], (B, 1)), np.array([1, 2, 3]))
     n = tiny_hp.total_h_filters
-    assert tr.hconv.pooled.shape == (n,)
-    assert tr.o_tilde.shape == (tiny_hp.latent_dim * tiny_hp.num_v_filters,)
-    assert tr.z.shape == (tiny_hp.latent_dim,)
-    assert tr.scores.shape == (tiny_split.item_count + 1,)
-    assert tr.scores[0] == -np.inf
+    assert [a.shape for a in bt.hamax] == [(B, tiny_hp.num_h_filters)] * len(tiny_hp.heights)
+    assert sum(a.shape[1] for a in bt.hamax) == n
+    assert bt.ot_pre.shape == (B, tiny_hp.latent_dim * tiny_hp.num_v_filters)
+    assert bt.z.shape == (B, tiny_hp.latent_dim)
+    assert bt.scores.shape == (B, tiny_split.item_count + 1)
+    assert (bt.scores[:, 0] == -np.inf).all()
 
 
 def _reference_forward(p, hp, prev, user):
@@ -298,17 +335,22 @@ def _reference_forward(p, hp, prev, user):
 
 def test_forward_matches_straight_line_reference(tiny_hp, tiny_params):
     prev = [3, 1, 4, 1]
-    got = forward(tiny_params, tiny_hp, prev, 2).scores
+    got = forward(tiny_params, tiny_hp, prev, 2)
     want = _reference_forward(tiny_params, tiny_hp, prev, 2)
     assert np.max(np.abs(got[1:] - want[1:])) < 1e-12
 
 
-def test_forward_train_needs_dropout_source():
-    hp = HyperParams(latent_dim=4, order=3, heights=(1, 2), num_h_filters=1,
-                     num_v_filters=1, dropout=0.5)
-    p = _params(hp)
-    with pytest.raises(ValueError):
-        forward(p, hp, [1, 2, 3], 1, mode="train")
+def test_forward_is_a_batch_row(tiny_hp, tiny_params):
+    prev = np.array([[3, 1, 4, 1], [0, 0, 5, 9], [2, 6, 5, 3]])
+    users = np.array([2, 5, 7])
+    for mask in (ComponentMask(), ComponentMask(p=True, h=False, v=False),
+                 ComponentMask(p=False, h=True, v=False)):
+        batch = batch_forward(tiny_params, tiny_hp, prev, users, mask).scores
+        for b in range(3):
+            one = forward(tiny_params, tiny_hp, prev[b], int(users[b]), mask)
+            # BLAS may sum a one-row product in another order: equal up to rounding
+            assert one[0] == -np.inf
+            assert np.allclose(one[1:], batch[b, 1:], rtol=1e-12, atol=1e-15)
 
 
 # --------------------------------------------------------------------------
@@ -319,8 +361,8 @@ def test_row_permutation_changes_horizontal_only():
     E = rng.normal(size=(4, 3))
     perm = E[[2, 0, 3, 1]]
     hf = [rng.normal(size=(1, 2, 3))]
-    a = horizontal_conv(E, hf, "identity").pooled
-    b = horizontal_conv(perm, hf, "identity").pooled
+    a = _hconv(E, hf, "identity")[0]
+    b = _hconv(perm, hf, "identity")[0]
     assert not np.allclose(a, b)  # order matters for windows
     ones = np.ones((1, 4))
     assert np.allclose(vertical_conv(E, ones), vertical_conv(perm, ones), atol=1e-12)
@@ -335,8 +377,8 @@ def test_padding_rows_are_neutral():
     assert np.allclose(vertical_conv(E, v), v[0, 2:] @ E_core, atol=1e-12)
     # a window fully inside the padding contributes exactly phi(0)
     hf = [rng.normal(size=(1, 2, 4))]
-    out = horizontal_conv(E, hf, "identity")
-    assert out.pre[0][0, 0] == 0.0
+    pooled, pre, argmax = _hconv(E, hf, "identity")
+    assert pre[0][0, 0] == 0.0
 
 
 def test_sigmoid_stable_at_extremes():

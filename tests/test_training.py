@@ -3,12 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from convrec.batch import batch_loss_and_grads
 from convrec.config import HyperParams
 from convrec.data import chronological_split, build_sequences
-from convrec.errors import NonFiniteGradientError
-from convrec.gradients import GradientSet, backward, bce_loss
-from convrec.model import ComponentMask, forward, init_params
+from convrec.errors import NonFiniteGradientError, SamplingError
+from convrec.gradients import GradientSet
+from convrec.model import init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
 from convrec.training import ADAM_BLOCK, AdamState, adam_step, sample_negative_batch, train
 
@@ -141,47 +140,7 @@ def test_adam_rejects_non_finite_touched_row():
 
 
 # --------------------------------------------------------------------------
-# batched kernels vs per-instance reference
-
-def test_batch_matches_per_instance_mean():
-    hp = dataclasses.replace(HP, dropout=0.4, l2=0.02, vertical_act="tanh")
-    rng = np.random.default_rng(3)
-    p = _params(hp, seed=3)
-    p.fc_b[:] = rng.normal(size=p.fc_b.shape)
-    B, L, T = 6, hp.order, hp.num_targets
-    prev = rng.integers(0, 26, size=(B, L))
-    users = rng.integers(1, 7, size=B)
-    tgt = np.zeros((B, T), dtype=np.int64)
-    tmask = np.zeros((B, T))
-    neg = np.zeros((B, 3 * T), dtype=np.int64)
-    nmask = np.zeros((B, 3 * T))
-    packed = []
-    for b in range(B):
-        k = int(rng.integers(1, T + 1))
-        pool = rng.permutation(np.arange(1, 26))
-        tgt[b, :k], tmask[b, :k] = pool[:k], 1.0
-        neg[b, : 3 * k], nmask[b, : 3 * k] = pool[k : 4 * k], 1.0
-        packed.append((tuple(int(x) for x in pool[:k]), tuple(int(x) for x in pool[k : 4 * k])))
-    dmask = (rng.random((B, hp.fc_input_dim)) >= hp.dropout) / (1 - hp.dropout)
-
-    for mask in (ComponentMask(), ComponentMask(p=False, h=True, v=True),
-                 ComponentMask(p=True, h=False, v=True), ComponentMask(p=True, h=False, v=False)):
-        loss_b, g_b = batch_loss_and_grads(p, hp, prev, users, tgt, tmask, neg, nmask, mask, dmask)
-        acc = GradientSet.zeros_like(p)
-        total = 0.0
-        for b in range(B):
-            tr = forward(p, hp, prev[b], int(users[b]), mode="train",
-                         dropout_mask=dmask[b], comp_mask=mask)
-            t, n = packed[b]
-            total += bce_loss(tr, t, n, p, hp.l2)
-            for (_, a), (_, g_i) in zip(acc.tensors(), backward(p, hp, tr, t, n).tensors()):
-                a += g_i
-        for _, a in acc.tensors():
-            a *= 1.0 / B
-        assert loss_b == pytest.approx(total / B, abs=1e-12)
-        for (_, a), (_, want) in zip(g_b.tensors(), acc.tensors()):
-            assert np.max(np.abs(a - want)) < 1e-12
-
+# negative sampling
 
 def test_negative_batch_respects_exclusions():
     rng = np.random.default_rng(0)
@@ -201,6 +160,33 @@ def test_negative_batch_history_exclusion():
     hist = [np.array([1, 3, 4, 5, 6, 7, 8])]
     neg, _ = sample_negative_batch(rng, tgt, tmask, item_count=10, count=50, history=hist)
     assert set(np.unique(neg)) <= {9, 10}
+
+
+def test_negative_batch_sampling_error_when_every_item_excluded():
+    tgt = np.array([[1, 2, 3]], dtype=np.int64)
+    with pytest.raises(SamplingError):
+        sample_negative_batch(np.random.default_rng(0), tgt, np.ones((1, 3)), item_count=3, count=1)
+
+
+def test_negative_batch_frequencies_uniform():
+    tgt = np.array([[5]], dtype=np.int64)
+    neg, _ = sample_negative_batch(np.random.default_rng(7), tgt, np.ones((1, 1)), item_count=20,
+                                   count=100_000)
+    counts = np.bincount(neg.ravel(), minlength=21)
+    assert counts[0] == 0 and counts[5] == 0
+    n, p = 100_000, 1 / 19
+    sigma = np.sqrt(n * p * (1 - p))
+    eligible = [i for i in range(1, 21) if i != 5]
+    assert all(abs(counts[i] - n * p) < 3 * sigma for i in eligible)
+
+
+def test_negative_batch_per_instance_count():
+    tgt = np.array([[3, 4, 5], [6, 0, 0]], dtype=np.int64)
+    tmask = (tgt != 0).astype(float)
+    neg, nmask = sample_negative_batch(np.random.default_rng(0), tgt, tmask, item_count=30, count=4,
+                                       per_instance=True)
+    assert neg.shape == nmask.shape == (2, 4)
+    assert (nmask == 1.0).all() and (neg > 0).all()
 
 
 # --------------------------------------------------------------------------
