@@ -24,7 +24,7 @@ from .gradients import GradientSet, gradient_check
 from .training import AdamState, TrainResult, adam_step, train
 from .evaluate import EvalReport, RankedList, average_precision, evaluate, prec_recall_at, recommend_top_n
 from .rules import MiningConfig, Rule, mine_rules, sequential_intensity
-from .ablation import mask_history_items, masked_forward, pop_baseline, run_ablation
+from .ablation import mask_history_items, masked_forward, run_ablation
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ __all__ = [
     "mine_rules",
     "sequential_intensity",
     "masked_forward",
-    "pop_baseline",
     "run_ablation",
     "mask_history_items",
     "save_checkpoint",

@@ -14,11 +14,10 @@ import numpy as np
 
 from .batch import forward
 from .config import HyperParams
-from .data import PADDING_INDEX, SplitDataset, history_for, pad_left
-# metrics_for_ranking is unused here, but perfbench hooks it under this module's name
+from .data import PADDING_INDEX, SplitDataset, pad_left
+# metrics_for_ranking and ranked_order are unused here, but perfbench hooks them under this module's name
 from .evaluate import (  # noqa: F401
     EvalReport,
-    RankedList,
     evaluate,
     evaluate_scores,
     metrics_for_ranking,
@@ -30,7 +29,6 @@ from .training import TrainResult, train
 __all__ = [
     "ComponentMask",
     "masked_forward",
-    "pop_baseline",
     "evaluate_pop",
     "run_ablation",
     "mask_history_items",
@@ -51,32 +49,6 @@ def popularity_counts(split: SplitDataset) -> np.ndarray:
         for item in split.train[u]:
             counts[item] += 1
     return counts
-
-
-def popularity_order(split: SplitDataset) -> np.ndarray:
-    """Items sorted by training interaction count, ties toward smaller index."""
-    counts = popularity_counts(split).astype(float)
-    counts[0] = -np.inf
-    return ranked_order(counts)[: split.item_count]
-
-
-def pop_baseline(
-    split: SplitDataset, users=None, exclude_seen: bool = True, part: str = "test"
-) -> dict[int, RankedList]:
-    """Per-user popularity ranking (one global order minus each user's history)."""
-    if not any(split.train[u] for u in split.users()):
-        raise ValueError("train split is empty")
-    counts = popularity_counts(split)
-    base = popularity_order(split)
-    out: dict[int, RankedList] = {}
-    for u in users if users is not None else split.users():
-        items = base
-        if exclude_seen:
-            seen = set(history_for(split, u, part))
-            if seen:
-                items = base[~np.isin(base, np.fromiter(seen, dtype=np.int64))]
-        out[u] = RankedList(u, items, counts[items].astype(float))
-    return out
 
 
 def evaluate_pop(

@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .config import HyperParams
-from .errors import CheckpointError
+from .errors import CheckpointError, open_input
 from .model import ModelParams
 
 MAGIC = b"CASR"
@@ -55,7 +55,7 @@ def load_checkpoint(path: str, expect_hp: HyperParams | None = None) -> tuple[Mo
     With ``expect_hp`` set, the stored hyperparameters must agree on every
     field that determines tensor shapes.
     """
-    with open(path, "rb") as fh:
+    with open_input(path, CheckpointError, "rb") as fh:
         if _read(fh, 4, path) != MAGIC:
             raise CheckpointError(f"{path}: bad magic, not a checkpoint")
         (version,) = struct.unpack("<I", _read(fh, 4, path))
@@ -76,8 +76,12 @@ def load_checkpoint(path: str, expect_hp: HyperParams | None = None) -> tuple[Mo
             name = _read(fh, name_len, path).decode("utf-8")
             (ndim,) = struct.unpack("<I", _read(fh, 4, path))
             shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, path))
-            data = _read(fh, 8 * int(np.prod(shape)), path)
-            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            try:
+                arr = tensors[name] = np.empty(shape, dtype="<f8")
+            except (ValueError, MemoryError):
+                raise CheckpointError(f"{path}: cannot allocate tensor {name} of shape {shape}") from None
+            if fh.readinto(arr) != arr.nbytes:  # straight into the array, without a bytes copy
+                raise CheckpointError(f"{path}: truncated checkpoint")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensors")
 

@@ -16,22 +16,16 @@ from pathlib import Path
 from . import ablation, rules
 from .checkpoint import STRUCTURAL_KEYS, load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_override_args
-from .data import (
-    build_sequences,
-    chronological_split,
-    generate_instances,
-    load_interactions,
-    load_split,
-    save_instance_cache,
-    save_split,
-)
-from .errors import ConfigError, ConvrecError
+from .data import build_sequences, chronological_split, load_interactions, load_split, save_split
+from .errors import CheckpointError, ConfigError, ConvrecError
 from .evaluate import evaluate, recommend_top_n
 from .gradients import gradient_check
 from .training import train
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
+def _config_parser() -> argparse.ArgumentParser:
+    """The config options, declared once and copied into each subcommand that reads a config."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument(
         "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
@@ -39,6 +33,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--seed", type=int, help="shortcut for --set seed=...")
     p.add_argument("--data", help="shortcut for --set data=...")
+    return p
 
 
 def _build_config(args) -> RunConfig:
@@ -60,6 +55,15 @@ def _resolve_split(args, cfg: RunConfig):
     interactions = load_interactions(cfg.data, cfg.format)
     seqdata = build_sequences(interactions, cfg.min_feedback)
     return chronological_split(seqdata)
+
+
+def _load_model(path: str, split, expect_hp=None):
+    """Load a checkpoint; refuse it unless its tables fit the split's user and item counts."""
+    params, hp = load_checkpoint(path, expect_hp=expect_hp)
+    got, want = (params.user_count, params.item_count), (split.user_count, split.item_count)
+    if got != want:
+        raise CheckpointError(f"{path}: checkpoint has (users, items) = {got}, the split {want}")
+    return params, hp
 
 
 def _print_config(cfg: RunConfig) -> None:
@@ -88,11 +92,6 @@ def cmd_prepare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_split(str(out / "split.json"), split)
     print(f"users={split.user_count} items={split.item_count}")
-    if args.cache:
-        hp = cfg.hyperparams()
-        instances = generate_instances(split, hp.order, hp.num_targets, "train")
-        save_instance_cache(str(out / "train_instances.bin"), instances, hp.order, hp.num_targets)
-        print(f"cached {len(instances)} training instances")
     print(f"prepared dataset in {out}")
     return 0
 
@@ -118,8 +117,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _build_config(args)
     expect = cfg.hyperparams() if cfg.explicit & set(STRUCTURAL_KEYS) else None
-    params, hp = load_checkpoint(args.checkpoint, expect_hp=expect)
     split = _resolve_split(args, cfg)
+    params, hp = _load_model(args.checkpoint, split, expect)
     report = evaluate(
         params, hp, split, cutoffs=cfg.eval_cutoffs(), ap_mode=cfg.ap_mode,
         exclude_seen=cfg.exclude_seen, part=args.part, collect_per_user=bool(args.per_user),
@@ -139,8 +138,8 @@ def cmd_recommend(args) -> int:
     if args.N < 1:
         raise ConfigError(f"--N must be >= 1, got {args.N}")
     cfg = _build_config(args)
-    params, hp = load_checkpoint(args.checkpoint)
     split = _resolve_split(args, cfg)
+    params, hp = _load_model(args.checkpoint, split)
     try:
         user = split.user_ids.index(args.user)
     except ValueError:
@@ -265,7 +264,10 @@ def cmd_sweep(args) -> int:
     jobs = max(1, args.jobs)
     cap = os.environ.get("CASER_THREADS")
     if cap:
-        jobs = min(jobs, max(1, int(cap)))
+        try:
+            jobs = min(jobs, max(1, int(cap)))
+        except ValueError:
+            raise ConfigError(f"CASER_THREADS must be an integer, got {cap!r}") from None
 
     if jobs == 1:
         results = [_sweep_trial(p) for p in payloads]
@@ -290,15 +292,13 @@ def cmd_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="convrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    config = [_config_parser()]
 
-    p = sub.add_parser("prepare", help="ingest, filter, split, and cache a dataset")
-    _add_config_args(p)
+    p = sub.add_parser("prepare", help="ingest, filter, and split a dataset", parents=config)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--cache", action="store_true", help="also write the binary instance cache")
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("train", help="train a model")
-    _add_config_args(p)
+    p = sub.add_parser("train", help="train a model", parents=config)
     p.add_argument("--data-dir", help="directory written by prepare")
     p.add_argument("--checkpoint", required=True, help="checkpoint output path")
     p.add_argument("--log", help="per-epoch CSV log path")
@@ -307,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on the held-out part")
-    _add_config_args(p)
+    p = sub.add_parser("evaluate", help="evaluate a checkpoint on the held-out part", parents=config)
     p.add_argument("--data-dir", help="directory written by prepare")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--part", choices=("test", "validation"), default="test")
@@ -316,16 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-user", help="write per-user TSV (user, AP, hits)")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("recommend", help="top-N recommendations for one user")
-    _add_config_args(p)
+    p = sub.add_parser("recommend", help="top-N recommendations for one user", parents=config)
     p.add_argument("--data-dir", help="directory written by prepare")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--user", required=True, help="original user id")
     p.add_argument("--N", type=int, default=10)
     p.set_defaults(func=cmd_recommend)
 
-    p = sub.add_parser("mine-rules", help="mine sequential association rules")
-    _add_config_args(p)
+    p = sub.add_parser("mine-rules", help="mine sequential association rules", parents=config)
     p.add_argument("--data-dir", help="directory written by prepare")
     p.add_argument("--max-order", type=int, default=5)
     p.add_argument("--max-skip", type=int, default=0)
@@ -334,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="rule CSV output path (default stdout)")
     p.set_defaults(func=cmd_mine_rules)
 
-    p = sub.add_parser("ablate", help="train and evaluate component-masked variants")
-    _add_config_args(p)
+    p = sub.add_parser("ablate", help="train and evaluate component-masked variants", parents=config)
     p.add_argument("--data-dir", help="directory written by prepare")
     p.add_argument("--masks", default="p,v,h,pv,ph,vh,pvh", help="comma list; 'pop' evaluates the popularity baseline")
     p.add_argument("--out", help="CSV output path")
@@ -353,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filters", action="store_true", help="dump vertical filter weights as CSV")
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("sweep", help="grid search over config values")
-    _add_config_args(p)
+    p = sub.add_parser("sweep", help="grid search over config values", parents=config)
     p.add_argument("--data-dir", required=False)
     p.add_argument("--grid", action="append", default=[], metavar="KEY=V1,V2[,...]")
     p.add_argument("--jobs", type=int, default=1, help="parallel trials (capped by CASER_THREADS)")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, open_input
 
 ACTIVATIONS = ("identity", "sigmoid", "tanh", "relu")
 
@@ -90,42 +90,38 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-@dataclass
 class RunConfig:
-    """Fully resolved configuration of one run (data + model + training)."""
+    """Fully resolved configuration of one run (data + model + training).
 
-    data: str = ""
-    format: str = "tsv"
-    min_feedback: int = 5
-    latent_dim: int = 50
-    order: int = 5
-    num_targets: int = 3
-    heights: str = ""  # comma list, e.g. "1,2,3"; empty -> 1..order
-    num_h_filters: int = 16
-    num_v_filters: int = 4
-    conv_act: str = "relu"
-    fc_act: str = "relu"
-    vertical_act: str = "identity"
-    dropout: float = 0.5
-    l2: float = 1e-6
-    lr: float = 1e-3
-    num_negatives: int = 3
-    negatives_per_instance: bool = False
-    exclude_history_negatives: bool = False
-    exclude_seen: bool = True
-    batch_size: int = 100
-    epochs: int = 30
-    patience: int = 5
-    seed: int = 42
-    eval_n: str = "1,5,10"
-    ap_mode: str = "standard"
+    The model keys, with their types and defaults, are the fields of
+    HyperParams; ``heights`` is kept as its comma-list text, empty -> 1..order.
+    """
 
-    def __post_init__(self):
+    DEFAULTS: dict = {
+        "data": "",
+        "format": "tsv",
+        "min_feedback": 5,
+        **{
+            f.name: ",".join(map(str, f.default)) if f.name == "heights" else f.default
+            for f in fields(HyperParams)
+        },
+        "exclude_history_negatives": False,
+        "exclude_seen": True,
+        "batch_size": 100,
+        "epochs": 30,
+        "patience": 5,
+        "seed": 42,
+        "eval_n": "1,5,10",
+        "ap_mode": "standard",
+    }
+
+    def __init__(self):
+        self.__dict__.update(self.DEFAULTS)
         self.explicit: set[str] = set()  # keys set via file or override
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
+        return tuple(cls.DEFAULTS)
 
     @classmethod
     def from_sources(cls, path: str | None = None, overrides: dict[str, str] | None = None) -> "RunConfig":
@@ -138,11 +134,10 @@ class RunConfig:
         return cfg
 
     def apply(self, pairs: dict[str, str]) -> None:
-        by_name = {f.name: f for f in fields(self)}
         for key, raw in pairs.items():
-            if key not in by_name:
+            if key not in self.DEFAULTS:
                 raise ConfigError(f"unknown config key: {key}")
-            default = by_name[key].default
+            default = self.DEFAULTS[key]
             try:
                 if isinstance(default, bool):
                     value = _parse_bool(raw)
@@ -166,22 +161,9 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def hyperparams(self) -> HyperParams:
-        return HyperParams(
-            latent_dim=self.latent_dim,
-            order=self.order,
-            num_targets=self.num_targets,
-            heights=self.height_list(),
-            num_h_filters=self.num_h_filters,
-            num_v_filters=self.num_v_filters,
-            conv_act=self.conv_act,
-            fc_act=self.fc_act,
-            vertical_act=self.vertical_act,
-            dropout=self.dropout,
-            l2=self.l2,
-            lr=self.lr,
-            num_negatives=self.num_negatives,
-            negatives_per_instance=self.negatives_per_instance,
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(HyperParams)}
+        values["heights"] = self.height_list()
+        return HyperParams(**values)
 
     def height_list(self) -> tuple[int, ...]:
         if not self.heights.strip():
@@ -204,11 +186,11 @@ class RunConfig:
 
     def to_pairs(self) -> dict[str, str]:
         pairs = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for key in self.DEFAULTS:
+            value = getattr(self, key)
             if isinstance(value, bool):
                 value = "true" if value else "false"
-            pairs[f.name] = str(value)
+            pairs[key] = str(value)
         return pairs
 
     def resolved_text(self) -> str:
@@ -218,7 +200,7 @@ class RunConfig:
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat ``key = value`` file; '#' starts a comment line."""
     pairs: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path, ConfigError) as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -5,17 +5,14 @@ pinned to the zero vector and it never appears as a target or negative.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 
-from .errors import CacheError, EmptyDatasetError, ParseError
+from .errors import DataError, EmptyDatasetError, ParseError, open_input
 
 PADDING_INDEX = 0
-
-_CACHE_MAGIC = b"CSEQ1"
-_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,6 @@ class SplitDataset:
     item_count: int
     user_ids: list[str] = field(default_factory=list)
     item_ids: list[str] = field(default_factory=list)
-    padding_index: int = PADDING_INDEX
 
     def users(self) -> range:
         return range(1, self.user_count + 1)
@@ -77,13 +73,14 @@ def load_interactions(path: str, fmt: str = "tsv") -> list[Interaction]:
 
     Rows are ``user item timestamp`` or ``user item rating timestamp``; the
     rating, when present, is discarded (all feedback is treated as implicit).
-    Lines starting with '#' are skipped. Raises ParseError with the offending
-    line number, EmptyDatasetError if nothing was parsed.
+    Lines starting with '#' are skipped. Raises DataError if the file cannot
+    be opened, ParseError with the offending line number, EmptyDatasetError
+    if nothing was parsed.
     """
     if fmt not in ("tsv", "csv"):
         raise ValueError(f"format must be tsv or csv, got {fmt!r}")
     out: list[Interaction] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path, DataError) as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -245,73 +242,51 @@ def generate_instances(
     return out
 
 
-def save_instance_cache(path: str, instances: list[TrainingInstance], order: int, num_targets: int) -> None:
-    """Write instances as the versioned little-endian binary cache."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<III", _CACHE_VERSION, order, num_targets))
-        fh.write(struct.pack("<I", len(instances)))
-        for inst in instances:
-            fh.write(struct.pack("<I", inst.user))
-            fh.write(struct.pack(f"<{order}I", *inst.prev))
-            fh.write(struct.pack("<I", len(inst.targets)))
-            fh.write(struct.pack(f"<{len(inst.targets)}I", *inst.targets))
-
-
-def load_instance_cache(path: str) -> tuple[list[TrainingInstance], int, int]:
-    """Read a cache written by save_instance_cache. Returns (instances, L, T)."""
-
-    def read(fh, size: int) -> bytes:
-        buf = fh.read(size)
-        if len(buf) != size:
-            raise CacheError(f"{path}: truncated cache file")
-        return buf
-
-    with open(path, "rb") as fh:
-        if read(fh, len(_CACHE_MAGIC)) != _CACHE_MAGIC:
-            raise CacheError(f"{path}: bad magic, not an instance cache")
-        version, order, num_targets = struct.unpack("<III", read(fh, 12))
-        if version != _CACHE_VERSION:
-            raise CacheError(f"{path}: unsupported cache version {version}")
-        (count,) = struct.unpack("<I", read(fh, 4))
-        instances: list[TrainingInstance] = []
-        for _ in range(count):
-            (user,) = struct.unpack("<I", read(fh, 4))
-            prev = struct.unpack(f"<{order}I", read(fh, 4 * order))
-            (n_t,) = struct.unpack("<I", read(fh, 4))
-            if n_t < 1 or n_t > num_targets:
-                raise CacheError(f"{path}: instance with {n_t} targets out of range")
-            targets = struct.unpack(f"<{n_t}I", read(fh, 4 * n_t))
-            instances.append(TrainingInstance(user, prev, targets))
-    return instances, order, num_targets
+_SPLIT_KEYS = ("user_count", "item_count", "user_ids", "item_ids", "train", "validation", "test")
 
 
 def save_split(path: str, split: SplitDataset) -> None:
-    payload = {
-        "user_count": split.user_count,
-        "item_count": split.item_count,
-        "user_ids": split.user_ids,
-        "item_ids": split.item_ids,
-        "train": split.train,
-        "validation": split.validation,
-        "test": split.test,
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump({k: getattr(split, k) for k in _SPLIT_KEYS}, fh)
 
 
 def load_split(path: str) -> SplitDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return SplitDataset(
-        train=payload["train"],
-        validation=payload["validation"],
-        test=payload["test"],
-        user_count=payload["user_count"],
-        item_count=payload["item_count"],
-        user_ids=payload["user_ids"],
-        item_ids=payload["item_ids"],
-    )
+    """Read a split written by save_split.
+
+    Raises DataError when the file is missing or not JSON, a key is missing,
+    the id maps or the per-user lists do not match the user and item
+    counts, or an entry of train, validation or test is not a list of item
+    ids in 1..item_count.
+    """
+    with open_input(path, DataError) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: not a JSON split file ({exc})") from None
+    missing = [k for k in _SPLIT_KEYS if not isinstance(payload, dict) or k not in payload]
+    if missing:
+        raise DataError(f"{path}: split is missing {', '.join(missing)}")
+    split = SplitDataset(**{k: payload[k] for k in _SPLIT_KEYS})
+    _check_split(path, split)
+    return split
+
+
+def _check_split(path: str, split: SplitDataset) -> None:
+    users, items = split.user_count, split.item_count
+    if type(users) is not int or type(items) is not int or min(users, items) < 1:
+        raise DataError(f"{path}: user_count and item_count must be integers >= 1")
+    for key, length in (("user_ids", users + 1), ("item_ids", items + 1), ("train", users + 1),
+                        ("validation", users + 1), ("test", users + 1)):
+        if not isinstance(getattr(split, key), list) or len(getattr(split, key)) != length:
+            raise DataError(f"{path}: {key} must be a list of {length} entries")
+    seqs = list(itertools.chain(split.train, split.validation, split.test))
+    try:
+        # set lookups keep the pass over every id in C; a Python loop cost as much as the parse
+        if set(map(type, seqs)) == {list} and set(range(1, items + 1)).issuperset(itertools.chain(*seqs)):
+            return
+    except TypeError:  # an unhashable id, such as a nested list
+        pass
+    raise DataError(f"{path}: train, validation and test must be lists of item ids in 1..{items}")
 
 
 def history_for(split: SplitDataset, user: int, part: str = "test") -> list[int]:

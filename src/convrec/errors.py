@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a missing input file is reported."""
 
 
 class ConvrecError(Exception):
@@ -21,8 +21,8 @@ class SamplingError(ConvrecError):
     """Negative sampling could not proceed (exclusion set covers the universe)."""
 
 
-class CacheError(ConvrecError):
-    """Instance-cache file is missing, corrupt, or version-incompatible."""
+class DataError(ConvrecError):
+    """Interaction log or split file is missing, unreadable, or malformed."""
 
 
 class CheckpointError(ConvrecError):
@@ -35,3 +35,11 @@ class ConfigError(ConvrecError):
 
 class NonFiniteGradientError(ConvrecError):
     """A gradient tensor contained NaN or Inf; training is aborted."""
+
+
+def open_input(path: str, error: type[ConvrecError], mode: str = "r"):
+    """Open an input file; a missing or unreadable one raises ``error``."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from None

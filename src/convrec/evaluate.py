@@ -17,6 +17,7 @@ from .data import SplitDataset, history_for, pad_left
 from .model import FULL_MASK, ComponentMask, ModelParams
 
 AP_MODES = ("standard", "paper_literal")
+SCORE_CHUNK = 512  # users scored per batch_forward call in score_matrix
 
 
 @dataclass
@@ -129,20 +130,16 @@ def average_precision(
     return numerator / denom if denom else 0.0
 
 
-def _metrics_from_positions(
-    hit_ranks: np.ndarray, n_relevant: int, n_eligible: int, cutoffs, ap_mode: str, cutoff: int | None
-):
-    """Per-user metrics given the ascending 1-based ranks of relevant items."""
+def _metrics_from_positions(hit_ranks: np.ndarray, n_relevant: int, n_eligible: int, cutoffs, ap_mode: str):
+    """Per-user metrics given the ascending 1-based ranks (all <= n_eligible) of relevant items."""
     prec = {}
     rec = {}
     for n in cutoffs:
         hits = int((hit_ranks <= n).sum())
         prec[n] = hits / n
         rec[n] = hits / n_relevant
-    ap_cut = n_eligible if cutoff is None else min(cutoff, n_eligible)
-    within = hit_ranks[hit_ranks <= ap_cut]
-    numerator = float(np.sum(np.arange(1, len(within) + 1) / within))
-    denom = ap_cut if ap_mode == "paper_literal" else min(n_relevant, ap_cut)
+    numerator = float(np.sum(np.arange(1, len(hit_ranks) + 1) / hit_ranks))
+    denom = n_eligible if ap_mode == "paper_literal" else min(n_relevant, n_eligible)
     ap = numerator / denom if denom else 0.0
     return prec, rec, ap
 
@@ -153,20 +150,19 @@ def score_matrix(
     histories: list[list[int]],
     users: list[int],
     comp_mask: ComponentMask = FULL_MASK,
-    chunk: int = 512,
 ) -> np.ndarray:
     """Inference scores over all items for many users, batched."""
     prev = np.asarray([pad_left(h, hp.order) for h in histories], dtype=np.int64)
     users_arr = np.asarray(users, dtype=np.int64)
     out = np.empty((len(users), params.item_count + 1))
-    for lo in range(0, len(users), chunk):
-        hi = min(lo + chunk, len(users))
+    for lo in range(0, len(users), SCORE_CHUNK):
+        hi = min(lo + SCORE_CHUNK, len(users))
         bt = batch_forward(params, hp, prev[lo:hi], users_arr[lo:hi], comp_mask)
         out[lo:hi] = bt.scores
     return out
 
 
-def metrics_for_ranking(scores: np.ndarray, relevant: set, cutoffs, ap_mode, cutoff=None):
+def metrics_for_ranking(scores: np.ndarray, relevant: set, cutoffs, ap_mode):
     """Metrics for one user's masked score row (used by model and baseline paths).
 
     Each relevant item's rank is counted, not read off a sort of the whole
@@ -183,7 +179,7 @@ def metrics_for_ranking(scores: np.ndarray, relevant: set, cutoffs, ap_mode, cut
     hit_ranks = np.sort(np.array(ranks, dtype=np.int64))
     # +inf scores rank first without being eligible; the ranking holds n_eligible items
     hit_ranks = hit_ranks[hit_ranks <= n_eligible]
-    return _metrics_from_positions(hit_ranks, len(relevant), n_eligible, cutoffs, ap_mode, cutoff)
+    return _metrics_from_positions(hit_ranks, len(relevant), n_eligible, cutoffs, ap_mode)
 
 
 def evaluate_scores(
@@ -194,7 +190,6 @@ def evaluate_scores(
     exclude_seen: bool = True,
     part: str = "test",
     collect_per_user: bool = False,
-    ap_cutoff: int | None = None,
 ) -> EvalReport:
     """Average per-user metrics against the held-out part of the split.
 
@@ -220,7 +215,7 @@ def evaluate_scores(
         if exclude_seen and history:
             s = s.copy()
             s[np.asarray(history, dtype=np.int64)] = -np.inf
-        prec, rec, ap = metrics_for_ranking(s, set(held[u]), cutoffs, ap_mode, ap_cutoff)
+        prec, rec, ap = metrics_for_ranking(s, set(held[u]), cutoffs, ap_mode)
         for n in cutoffs:
             prec_sum[n] += prec[n]
             rec_sum[n] += rec[n]
@@ -250,7 +245,6 @@ def evaluate(
     part: str = "test",
     comp_mask: ComponentMask = FULL_MASK,
     collect_per_user: bool = False,
-    ap_cutoff: int | None = None,
 ) -> EvalReport:
     """The model's metrics against the held-out part (see evaluate_scores)."""
 
@@ -258,5 +252,5 @@ def evaluate(
         return score_matrix(params, hp, histories, users, comp_mask=comp_mask)
 
     return evaluate_scores(
-        split, score_rows, cutoffs, ap_mode, exclude_seen, part, collect_per_user, ap_cutoff
+        split, score_rows, cutoffs, ap_mode, exclude_seen, part, collect_per_user
     )

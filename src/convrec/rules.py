@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import UserSequence
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -39,13 +37,6 @@ class MiningConfig:
             raise ValueError("minconf must lie in (0, 1]")
 
 
-def _as_item_lists(sequences) -> list[list[int]]:
-    out = []
-    for seq in sequences:
-        out.append(list(seq.items) if isinstance(seq, UserSequence) else list(seq))
-    return out
-
-
 def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:
     """All rules meeting the support and confidence thresholds.
 
@@ -53,7 +44,7 @@ def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:
     a contiguous pattern can only shrink when the pattern grows, any
     antecedent below minsup is pruned together with its whole subtree.
     """
-    seqs = _as_item_lists(sequences)
+    seqs = [list(seq) for seq in sequences]
     if not seqs:
         raise ValueError("sequences must be nonempty")
 
@@ -99,7 +90,7 @@ def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:
 
 def sequential_intensity(sequences, cfg: MiningConfig | None = None) -> float:
     """Mined-rule count divided by the number of sequences (users)."""
-    seqs = _as_item_lists(sequences)
+    seqs = [list(seq) for seq in sequences]
     if not seqs:
         raise ValueError("user count must be >= 1")
     if cfg is None:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,7 @@ from convrec.ablation import (
     evaluate_pop,
     mask_history_items,
     masked_forward,
-    pop_baseline,
-    popularity_order,
+    popularity_counts,
     run_ablation,
 )
 from convrec.config import HyperParams
@@ -72,6 +73,25 @@ def test_v_only_single_filter_matches_weighted_sum_scorer(tiny_split):
 # --------------------------------------------------------------------------
 # POP baseline
 
+def _pop_rank(split, item, user, exclude_seen=True):
+    """``item``'s 1-based rank in POP's list for ``user``, read through evaluate_pop.
+
+    With ``item`` as the only held-out item of the only evaluated user, AP
+    is 1 / rank, or 0 when the item does not rank at all (None here).
+    """
+    test = [[] for _ in split.test]
+    test[user] = [item]
+    ap = evaluate_pop(dataclasses.replace(split, test=test), cutoffs=(1,), exclude_seen=exclude_seen).mean_ap
+    return round(1 / ap) if ap else None
+
+
+def _pop_order(split):
+    """Every item in POP's order, for a user whose history is not excluded."""
+    ranks = {i: _pop_rank(split, i, 1, exclude_seen=False) for i in range(1, split.item_count + 1)}
+    assert sorted(ranks.values()) == list(range(1, split.item_count + 1))
+    return sorted(ranks, key=ranks.get)
+
+
 def test_pop_ranking_by_count():
     rows = []
     for _ in range(5):
@@ -83,7 +103,7 @@ def test_pop_ranking_by_count():
 
     interactions = [Interaction(u, i, float(k)) for k, (u, i) in enumerate(rows)]
     split = chronological_split(build_sequences(interactions, 1))
-    order = popularity_order(split)
+    order = _pop_order(split)
     names = [split.item_ids[i] for i in order]
     counts = {n: 0 for n in names}
     for u in split.users():
@@ -94,18 +114,20 @@ def test_pop_ranking_by_count():
 
 
 def test_pop_ties_break_to_smaller_index(tiny_split):
-    order = popularity_order(tiny_split)
-    from convrec.ablation import popularity_counts
-
+    order = _pop_order(tiny_split)
     counts = popularity_counts(tiny_split)
     for a, b in zip(order, order[1:]):
         assert (counts[a], -a) >= (counts[b], -b)
 
 
 def test_pop_baseline_excludes_history(tiny_split):
-    ranked = pop_baseline(tiny_split, users=[1, 2])
     seen = set(tiny_split.train[1] + tiny_split.validation[1])
-    assert not set(ranked[1].items.tolist()) & seen
+    order = _pop_order(tiny_split)
+    unseen = [i for i in order if i not in seen]
+    for item in seen:
+        assert _pop_rank(tiny_split, item, 1) is None
+    for rank, item in enumerate(unseen, start=1):
+        assert _pop_rank(tiny_split, item, 1) == rank
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -55,6 +56,29 @@ def test_truncated_file_rejected(tmp_path):
     save_checkpoint(str(path), _params(), HP)
     path.write_bytes(path.read_bytes()[:-17])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(str(path))
+
+
+def test_every_truncation_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), _params(), HP)
+    raw = path.read_bytes()
+    for cut in range(0, len(raw), 7):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+
+def test_impossible_tensor_shape_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), _params(), HP)
+    raw = bytearray(path.read_bytes())
+    (hp_len,) = struct.unpack_from("<I", raw, 8)
+    # magic, version, hp length, hp block, tensor count, name length, "user_emb", ndim
+    dims_at = 12 + hp_len + 4 + 4 + len("user_emb") + 4
+    struct.pack_into("<2I", raw, dims_at, 2**31 - 1, 2**31 - 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(str(path))
 
 

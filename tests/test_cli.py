@@ -1,7 +1,15 @@
+import json
+import re
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from convrec.checkpoint import load_checkpoint
+from convrec.checkpoint import load_checkpoint, save_checkpoint
 from convrec.cli import main
+from convrec.config import HyperParams, RunConfig
+from convrec.data import load_split
+from convrec.model import init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
 
 
@@ -22,7 +30,7 @@ def data_file(tmp_path_factory):
 def prepared(data_file, tmp_path_factory):
     out = tmp_path_factory.mktemp("prepared")
     code = main([
-        "prepare", "--data", data_file, "--set", "min_feedback=1", "--out", str(out), "--cache",
+        "prepare", "--data", data_file, "--set", "min_feedback=1", "--out", str(out),
     ])
     assert code == 0
     return str(out)
@@ -36,11 +44,10 @@ BASE = [
 ]
 
 
-def test_prepare_writes_split_and_cache(prepared):
+def test_prepare_writes_split(prepared):
     import os
 
     assert os.path.exists(os.path.join(prepared, "split.json"))
-    assert os.path.exists(os.path.join(prepared, "train_instances.bin"))
 
 
 def test_train_is_reproducible(prepared, tmp_path, capsys):
@@ -276,3 +283,106 @@ def test_out_of_range_training_keys_exit_2(prepared, tmp_path, capsys, args):
     key = args[1].lstrip("-").split("=")[0] if args[0] == "--set" else "seed"
     assert len(err) == 1 and err[0].startswith("config error") and key in err[0]
     assert not ckpt.exists()
+
+
+# --------------------------------------------------------------------------
+# config keys
+
+def test_run_config_defaults_are_hyperparams_defaults():
+    assert RunConfig().hyperparams() == HyperParams()
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config keys\n", 1)[1].split("\n## ", 1)[0]
+    # each bullet names its keys after the colon; continuation lines are indented
+    lists = re.findall(r"^- [^:]*:(.*(?:\n  .*)*)", section, re.M)
+    named = re.findall(r"`(\w+)`", "".join(lists))
+    assert sorted(named) == sorted(RunConfig.field_names())
+
+
+# --------------------------------------------------------------------------
+# input files and checkpoints that do not fit the split
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    return err[0]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "recommend"])
+@pytest.mark.parametrize("extra_users,extra_items", [(0, 30), (0, -1), (5, 0)])
+def test_checkpoint_for_another_split_exits_1(prepared, tmp_path, capsys, command, extra_users, extra_items):
+    split = load_split(str(Path(prepared) / "split.json"))
+    hp = HyperParams(latent_dim=6, order=3, num_targets=1, heights=(1, 2, 3),
+                     num_h_filters=2, num_v_filters=1)
+    params = init_params(hp, split.user_count + extra_users, split.item_count + extra_items,
+                         np.random.default_rng(0))
+    ckpt = str(tmp_path / "other.ckpt")
+    save_checkpoint(ckpt, params, hp)
+    args = ["--user", split.user_ids[1]] if command == "recommend" else []
+    code = main([command, "--data-dir", prepared, "--checkpoint", ckpt] + args)
+    assert code == 1
+    line = _one_error_line(capsys)
+    assert line.startswith("error: ") and "the split" in line
+
+
+def test_missing_data_log_exits_1(tmp_path, capsys):
+    code = main(["prepare", "--data", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert _one_error_line(capsys) == f"error: {tmp_path / 'nope.tsv'}: No such file or directory"
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    code = main(["train", "--config", str(tmp_path / "nope.cfg"), "--checkpoint", str(tmp_path / "x.ckpt")])
+    assert code == 2
+    assert _one_error_line(capsys).startswith("config error: ")
+
+
+def test_missing_split_exits_1(tmp_path, capsys):
+    code = main(["train", "--data-dir", str(tmp_path), "--checkpoint", str(tmp_path / "x.ckpt"), "--quiet"])
+    assert code == 1
+    assert "split.json" in _one_error_line(capsys)
+
+
+def test_missing_checkpoint_exits_1(prepared, tmp_path, capsys):
+    code = main(["evaluate", "--data-dir", prepared, "--checkpoint", str(tmp_path / "nope.ckpt")])
+    assert code == 1
+    assert "nope.ckpt" in _one_error_line(capsys)
+
+
+def _corrupt_split(prepared, tmp_path, corrupt) -> str:
+    payload = json.loads((Path(prepared) / "split.json").read_text())
+    corrupt(payload)
+    (tmp_path / "split.json").write_text(json.dumps(payload))
+    return str(tmp_path)
+
+
+def test_split_without_train_exits_1(prepared, tmp_path, capsys):
+    data_dir = _corrupt_split(prepared, tmp_path, lambda p: p.pop("train"))
+    code = main(["train", "--data-dir", data_dir, "--checkpoint", str(tmp_path / "x.ckpt"), "--quiet"] + BASE)
+    assert code == 1
+    assert "train" in _one_error_line(capsys)
+
+
+def test_split_item_past_item_count_exits_1(prepared, tmp_path, capsys):
+    def corrupt(p):
+        p["train"][1][0] = p["item_count"] + 1
+
+    data_dir = _corrupt_split(prepared, tmp_path, corrupt)
+    ckpt = tmp_path / "x.ckpt"
+    code = main(["train", "--data-dir", data_dir, "--checkpoint", str(ckpt), "--quiet"] + BASE)
+    assert code == 1
+    assert "item id" in _one_error_line(capsys)
+    assert not ckpt.exists()
+
+
+def test_non_integer_thread_cap_exits_2_before_any_trial(prepared, capsys, monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setenv("CASER_THREADS", "x")
+    monkeypatch.setattr("convrec.cli.train", no_trial)
+    code = main(["sweep", "--data-dir", prepared, "--grid", "latent_dim=4"] + SWEEP_BASE)
+    assert code == 2
+    assert "CASER_THREADS" in _one_error_line(capsys)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -8,13 +10,11 @@ from convrec.data import (
     build_sequences,
     chronological_split,
     generate_instances,
-    load_instance_cache,
     load_interactions,
     load_split,
-    save_instance_cache,
     save_split,
 )
-from convrec.errors import CacheError, EmptyDatasetError, ParseError
+from convrec.errors import DataError, EmptyDatasetError, ParseError
 
 
 # --------------------------------------------------------------------------
@@ -285,43 +285,7 @@ def test_validation_instances_use_training_history():
 
 
 # --------------------------------------------------------------------------
-# caches
-
-def test_instance_cache_roundtrip(tmp_path):
-    instances = [
-        TrainingInstance(1, (0, 0, 1, 2), (3, 4)),
-        TrainingInstance(2, (5, 6, 7, 8), (9,)),
-    ]
-    path = str(tmp_path / "cache.bin")
-    save_instance_cache(path, instances, order=4, num_targets=2)
-    loaded, order, num_targets = load_instance_cache(path)
-    assert (order, num_targets) == (4, 2)
-    assert loaded == instances
-
-
-def test_instance_cache_bytes_deterministic(tmp_path):
-    instances = [TrainingInstance(1, (0, 1, 2, 3), (4,))]
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_instance_cache(str(p1), instances, 4, 2)
-    save_instance_cache(str(p2), instances, 4, 2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_instance_cache_bad_magic(tmp_path):
-    path = tmp_path / "cache.bin"
-    path.write_bytes(b"NOPE!" + b"\x00" * 40)
-    with pytest.raises(CacheError):
-        load_instance_cache(str(path))
-
-
-def test_instance_cache_truncated(tmp_path):
-    instances = [TrainingInstance(1, (1, 2), (3,))]
-    path = tmp_path / "cache.bin"
-    save_instance_cache(str(path), instances, 2, 1)
-    path.write_bytes(path.read_bytes()[:-3])
-    with pytest.raises(CacheError):
-        load_instance_cache(str(path))
-
+# split files
 
 def test_split_roundtrip(tmp_path, tiny_split):
     path = str(tmp_path / "split.json")
@@ -330,3 +294,39 @@ def test_split_roundtrip(tmp_path, tiny_split):
     assert loaded.train == tiny_split.train
     assert loaded.test == tiny_split.test
     assert loaded.item_ids == tiny_split.item_ids
+
+
+CORRUPTIONS = {
+    "no_train": lambda p: p.pop("train"),
+    "short_test": lambda p: p["test"].pop(),
+    "item_past_count": lambda p: p["train"][1].__setitem__(0, p["item_count"] + 1),
+    "item_zero": lambda p: p["validation"][1].append(0),
+    "string_item": lambda p: p["test"][1].append("3"),
+    "sequence_not_a_list": lambda p: p["train"].__setitem__(2, 5),
+    "short_item_ids": lambda p: p["item_ids"].pop(),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_load_split_rejects_malformed_split(tmp_path, tiny_split, corrupt):
+    path = tmp_path / "split.json"
+    save_split(str(path), tiny_split)
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError):
+        load_split(str(path))
+
+
+def test_load_split_rejects_missing_and_non_json_files(tmp_path):
+    with pytest.raises(DataError, match="missing.json"):
+        load_split(str(tmp_path / "missing.json"))
+    path = tmp_path / "split.json"
+    path.write_text('{"train": [')
+    with pytest.raises(DataError, match="JSON"):
+        load_split(str(path))
+
+
+def test_missing_interaction_log_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="nope.tsv"):
+        load_interactions(str(tmp_path / "nope.tsv"))

@@ -73,12 +73,12 @@ def test_recommend_rejects_bad_n(tiny_params, tiny_hp):
 # --------------------------------------------------------------------------
 # counted ranks and top-N selection against a full sort of the row
 
-def _sorted_metrics(scores, relevant, cutoffs, ap_mode, cutoff):
+def _sorted_metrics(scores, relevant, cutoffs, ap_mode):
     """Hit ranks read off a full lexsort of the row: the oracle for counting."""
     order = np.lexsort((np.arange(scores.size), -scores))
     n_eligible = int(np.isfinite(scores).sum())
     hit_ranks = np.flatnonzero(np.isin(order[:n_eligible], list(relevant))) + 1
-    return _metrics_from_positions(hit_ranks, len(relevant), n_eligible, cutoffs, ap_mode, cutoff)
+    return _metrics_from_positions(hit_ranks, len(relevant), n_eligible, cutoffs, ap_mode)
 
 
 @st.composite
@@ -96,12 +96,12 @@ def tied_rows(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tied_rows(), st.sampled_from(AP_MODES), st.one_of(st.none(), st.integers(1, 35)))
-def test_counted_ranks_match_full_sort(row, ap_mode, cutoff):
+@given(tied_rows(), st.sampled_from(AP_MODES))
+def test_counted_ranks_match_full_sort(row, ap_mode):
     _, scores, _, relevant = row
     cutoffs = tuple(range(1, scores.size + 1))  # prec at every n pins down every hit rank
-    got = metrics_for_ranking(scores, relevant, cutoffs, ap_mode, cutoff)
-    assert got == _sorted_metrics(scores, relevant, cutoffs, ap_mode, cutoff)
+    got = metrics_for_ranking(scores, relevant, cutoffs, ap_mode)
+    assert got == _sorted_metrics(scores, relevant, cutoffs, ap_mode)
 
 
 @settings(max_examples=60, deadline=None)
