@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HyperParams
-from .gradients import GradientSet, unique_rows
+from .gradients import GradientSet, RowScatter
 from .model import (
     FULL_MASK,
     ComponentMask,
@@ -162,30 +162,34 @@ def batch_loss_and_grads(
     gy = sigmoid(y) * slot_mask
     gy[:, :n_t] -= target_mask
     gy /= B
-    g = _batch_backward(params, hp, bt, ids, gy)
+    g, scatters = _batch_backward(params, hp, bt, ids, gy)
     if hp.l2 > 0.0:
-        loss += _batch_l2(g, params, hp, bt, ids, slot_mask)
+        loss += _batch_l2(g, scatters, params, hp, bt, ids, slot_mask)
     return loss, g
 
 
-def _batch_backward(params, hp, bt, ids, gy) -> GradientSet:
+def _batch_backward(params, hp, bt, ids, gy) -> tuple[GradientSet, tuple]:
+    """Data-term gradient and its (user, item, out) RowScatters, None where unused."""
     g = GradientSet.zeros_like(params)
     d = params.latent_dim
     B = ids.shape[0]
     mask = bt.comp_mask
+    user_sc = item_sc = None
 
     xo = np.concatenate([bt.z, bt.p_u], axis=1)
-    np.add.at(g.out_w, ids.ravel(), (gy[:, :, None] * xo[:, None, :]).reshape(-1, 2 * d))
-    np.add.at(g.out_b, ids.ravel(), gy.ravel())
-    g.out_w[0] = 0.0
-    g.out_b[0] = 0.0
-    g.out_rows = unique_rows(ids)
+    out_sc = RowScatter(ids, 2 * d)
+    g.out_rows = out_sc.rows
+    g.out_w = out_sc.sum((gy[:, :, None] * xo[:, None, :]).reshape(-1, 2 * d))
+    g.out_b = out_sc.sum(gy.ravel())
+    out_sc.zero_padding_row(g.out_w)
+    out_sc.zero_padding_row(g.out_b)
     dxo = np.einsum("bs,bsk->bk", gy, params.out_w[ids])
     dz, dp = dxo[:, :d], dxo[:, d:]
 
     if mask.p:
-        np.add.at(g.user_emb, bt.users, dp)
-        g.user_rows = unique_rows(bt.users)
+        user_sc = RowScatter(bt.users, d)
+        g.user_rows = user_sc.rows
+        g.user_emb = user_sc.sum(dp)
 
     if mask.h or mask.v:
         da = dz * activate_grad(bt.fc_pre, hp.fc_act)
@@ -217,14 +221,16 @@ def _batch_backward(params, hp, bt, ids, gy) -> GradientSet:
             dc = dot.reshape(B, len(params.v_filters), d)
             g.v_filters += np.einsum("bkd,bld->kl", dc, bt.E)
             dE += np.einsum("bkd,kl->bld", dc, params.v_filters)
-        np.add.at(g.item_emb, bt.prev.ravel(), dE.reshape(-1, d))
-        g.item_emb[0] = 0.0
-        g.item_rows = unique_rows(bt.prev)
-    return g
+        item_sc = RowScatter(bt.prev, d)
+        g.item_rows = item_sc.rows
+        g.item_emb = item_sc.sum(dE.reshape(-1, d))
+        item_sc.zero_padding_row(g.item_emb)
+    return g, (user_sc, item_sc, out_sc)
 
 
-def _batch_l2(g, params, hp, bt, ids, slot_mask) -> float:
+def _batch_l2(g, scatters, params, hp, bt, ids, slot_mask) -> float:
     """Touched-set L2: gradients in place, penalty (already /B) returned."""
+    user_sc, item_sc, out_sc = scatters
     l2 = hp.l2
     B = ids.shape[0]
     mask = bt.comp_mask
@@ -233,7 +239,7 @@ def _batch_l2(g, params, hp, bt, ids, slot_mask) -> float:
         prev_flat = bt.prev.ravel()
         w = (prev_flat != 0).astype(float)
         rows = params.item_emb[prev_flat]
-        np.add.at(g.item_emb, prev_flat, (l2 / B) * rows * w[:, None])
+        item_sc.add(g.item_emb, (l2 / B) * rows * w[:, None])
         sq += float((rows**2).sum(axis=1) @ w)
         cols = _enabled_fc_cols(params, mask)
         g.fc_w[:, cols] += l2 * params.fc_w[:, cols]
@@ -241,13 +247,13 @@ def _batch_l2(g, params, hp, bt, ids, slot_mask) -> float:
         sq += B * (float(np.sum(params.fc_w[:, cols] ** 2)) + float(params.fc_b @ params.fc_b))
     if mask.p:
         rows = params.user_emb[bt.users]
-        np.add.at(g.user_emb, bt.users, (l2 / B) * rows)
+        user_sc.add(g.user_emb, (l2 / B) * rows)
         sq += float(np.sum(rows**2))
     ids_flat = ids.ravel()
     wf = slot_mask.ravel()
     out_rows = params.out_w[ids_flat]
-    np.add.at(g.out_w, ids_flat, (l2 / B) * out_rows * wf[:, None])
-    np.add.at(g.out_b, ids_flat, (l2 / B) * params.out_b[ids_flat] * wf)
+    out_sc.add(g.out_w, (l2 / B) * out_rows * wf[:, None])
+    out_sc.add(g.out_b, (l2 / B) * params.out_b[ids_flat] * wf)
     sq += float((out_rows**2).sum(axis=1) @ wf) + float((params.out_b[ids_flat] ** 2) @ wf)
     if mask.h:
         for j, f in enumerate(params.h_filters):

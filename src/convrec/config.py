@@ -152,6 +152,14 @@ class RunConfig:
             setattr(self, key, value)
             self.explicit.add(key)
         # fail on a bad value now, not inside or after training
+        from .evaluate import AP_MODES  # late import: evaluate imports this module
+
+        if self.format not in ("tsv", "csv"):
+            raise ConfigError(f"format must be tsv or csv, got {self.format!r}")
+        if self.min_feedback < 1:
+            raise ConfigError(f"min_feedback must be >= 1, got {self.min_feedback}")
+        if self.ap_mode not in AP_MODES:
+            raise ConfigError(f"ap_mode must be one of {AP_MODES}, got {self.ap_mode!r}")
         self.eval_cutoffs()
         self.height_list()
         for key in ("batch_size", "epochs", "patience"):

@@ -68,20 +68,28 @@ class TrainingInstance:
     targets: tuple[int, ...]  # 1..T entries
 
 
+def _utf8_lines(fh, path: str):
+    """The lines of a text file opened as UTF-8; other bytes raise DataError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_interactions(path: str, fmt: str = "tsv") -> list[Interaction]:
     """Parse a UTF-8 interaction log.
 
     Rows are ``user item timestamp`` or ``user item rating timestamp``; the
     rating, when present, is discarded (all feedback is treated as implicit).
     Lines starting with '#' are skipped. Raises DataError if the file cannot
-    be opened, ParseError with the offending line number, EmptyDatasetError
-    if nothing was parsed.
+    be opened or is not UTF-8, ParseError with the offending line number,
+    EmptyDatasetError if nothing was parsed.
     """
     if fmt not in ("tsv", "csv"):
         raise ValueError(f"format must be tsv or csv, got {fmt!r}")
     out: list[Interaction] = []
     with open_input(path, DataError) as fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(_utf8_lines(fh, path), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

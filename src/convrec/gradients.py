@@ -1,9 +1,9 @@
 """Gradient containers and the finite-difference check of the batch kernel.
 
-GradientSet holds one gradient tensor per model tensor, as
-batch.batch_loss_and_grads returns it. gradient_check compares that
-gradient, coordinate by coordinate, against central finite differences of
-the same function's loss.
+GradientSet holds the gradient of every model tensor, as
+batch.batch_loss_and_grads returns it; RowScatter builds its row-sparse
+tables. gradient_check compares that gradient, coordinate by coordinate,
+against central finite differences of the same function's loss.
 """
 from __future__ import annotations
 
@@ -19,23 +19,59 @@ from .model import FULL_MASK, ComponentMask, ModelParams, dropout_mask_for, init
 _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
-def unique_rows(ids: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries of ids; np.unique without its fixed overhead."""
-    s = np.sort(ids, axis=None)
-    keep = np.empty(s.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
+class RowScatter:
+    """Sums per-id rows of values into one compact row per distinct id.
+
+    ``rows`` are the sorted distinct ids and ``inv`` each id's position
+    among them. ``add`` sends id i's values to row inv[i] of a compact
+    table of len(rows) rows with one 1-D ``np.add.at`` over a flat index,
+    built once and reused by every pass. 1-D ufunc.at adds in index order,
+    so every element receives its contributions in id order: exactly the
+    sums, bit for bit, that 2-D ``np.add.at`` into a full zero table leaves
+    in those rows, and far faster than numpy's generic 2-D path.
+    """
+
+    def __init__(self, ids: np.ndarray, width: int):
+        flat = ids.reshape(-1)
+        s = np.sort(flat)  # np.unique without its fixed overhead
+        keep = np.empty(s.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(s[1:], s[:-1], out=keep[1:])
+        self.rows = s[keep]
+        self.inv = np.searchsorted(self.rows, flat)
+        self.index = (self.inv[:, None] * width + np.arange(width)).reshape(-1)
+
+    def add(self, table: np.ndarray, values: np.ndarray) -> None:
+        """table[inv[i]] += values[i] for each id i in turn.
+
+        A 1-D table takes one value per id, a 2-D table ``width`` values.
+        """
+        index = self.inv if table.ndim == 1 else self.index
+        np.add.at(table.reshape(-1), index, values.reshape(-1))
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """A new compact table of the per-row sums of values: (len(rows),) + values.shape[1:]."""
+        table = np.zeros((self.rows.size,) + values.shape[1:])
+        self.add(table, values)
+        return table
+
+    def zero_padding_row(self, table: np.ndarray) -> None:
+        """Zero the row of the padding id 0, if some id was 0."""
+        if self.rows.size and self.rows[0] == 0:
+            table[0] = 0.0
 
 
 @dataclass
 class GradientSet:
-    """One gradient tensor per model tensor, shape-congruent.
+    """The gradient of every model tensor.
 
-    The row-indexed tables also carry the sorted unique rows that may be
-    nonzero: ``user_rows`` for user_emb, ``item_rows`` for item_emb and
-    ``out_rows`` for out_w/out_b. Every other row must be exactly +0.0:
-    adam_step reads and checks only the recorded rows of these tables.
+    The conv and FC gradients are dense, shape-congruent with their
+    tensors. The user, item and output tables are row-sparse: each is a
+    compact (rows, values) pair, where the rows are sorted unique row ids
+    (``user_rows`` for user_emb, ``item_rows`` for item_emb and
+    ``out_rows`` for out_w and out_b) and ``values[k]`` is the gradient of
+    row ``rows[k]``. Every row that is not recorded has gradient exactly
+    zero; no full-size gradient table exists.
     """
 
     user_emb: np.ndarray
@@ -52,27 +88,24 @@ class GradientSet:
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "GradientSet":
-        """All-zero tensors with empty row sets.
-
-        A caller that writes into user_emb, item_emb, out_w or out_b must also
-        record those rows in user_rows, item_rows or out_rows; adam_step
-        ignores every row that is not recorded.
-        """
+        """The empty gradient: zero conv/FC tensors and 0-row sparse tables."""
+        d = params.latent_dim
         return cls(
-            np.zeros_like(params.user_emb),
-            np.zeros_like(params.item_emb),
+            np.zeros((0, d)),
+            np.zeros((0, d)),
             [np.zeros_like(f) for f in params.h_filters],
             np.zeros_like(params.v_filters),
             np.zeros_like(params.fc_w),
             np.zeros_like(params.fc_b),
-            np.zeros_like(params.out_w),
-            np.zeros_like(params.out_b),
+            np.zeros((0, params.out_w.shape[1])),
+            np.zeros(0),
             _NO_ROWS,
             _NO_ROWS,
             _NO_ROWS,
         )
 
     def tensors(self):
+        """(name, gradient) per model tensor; the sparse tables as their values."""
         yield "user_emb", self.user_emb
         yield "item_emb", self.item_emb
         for j, f in enumerate(self.h_filters):
@@ -84,7 +117,7 @@ class GradientSet:
         yield "out_b", self.out_b
 
     def rows(self):
-        """Per tensor, in tensors() order, the index of its possibly nonzero rows."""
+        """Per tensor, in tensors() order, the rows its gradient values belong to."""
         every = slice(None)
         yield self.user_rows
         yield self.item_rows
@@ -232,9 +265,11 @@ def gradient_check(
     grads = loss_and_grads()[1]
     base_sig = signature()
     report = GradCheckReport(tol=tol, per_tensor={n: TensorCheck() for n, _ in params.tensors()})
-    for (name, arr), (_, g_arr) in zip(params.tensors(), grads.tensors()):
+    for (name, arr), (_, g_values), rows in zip(params.tensors(), grads.tensors(), grads.rows()):
         flat = arr.reshape(-1)
-        g_flat = g_arr.reshape(-1)
+        g_full = np.zeros_like(arr)
+        g_full[rows] = g_values  # a sparse table at full size, once per tensor
+        g_flat = g_full.reshape(-1)
         pinned = _pinned_coords(name, arr)
         tc = report.per_tensor[name]
         for idx in range(flat.size):

@@ -46,30 +46,27 @@ class AdamState:
 def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, lr: float) -> None:
     """Bias-corrected dense Adam; padding rows re-pinned afterwards.
 
-    Every moment decays every step, as in plain Adam. The gradient terms are
-    added only on the rows the gradient set records in user_rows, item_rows
-    and out_rows (every other row of its gradient is exactly +0.0, so adding
-    it would change no bit), and the parameter update runs in place over
-    blocks of ADAM_BLOCK elements. A gradient written into a row that is not
-    recorded is ignored and not checked for finiteness.
+    Every moment decays every step, as in plain Adam. The gradient of the
+    user, item and output tables arrives as compact (rows, values) pairs
+    (see GradientSet): the gradient terms are added on the recorded rows
+    only, from the values, since every other row's gradient is exactly zero
+    and adding it would change no bit. The conv and FC gradients are dense.
+    The parameter update runs in place over blocks of ADAM_BLOCK elements.
     """
-    touched = []
-    for (name, g), rows in zip(grads.tensors(), grads.rows()):
-        g_rows = g[rows]
-        if not np.all(np.isfinite(g_rows)):
+    for name, g in grads.tensors():
+        if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient in {name} at step {state.step + 1}")
-        touched.append((rows, g_rows))
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    for (name, p), (rows, g_rows) in zip(params.tensors(), touched):
+    for (name, p), (_, g), rows in zip(params.tensors(), grads.tensors(), grads.rows()):
         m, v = state.m[name], state.v[name]
         m *= b1
         v *= b2
-        m[rows] += (1.0 - b1) * g_rows
-        sq = (1.0 - b2) * g_rows
-        sq *= g_rows
+        m[rows] += (1.0 - b1) * g
+        sq = (1.0 - b2) * g
+        sq *= g
         v[rows] += sq
         _update_in_blocks(p, m, v, state, lr, c1, c2)
     params.pin_rows()
@@ -138,6 +135,18 @@ def _instance_arrays(instances, order: int, num_targets: int):
     return prev, users, tgt, tgt_mask
 
 
+def _check_some_item_eligible(targets, neg_mask, item_count: int, history) -> None:
+    """Raise SamplingError if a row with a negative slot excludes items 1..item_count."""
+    longest = max((h.size for h in history), default=0) if history is not None else 0
+    if targets.shape[1] + longest < item_count:  # no row can exclude that many items
+        return
+    for b in np.flatnonzero(neg_mask.any(axis=1)):
+        excluded = targets[b] if history is None else np.concatenate([targets[b], history[b]])
+        excluded = np.unique(excluded)
+        if np.count_nonzero((excluded >= 1) & (excluded <= item_count)) == item_count:
+            raise SamplingError(f"row {b} of the batch excludes every item; no negative can be drawn")
+
+
 def sample_negative_batch(
     rng: np.random.Generator,
     targets: np.ndarray,
@@ -147,7 +156,12 @@ def sample_negative_batch(
     per_instance: bool = False,
     history: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform negatives for a batch, rejecting targets (and history if given)."""
+    """Uniform negatives for a batch, rejecting targets (and history if given).
+
+    Raises SamplingError before the first draw when some row with a
+    negative slot excludes every item, and after 200 rejection rounds when
+    the draws still hit excluded items.
+    """
     n_batch, n_t = targets.shape
     if per_instance:
         slots = count
@@ -155,6 +169,7 @@ def sample_negative_batch(
     else:
         slots = count * n_t
         neg_mask = np.repeat(target_mask, count, axis=1)
+    _check_some_item_eligible(targets, neg_mask, item_count, history)
     neg = rng.integers(1, item_count + 1, size=(n_batch, slots))
     for _ in range(200):
         bad = (neg[:, :, None] == targets[:, None, :]).any(axis=2)

@@ -285,6 +285,23 @@ def test_out_of_range_training_keys_exit_2(prepared, tmp_path, capsys, args):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("key, value", [("format", "xml"), ("min_feedback", "0"), ("min_feedback", "-2")])
+def test_bad_pipeline_keys_exit_2(data_file, tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    code = main(["prepare", "--data", data_file, "--out", str(out), "--set", f"{key}={value}"])
+    assert code == 2
+    line = _one_error_line(capsys)
+    assert line.startswith("config error") and key in line
+    assert not out.exists()
+
+
+def test_bad_ap_mode_exits_2(prepared, checkpoint, capsys):
+    code = main(["evaluate", "--data-dir", prepared, "--checkpoint", checkpoint, "--set", "ap_mode=literal"])
+    assert code == 2
+    line = _one_error_line(capsys)
+    assert line.startswith("config error") and "ap_mode" in line
+
+
 # --------------------------------------------------------------------------
 # config keys
 
@@ -331,6 +348,14 @@ def test_missing_data_log_exits_1(tmp_path, capsys):
     code = main(["prepare", "--data", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "out")])
     assert code == 1
     assert _one_error_line(capsys) == f"error: {tmp_path / 'nope.tsv'}: No such file or directory"
+
+
+def test_non_utf8_data_log_exits_1(tmp_path, capsys):
+    log = tmp_path / "utf16.tsv"
+    log.write_bytes("u1\ti1\t1\n".encode("utf-16"))  # starts with the bytes ff fe
+    code = main(["prepare", "--data", str(log), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert _one_error_line(capsys).startswith(f"error: {log}: not UTF-8 text")
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

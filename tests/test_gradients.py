@@ -2,12 +2,14 @@ import dataclasses
 import itertools
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from convrec.batch import batch_loss_and_grads
 from convrec.config import HyperParams
-from convrec.gradients import TOY_HP, gradient_check
+from convrec.gradients import TOY_HP, RowScatter, gradient_check
 from convrec.model import ComponentMask, dropout_mask_for, init_params
 
 
@@ -31,6 +33,24 @@ def _one(p, hp, prev, user, targets, negatives):
     return batch_loss_and_grads(
         p, hp, np.array([prev]), np.array([user]), tgt, np.ones(tgt.shape), neg, np.ones(neg.shape)
     )
+
+
+def _nonzero_rows(rows, values, n_rows):
+    """The rows of a (rows, values) gradient pair whose gradient is not all zero.
+
+    Checks the pair's form first: sorted unique rows inside the table, one
+    values row per recorded row. Every row that is not recorded is zero.
+    """
+    assert np.array_equal(rows, np.unique(rows)) and ((0 <= rows) & (rows < n_rows)).all()
+    assert len(values) == len(rows)
+    per_row = values if values.ndim > 1 else values[:, None]
+    return set(rows[per_row.any(axis=1)].tolist())
+
+
+def _row(rows, values, row):
+    """One row of a (rows, values) gradient pair at full size; zero if not recorded."""
+    at = np.flatnonzero(rows == row)
+    return values[at[0]] if at.size else np.zeros(values.shape[1:])
 
 
 def _scores_from_biases(p, biases):
@@ -93,16 +113,12 @@ def test_gradient_sparsity_support():
     p, _ = _setup(HP, seed=2)
     prev, targets, negatives = [0, 2, 3, 3], (5, 6), (8, 9, 10, 11, 12, 13)
     _, g = _one(p, HP, prev, 2, targets, negatives)
-    touched_items = {2, 3}
-    for row in range(p.item_count + 1):
-        nonzero = g.item_emb[row].any()
-        assert nonzero == (row in touched_items)
+    n = p.item_count + 1
+    assert _nonzero_rows(g.item_rows, g.item_emb, n) == {2, 3}
     touched_out = set(targets) | set(negatives)
-    for row in range(p.item_count + 1):
-        assert g.out_w[row].any() == (row in touched_out)
-        assert (g.out_b[row] != 0) == (row in touched_out)
-    assert g.user_emb[2].any()
-    assert not g.user_emb[[0, 1, 3, 4, 5, 6]].any()
+    assert _nonzero_rows(g.out_rows, g.out_w, n) == touched_out
+    assert _nonzero_rows(g.out_rows, g.out_b, n) == touched_out
+    assert _nonzero_rows(g.user_rows, g.user_emb, p.user_count + 1) == {2}
 
 
 def test_gradient_sparsity_support_with_l2():
@@ -110,9 +126,9 @@ def test_gradient_sparsity_support_with_l2():
     p, _ = _setup(hp, seed=2)
     prev, targets, negatives = [0, 2, 3, 3], (5, 6), (8, 9, 10, 11, 12, 13)
     _, g = _one(p, hp, prev, 2, targets, negatives)
-    for row in range(p.item_count + 1):
-        assert g.item_emb[row].any() == (row in {2, 3})
-        assert g.out_w[row].any() == (row in {5, 6, 8, 9, 10, 11, 12, 13})
+    n = p.item_count + 1
+    assert _nonzero_rows(g.item_rows, g.item_emb, n) == {2, 3}
+    assert _nonzero_rows(g.out_rows, g.out_w, n) == {5, 6, 8, 9, 10, 11, 12, 13}
 
 
 def test_zero_output_weights_give_zero_fc_gradient():
@@ -128,16 +144,16 @@ def test_zero_output_weights_give_zero_fc_gradient():
 def test_pinned_rows_never_touched():
     p, _ = _setup(HP, seed=5)
     _, g = _one(p, HP, [0, 0, 1, 2], 3, (4,), (5, 6, 7))
-    assert not g.item_emb[0].any()
-    assert not g.out_w[0].any() and g.out_b[0] == 0.0
+    assert 0 in g.item_rows  # the padding id was scattered into, then zeroed
+    assert not _row(g.item_rows, g.item_emb, 0).any()
+    assert not _row(g.out_rows, g.out_w, 0).any() and _row(g.out_rows, g.out_b, 0) == 0.0
 
 
-def _assert_rows_cover(g):
-    for table, rows in ((g.user_emb, g.user_rows), (g.item_emb, g.item_rows),
-                        (g.out_w, g.out_rows), (g.out_b, g.out_rows)):
-        assert np.array_equal(rows, np.unique(rows))  # sorted, unique
-        nonzero = np.flatnonzero(table.reshape(len(table), -1).any(axis=1))
-        assert set(nonzero) <= set(rows)
+def _assert_rows_cover(g, p):
+    for table, rows, param in ((g.user_emb, g.user_rows, p.user_emb), (g.item_emb, g.item_rows, p.item_emb),
+                               (g.out_w, g.out_rows, p.out_w), (g.out_b, g.out_rows, p.out_b)):
+        _nonzero_rows(rows, table, len(param))  # sorted, unique, in range, one values row each
+        assert table.shape[1:] == param.shape[1:]
 
 
 MASKS = [ComponentMask(p, h, v) for p, h, v in itertools.product((True, False), repeat=3) if p or h or v]
@@ -158,8 +174,76 @@ def test_recorded_rows_cover_every_nonzero_gradient_row(mask, l2):
     nmask = (neg != 0).astype(float)
     dmask = dropout_mask_for(hp, rng, B)
     _, g = batch_loss_and_grads(p, hp, prev, users, tgt, tmask, neg, nmask, mask, dmask)
-    _assert_rows_cover(g)
+    _assert_rows_cover(g, p)
     assert g.item_emb.any() == (mask.h or mask.v) and g.user_emb.any() == mask.p
+
+
+# --------------------------------------------------------------------------
+# the ordered row scatter
+
+def _scatter_inputs(seed, n_rows, shape, width, skewed):
+    """Ids with duplicates and id 0, and two passes of values whose sums depend on the order."""
+    rng = np.random.default_rng(seed)
+    if skewed:  # a few rows take most ids, as the padding id or a popular item can
+        ids = np.minimum(rng.zipf(1.3, size=shape) - 1, n_rows - 1)
+    else:
+        ids = rng.integers(0, n_rows, size=shape)
+
+    def values():
+        # magnitudes spread over 16 decades, so a sum in another order rounds differently
+        return rng.normal(size=(ids.size, width)) * 10.0 ** rng.uniform(-8, 8, size=(ids.size, width))
+
+    return ids, values(), values()
+
+
+def _ordered_oracle(ids, n_rows, data, l2):
+    """2-D np.add.at into a full zero table: data pass, row 0 zeroed, then the L2 pass."""
+    full = np.zeros((n_rows,) + data.shape[1:])
+    np.add.at(full, ids.ravel(), data)
+    full[0] = 0.0
+    np.add.at(full, ids.ravel(), l2)
+    return full
+
+
+def _compact(sc, data, l2):
+    table = sc.sum(data)
+    sc.zero_padding_row(table)
+    sc.add(table, l2)
+    return table
+
+
+def _assert_bitwise(got, want):
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 60),
+    shape=st.sampled_from([(1,), (7,), (40,), (300,), (5, 3), (30, 5), (100, 12)]),
+    width=st.sampled_from([1, 2, 5, 16]),
+    skewed=st.booleans(),
+)
+def test_row_scatter_equals_2d_add_at_bitwise(seed, n_rows, shape, width, skewed):
+    ids, data, l2 = _scatter_inputs(seed, n_rows, shape, width, skewed)
+    sc = RowScatter(ids, width)
+    assert np.array_equal(sc.rows, np.unique(ids))
+    # a 2-D table and a 1-D column share the scatter, like out_w and out_b
+    for values, extra in ((data, l2), (data[:, 0].copy(), l2[:, 0].copy())):
+        full = _ordered_oracle(ids, n_rows, values, extra)
+        _assert_bitwise(_compact(sc, values, extra), full[sc.rows])
+        untouched = np.setdiff1d(np.arange(n_rows), sc.rows)
+        assert not full[untouched].view(np.uint64).any()  # +0.0 wherever no id landed
+
+
+def test_row_scatter_order_matters_on_these_inputs():
+    """The property above has teeth: summing the same ids in another order changes bits."""
+    ids, data, l2 = _scatter_inputs(3, 20, (100, 12), 5, skewed=True)
+    full = _ordered_oracle(ids, 20, data, l2)
+    backwards = _ordered_oracle(ids.ravel()[::-1], 20, data[::-1], l2[::-1])
+    assert not np.array_equal(full.view(np.uint64), backwards.view(np.uint64))
+    sc = RowScatter(ids, 5)
+    _assert_bitwise(_compact(sc, data, l2), full[sc.rows])
 
 
 # --------------------------------------------------------------------------
@@ -226,8 +310,8 @@ def test_loss_decreases_under_small_gradient_step():
     args = ([1, 2, 3, 4], 1, (5, 6), (8, 9, 10, 11, 12, 13))
     base, g = _one(p, HP, *args)
     lr = 1e-3
-    for (_, arr), (_, grad) in zip(p.tensors(), g.tensors()):
-        arr -= lr * grad
+    for (_, arr), (_, grad), rows in zip(p.tensors(), g.tensors(), g.rows()):
+        arr[rows] -= lr * grad
     p.pin_rows()
     after, _ = _one(p, HP, *args)
     assert after < base

@@ -19,10 +19,11 @@ def _params(hp=HP, users=6, items=25, seed=0):
     return init_params(hp, users, items, np.random.default_rng(seed))
 
 
-def _declare_all_rows(g):
-    g.user_rows = np.arange(len(g.user_emb))
-    g.item_rows = np.arange(len(g.item_emb))
-    g.out_rows = np.arange(len(g.out_w))
+def _declare_all_rows(g, p):
+    """Record every row of the sparse tables, with zero values at full size."""
+    g.user_rows, g.user_emb = np.arange(len(p.user_emb)), np.zeros_like(p.user_emb)
+    g.item_rows, g.item_emb = np.arange(len(p.item_emb)), np.zeros_like(p.item_emb)
+    g.out_rows, g.out_w, g.out_b = np.arange(len(p.out_w)), np.zeros_like(p.out_w), np.zeros_like(p.out_b)
 
 
 # --------------------------------------------------------------------------
@@ -41,9 +42,9 @@ def test_adam_zero_gradient_leaves_params():
 def test_adam_first_step_matches_hand_computation():
     p = _params(seed=1)
     g = GradientSet.zeros_like(p)
+    _declare_all_rows(g, p)
     for _, arr in g.tensors():
         arr[:] = 0.25
-    _declare_all_rows(g)
     before = p.copy()
     state = AdamState.for_params(p)
     adam_step(p, g, state, lr=0.01)
@@ -64,20 +65,20 @@ def test_adam_rejects_non_finite_gradient():
 def test_adam_repins_padding_rows():
     p = _params()
     g = GradientSet.zeros_like(p)
+    _declare_all_rows(g, p)
     for _, arr in g.tensors():
         arr[:] = 1.0  # including pinned rows
-    _declare_all_rows(g)
     adam_step(p, g, AdamState.for_params(p), lr=0.5)
     assert not p.item_emb[0].any()
     assert not p.out_w[0].any() and p.out_b[0] == 0.0
 
 
-def _dense_adam(params, grads, state, lr):
-    """The textbook dense update: reads every row of every gradient."""
+def _dense_adam(params, dense_grads, state, lr):
+    """The textbook dense update: reads every row of every full-size gradient."""
     state.step += 1
     c1 = 1.0 - state.beta1**state.step
     c2 = 1.0 - state.beta2**state.step
-    for (name, p), (_, g) in zip(params.tensors(), grads.tensors()):
+    for (name, p), g in zip(params.tensors(), dense_grads):
         m, v = state.m[name], state.v[name]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
@@ -88,23 +89,30 @@ def _dense_adam(params, grads, state, lr):
 
 
 def _row_sparse_grads(p, rng, step):
+    """A (rows, values) gradient set and the same gradient as full-size tables."""
     g = GradientSet.zeros_like(p)
     for arr in g.h_filters + [g.v_filters, g.fc_w, g.fc_b]:
         arr[:] = rng.normal(size=arr.shape)
+    full = {"user": np.zeros_like(p.user_emb), "item": np.zeros_like(p.item_emb),
+            "out": np.zeros_like(p.out_w), "out_b": np.zeros_like(p.out_b)}
     ids = {}
-    for name, table in (("user", g.user_emb), ("item", g.item_emb), ("out", g.out_w)):
+    for name in ("user", "item", "out"):
+        table = full[name]
         # duplicates, row 0, the last row and the rows on either side of each
-        # block boundary, scattered like the kernel does
+        # block boundary, scattered into a full table
         edges = np.arange(ADAM_BLOCK, table.size, ADAM_BLOCK) // table[0].size
         hit = np.concatenate([[0, 0, len(table) - 1], edges - 1, edges, rng.integers(0, len(table), size=40)])
         np.add.at(table, hit, rng.normal(size=(hit.size,) + table.shape[1:]))
         if name == "out":
-            np.add.at(g.out_b, hit, rng.normal(size=hit.size))
+            np.add.at(full["out_b"], hit, rng.normal(size=hit.size))
         rows = np.unique(hit)
         table[rows[1 + step % (len(rows) - 1)]] = 0.0  # touched, gradient exactly 0
         ids[name] = rows
     g.user_rows, g.item_rows, g.out_rows = ids["user"], ids["item"], ids["out"]
-    return g
+    g.user_emb, g.item_emb = full["user"][g.user_rows], full["item"][g.item_rows]
+    g.out_w, g.out_b = full["out"][g.out_rows], full["out_b"][g.out_rows]
+    dense = [full["user"], full["item"], *g.h_filters, g.v_filters, g.fc_w, g.fc_b, full["out"], full["out_b"]]
+    return g, dense
 
 
 def test_adam_matches_dense_oracle_bitwise():
@@ -115,9 +123,9 @@ def test_adam_matches_dense_oracle_bitwise():
     state, want_state = AdamState.for_params(p), AdamState.for_params(want)
     rng = np.random.default_rng(5)
     for step in range(6):
-        g = _row_sparse_grads(p, rng, step)
+        g, dense = _row_sparse_grads(p, rng, step)
         adam_step(p, g, state, lr=0.01)
-        _dense_adam(want, g, want_state, lr=0.01)
+        _dense_adam(want, dense, want_state, lr=0.01)
         assert state.step == want_state.step
         for (name, got), (_, arr) in zip(p.tensors(), want.tensors()):
             assert np.array_equal(got.view(np.uint64), arr.view(np.uint64)), name
@@ -129,8 +137,8 @@ def test_adam_rejects_non_finite_touched_row():
     p = _params()
     before = p.copy()
     g = GradientSet.zeros_like(p)
-    g.item_emb[3, 1] = np.inf
-    g.item_rows = np.array([3])
+    g.item_rows, g.item_emb = np.array([3]), np.zeros((1, p.latent_dim))
+    g.item_emb[0, 1] = np.inf
     state = AdamState.for_params(p)
     with pytest.raises(NonFiniteGradientError, match="item_emb"):
         adam_step(p, g, state, lr=0.01)
@@ -162,10 +170,24 @@ def test_negative_batch_history_exclusion():
     assert set(np.unique(neg)) <= {9, 10}
 
 
-def test_negative_batch_sampling_error_when_every_item_excluded():
-    tgt = np.array([[1, 2, 3]], dtype=np.int64)
-    with pytest.raises(SamplingError):
-        sample_negative_batch(np.random.default_rng(0), tgt, np.ones((1, 3)), item_count=3, count=1)
+@pytest.mark.parametrize("history", [None, [np.array([2, 4]), np.array([1, 3])]], ids=["targets", "history"])
+def test_negative_batch_sampling_error_when_every_item_excluded(history):
+    # row 1 excludes every item: by its targets alone, or by targets plus history
+    tgt = np.array([[1, 0, 0], [1, 2, 3]] if history is None else [[1, 0, 0], [2, 4, 0]], dtype=np.int64)
+    tmask = (tgt != 0).astype(float)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(SamplingError, match="row 1"):
+        sample_negative_batch(rng, tgt, tmask, item_count=4 if history else 3, count=1, history=history)
+    assert rng.bit_generator.state == before  # raised before the first draw, no rounds spent
+
+
+def test_negative_batch_ignores_exclusions_of_rows_without_negative_slots():
+    tgt = np.array([[1, 2, 3], [1, 0, 0]], dtype=np.int64)
+    tmask = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])  # row 0 draws no negatives
+    neg, nmask = sample_negative_batch(np.random.default_rng(0), tgt, tmask, item_count=3, count=1)
+    assert (neg[0] == 0).all() and not nmask[0].any()
+    assert neg[1, 0] in (2, 3)
 
 
 def test_negative_batch_frequencies_uniform():
