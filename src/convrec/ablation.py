@@ -7,7 +7,6 @@ latent-factor form out_w[:, d:] @ p_u + out_b, exactly.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +43,8 @@ def masked_forward(
 
 
 def popularity_counts(split: SplitDataset) -> np.ndarray:
-    counts = np.zeros(split.item_count + 1, dtype=np.int64)
-    for u in split.users():
-        for item in split.train[u]:
-            counts[item] += 1
-    return counts
+    train = [item for u in split.users() for item in split.train[u]]
+    return np.bincount(np.asarray(train, dtype=np.int64), minlength=split.item_count + 1)
 
 
 def evaluate_pop(
@@ -62,7 +58,8 @@ def evaluate_pop(
     row = popularity_counts(split).astype(float)
     row[0] = -np.inf
     return evaluate_scores(
-        split, lambda users, _: itertools.repeat(row), cutoffs, ap_mode, exclude_seen, part
+        split, lambda users, _: np.broadcast_to(row, (len(users), row.size)),
+        cutoffs, ap_mode, exclude_seen, part,
     )
 
 

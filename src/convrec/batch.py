@@ -73,8 +73,12 @@ def batch_forward(
     comp_mask: ComponentMask = FULL_MASK,
     dropout_mask: np.ndarray | None = None,
     score_ids: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> BatchTrace:
-    """Forward a batch; scores only the given item ids when provided."""
+    """Forward a batch; scores only the given item ids when provided.
+
+    Scores over all items are written into ``out`` when it is given.
+    """
     B = prev.shape[0]
     d = params.latent_dim
     E = params.item_emb[prev]
@@ -106,7 +110,7 @@ def batch_forward(
 
     xo = np.concatenate([z, p_u], axis=1)
     if score_ids is None:
-        scores = xo @ params.out_w.T
+        scores = np.matmul(xo, params.out_w.T, out=out)
         scores += params.out_b
         scores[:, 0] = -np.inf
     else:

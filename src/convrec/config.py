@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, open_input
+from .errors import ConfigError, open_input, utf8_lines
 
 ACTIVATIONS = ("identity", "sigmoid", "tanh", "relu")
 
@@ -209,7 +209,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat ``key = value`` file; '#' starts a comment line."""
     pairs: dict[str, str] = {}
     with open_input(path, ConfigError) as fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(utf8_lines(fh, path, ConfigError), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import DataError, EmptyDatasetError, ParseError, open_input
+from .errors import DataError, EmptyDatasetError, ParseError, open_input, utf8_lines
 
 PADDING_INDEX = 0
 
@@ -68,14 +68,6 @@ class TrainingInstance:
     targets: tuple[int, ...]  # 1..T entries
 
 
-def _utf8_lines(fh, path: str):
-    """The lines of a text file opened as UTF-8; other bytes raise DataError."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
 def load_interactions(path: str, fmt: str = "tsv") -> list[Interaction]:
     """Parse a UTF-8 interaction log.
 
@@ -89,7 +81,7 @@ def load_interactions(path: str, fmt: str = "tsv") -> list[Interaction]:
         raise ValueError(f"format must be tsv or csv, got {fmt!r}")
     out: list[Interaction] = []
     with open_input(path, DataError) as fh:
-        for line_no, line in enumerate(_utf8_lines(fh, path), start=1):
+        for line_no, line in enumerate(utf8_lines(fh, path, DataError), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and how a missing input file is reported."""
+"""Exception types shared across the package, and how a missing or undecodable input file is reported."""
 
 
 class ConvrecError(Exception):
@@ -37,9 +37,21 @@ class NonFiniteGradientError(ConvrecError):
     """A gradient tensor contained NaN or Inf; training is aborted."""
 
 
+class NonFiniteLossError(ConvrecError):
+    """A training batch's loss was NaN or Inf; training is aborted."""
+
+
 def open_input(path: str, error: type[ConvrecError], mode: str = "r"):
     """Open an input file; a missing or unreadable one raises ``error``."""
     try:
         return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
         raise error(f"{path}: {exc.strerror or exc}") from None
+
+
+def utf8_lines(fh, path: str, error: type[ConvrecError]):
+    """The lines of a file from ``open_input``; bytes that are not UTF-8 raise ``error``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -7,6 +7,7 @@ candidate set before ranking; a flag disables that.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,14 @@ from .data import SplitDataset, history_for, pad_left
 from .model import FULL_MASK, ComponentMask, ModelParams
 
 AP_MODES = ("standard", "paper_literal")
-SCORE_CHUNK = 512  # users scored per batch_forward call in score_matrix
+SCORE_CHUNK = 512  # users scored per batch_forward call
+# Ranking takes BLOCK_ELEMENTS // (item_count + 1) score rows at a time, at
+# least one: about 1 MB of scores, whatever the catalog size.
+BLOCK_ELEMENTS = 1 << 17
+# Rows longer than this are counted pair by pair against scalars, shorter ones
+# with broadcast comparisons over the block; the two took equal time between
+# 1000 and 1500 items.
+LONG_ROW = 1024
 
 
 @dataclass
@@ -130,56 +138,108 @@ def average_precision(
     return numerator / denom if denom else 0.0
 
 
-def _metrics_from_positions(hit_ranks: np.ndarray, n_relevant: int, n_eligible: int, cutoffs, ap_mode: str):
-    """Per-user metrics given the ascending 1-based ranks (all <= n_eligible) of relevant items."""
-    prec = {}
-    rec = {}
-    for n in cutoffs:
-        hits = int((hit_ranks <= n).sum())
-        prec[n] = hits / n
-        rec[n] = hits / n_relevant
-    numerator = float(np.sum(np.arange(1, len(hit_ranks) + 1) / hit_ranks))
-    denom = n_eligible if ap_mode == "paper_literal" else min(n_relevant, n_eligible)
-    ap = numerator / denom if denom else 0.0
-    return prec, rec, ap
-
-
 def score_matrix(
     params: ModelParams,
     hp: HyperParams,
     histories: list[list[int]],
     users: list[int],
     comp_mask: ComponentMask = FULL_MASK,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Inference scores over all items for many users, batched."""
+    """Inference scores over all items for many users, SCORE_CHUNK per batch.
+
+    The scores go into ``out`` when it is given, shape (len(users), item_count + 1).
+    """
     prev = np.asarray([pad_left(h, hp.order) for h in histories], dtype=np.int64)
     users_arr = np.asarray(users, dtype=np.int64)
-    out = np.empty((len(users), params.item_count + 1))
+    if out is None:
+        out = np.empty((len(users), params.item_count + 1))
     for lo in range(0, len(users), SCORE_CHUNK):
         hi = min(lo + SCORE_CHUNK, len(users))
-        bt = batch_forward(params, hp, prev[lo:hi], users_arr[lo:hi], comp_mask)
-        out[lo:hi] = bt.scores
+        batch_forward(params, hp, prev[lo:hi], users_arr[lo:hi], comp_mask, out=out[lo:hi])
     return out
 
 
-def metrics_for_ranking(scores: np.ndarray, relevant: set, cutoffs, ap_mode):
-    """Metrics for one user's masked score row (used by model and baseline paths).
+def _flat_pairs(item_sets) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, item) pairs of one item collection per row, row by row."""
+    sizes = np.fromiter(map(len, item_sets), np.int64, len(item_sets))
+    rows = np.repeat(np.arange(len(item_sets)), sizes)
+    return rows, np.fromiter(itertools.chain.from_iterable(item_sets), np.int64, rows.size)
 
-    Each relevant item's rank is counted, not read off a sort of the whole
-    row: 1 + the items scoring higher + the items scoring equal at a smaller
-    index, which is its 1-based position in ``ranked_order(scores)``. Items
-    at -inf (padding, excluded history) or NaN never rank.
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """True entries per row; summing bytes skips count_nonzero(axis=1)'s slower cast."""
+    return mask.view(np.uint8).sum(axis=1, dtype=np.int64)
+
+
+def _eligible_and_ahead(scores: np.ndarray, rows: np.ndarray, items: np.ndarray, values: np.ndarray):
+    """Eligible (finite) items per row, and per (row, item) pair the items ranked
+    ahead of it: those scoring higher, or equal at a smaller index. NaN
+    compares false, so it is never ahead."""
+    if scores.shape[1] > LONG_ROW:
+        # On long rows comparing against a scalar, several times faster than a
+        # broadcast comparison, outweighs making two calls per pair. An equal
+        # score before item i is ahead of it, one after it is not.
+        eligible = np.array([np.count_nonzero(np.isfinite(row)) for row in scores], dtype=np.int64)
+        ahead = np.array(
+            [
+                np.count_nonzero(scores[r, :i] >= v) + np.count_nonzero(scores[r, i:] > v)
+                for r, i, v in zip(rows.tolist(), items.tolist(), values.tolist())
+            ],
+            dtype=np.int64,
+        )
+        return eligible, ahead
+    eligible = _row_counts(np.isfinite(scores))
+    pair_rows = scores[rows]
+    ahead = pair_rows > values[:, None]
+    ahead |= (pair_rows == values[:, None]) & (np.arange(scores.shape[1]) < items[:, None])
+    return eligible, _row_counts(ahead)
+
+
+def metrics_for_ranking(scores: np.ndarray, relevant, cutoffs, ap_mode: str):
+    """Metrics for a block of masked score rows (used by model and baseline paths).
+
+    ``relevant[i]`` is row i's set of held-out items. Each relevant item's
+    rank is counted, not read off a sort of the whole row: 1 + the items
+    scoring higher + the items scoring equal at a smaller index, which is its
+    1-based position in ``ranked_order(row)``. Items at -inf (padding,
+    excluded history) or NaN never rank. Returns the precision and recall at
+    each cutoff, shape ``(len(cutoffs), rows)``, and the AP of each row.
     """
-    n_eligible = int(np.isfinite(scores).sum())
-    ranks = [
-        1 + np.count_nonzero(scores > scores[r]) + np.count_nonzero(scores[:r] == scores[r])
-        for r in relevant
-        if scores[r] > -np.inf
-    ]
-    hit_ranks = np.sort(np.array(ranks, dtype=np.int64))
-    # +inf scores rank first without being eligible; the ranking holds n_eligible items
-    hit_ranks = hit_ranks[hit_ranks <= n_eligible]
-    return _metrics_from_positions(hit_ranks, len(relevant), n_eligible, cutoffs, ap_mode)
+    n_rows = scores.shape[0]
+    rows, items = _flat_pairs(relevant)
+    sizes = np.bincount(rows, minlength=n_rows)
+    values = scores[rows, items]
+    eligible, ahead = _eligible_and_ahead(scores, rows, items, values)
+    ranks = ahead + 1
+    # items at -inf or NaN never rank; +inf scores rank first without being
+    # eligible, and the ranking holds `eligible` items
+    hit = (values > -np.inf) & (ranks <= eligible[rows])
+    rows, ranks = rows[hit], ranks[hit]
+    order = np.lexsort((ranks, rows))
+    rows, ranks = rows[order], ranks[order]
+
+    hits = np.array([np.bincount(rows[ranks <= n], minlength=n_rows) for n in cutoffs])
+    cutoff_col = np.asarray(cutoffs)[:, None]
+    precision, recall = hits / cutoff_col, hits / sizes
+
+    # AP numerator: each row's hit terms summed by np.sum, whose pairwise
+    # order over more than 8 terms the rows of one 2-D sum share
+    counts = np.bincount(rows, minlength=n_rows)
+    starts = np.cumsum(counts) - counts
+    terms = (np.arange(ranks.size) - starts[rows] + 1) / ranks
+    numerator = np.zeros(n_rows)
+    for h in np.unique(counts[counts > 0]).tolist():
+        sel = np.flatnonzero(counts == h)
+        numerator[sel] = np.sum(terms[starts[sel, None] + np.arange(h)], axis=1)
+    denom = eligible if ap_mode == "paper_literal" else np.minimum(sizes, eligible)
+    ap = np.divide(numerator, denom, out=np.zeros(n_rows), where=denom > 0)
+    return precision, recall, ap
+
+
+def _in_order_total(values: np.ndarray) -> float:
+    """values[0] + values[1] + ..., left to right, as a Python float; np.sum would add pairwise."""
+    return float(np.add.accumulate(values)[-1])
 
 
 def evaluate_scores(
@@ -193,10 +253,15 @@ def evaluate_scores(
 ) -> EvalReport:
     """Average per-user metrics against the held-out part of the split.
 
-    ``score_rows(users, histories)`` returns one score row per user, with
-    -inf at index 0 and at any item that must never rank. The model and the
-    POP baseline are both evaluated here. Users whose held-out part is empty
-    are excluded from all averages.
+    ``score_rows(users, histories)`` returns an array with one score row per
+    user, with -inf at index 0 and at any item that must never rank; a
+    read-only array (POP's one count row, broadcast) is copied before it is
+    masked. The model and the POP baseline are both evaluated here. Users
+    whose held-out part is empty are excluded from all averages.
+
+    Users are scored SCORE_CHUNK at a time and ranked a block of rows at a
+    time, BLOCK_ELEMENTS // (item_count + 1) rows, at least one; no users x
+    items matrix is held.
     """
     if ap_mode not in AP_MODES:
         raise ValueError(f"ap_mode must be one of {AP_MODES}")
@@ -205,30 +270,38 @@ def evaluate_scores(
     if not users:
         raise ValueError(f"no users with a nonempty {part} part")
     histories = [history_for(split, u, part) for u in users]
+    relevant = [set(held[u]) for u in users]
+    cutoffs = tuple(dict.fromkeys(cutoffs))  # a repeated cutoff is reported once
+    block_rows = max(1, BLOCK_ELEMENTS // (split.item_count + 1))
 
-    prec_sum = {n: 0.0 for n in cutoffs}
-    rec_sum = {n: 0.0 for n in cutoffs}
-    ap_sum = 0.0
-    per_user = [] if collect_per_user else None
-    max_n = max(cutoffs)
-    for u, history, s in zip(users, histories, score_rows(users, histories)):
-        if exclude_seen and history:
-            s = s.copy()
-            s[np.asarray(history, dtype=np.int64)] = -np.inf
-        prec, rec, ap = metrics_for_ranking(s, set(held[u]), cutoffs, ap_mode)
-        for n in cutoffs:
-            prec_sum[n] += prec[n]
-            rec_sum[n] += rec[n]
-        ap_sum += ap
-        if per_user is not None:
-            # prec[max_n] is hits / max_n, exactly, so this recovers the hit count
-            per_user.append((u, ap, round(prec[max_n] * max_n)))
+    precision, recall, ap = [], [], []
+    for lo in range(0, len(users), SCORE_CHUNK):
+        hi = min(lo + SCORE_CHUNK, len(users))
+        scores = score_rows(users[lo:hi], histories[lo:hi])
+        for b in range(lo, hi, block_rows):
+            e = min(b + block_rows, hi)
+            block = scores[b - lo : e - lo]
+            if exclude_seen:
+                if not block.flags.writeable:
+                    block = block.copy()
+                block[_flat_pairs(histories[b:e])] = -np.inf
+            p, r, a = metrics_for_ranking(block, relevant[b:e], cutoffs, ap_mode)
+            precision.append(p)
+            recall.append(r)
+            ap.append(a)
+    precision, recall, ap = (np.concatenate(m, axis=-1) for m in (precision, recall, ap))
 
+    per_user = None
+    if collect_per_user:
+        top = cutoffs.index(max(cutoffs))
+        # precision at the largest cutoff is hits / max_n, exactly, so this recovers the hit count
+        hits = np.rint(precision[top] * cutoffs[top]).astype(np.int64)
+        per_user = list(zip(users, ap.tolist(), hits.tolist()))
     count = len(users)
     return EvalReport(
-        precision={n: prec_sum[n] / count for n in cutoffs},
-        recall={n: rec_sum[n] / count for n in cutoffs},
-        mean_ap=ap_sum / count,
+        precision={n: _in_order_total(precision[i]) / count for i, n in enumerate(cutoffs)},
+        recall={n: _in_order_total(recall[i]) / count for i, n in enumerate(cutoffs)},
+        mean_ap=_in_order_total(ap) / count,
         users_evaluated=count,
         ap_mode=ap_mode,
         per_user=per_user,
@@ -248,8 +321,12 @@ def evaluate(
 ) -> EvalReport:
     """The model's metrics against the held-out part (see evaluate_scores)."""
 
+    # One chunk's buffer for every chunk: fresh chunk-sized arrays above
+    # malloc's mmap threshold fault in new pages on each call.
+    buffer = np.empty((SCORE_CHUNK, params.item_count + 1))
+
     def score_rows(users, histories):
-        return score_matrix(params, hp, histories, users, comp_mask=comp_mask)
+        return score_matrix(params, hp, histories, users, comp_mask, out=buffer[: len(users)])
 
     return evaluate_scores(
         split, score_rows, cutoffs, ap_mode, exclude_seen, part, collect_per_user

@@ -14,7 +14,7 @@ import numpy as np
 from .batch import batch_loss_and_grads
 from .config import HyperParams
 from .data import SplitDataset, generate_instances
-from .errors import EmptyDatasetError, NonFiniteGradientError, SamplingError
+from .errors import EmptyDatasetError, NonFiniteGradientError, NonFiniteLossError, SamplingError
 from .gradients import GradientSet
 from .model import FULL_MASK, ComponentMask, ModelParams, dropout_mask_for, init_params
 
@@ -250,6 +250,8 @@ def train(
                 params, hp, prev[rows], users[rows], tgt[rows], tgt_mask[rows],
                 neg, neg_mask, comp_mask, dmask,
             )
+            if not np.isfinite(loss):
+                raise NonFiniteLossError(f"non-finite loss {loss} at step {state.step + 1} (epoch {epoch})")
             adam_step(params, grads, state, hp.lr)
             total += loss * len(rows)
 

@@ -364,6 +364,14 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert _one_error_line(capsys).startswith("config error: ")
 
 
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    code = main(["train", "--config", str(cfg), "--checkpoint", str(tmp_path / "x.ckpt")])
+    assert code == 2
+    assert _one_error_line(capsys).startswith(f"config error: {cfg}: not UTF-8 text")
+
+
 def test_missing_split_exits_1(tmp_path, capsys):
     code = main(["train", "--data-dir", str(tmp_path), "--checkpoint", str(tmp_path / "x.ckpt"), "--quiet"])
     assert code == 1

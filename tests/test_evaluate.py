@@ -1,12 +1,16 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from convrec.ablation import evaluate_pop, popularity_counts
+from convrec.data import SplitDataset, history_for
 from convrec.evaluate import (
     AP_MODES,
-    _metrics_from_positions,
+    LONG_ROW,
     average_precision,
     evaluate,
     metrics_for_ranking,
@@ -17,6 +21,9 @@ from convrec.evaluate import (
 )
 from convrec.batch import forward
 from convrec.model import init_params
+
+# the module, which the package's evaluate function shadows as an attribute
+evaluation = importlib.import_module("convrec.evaluate")
 
 
 # --------------------------------------------------------------------------
@@ -71,14 +78,209 @@ def test_recommend_rejects_bad_n(tiny_params, tiny_hp):
 
 
 # --------------------------------------------------------------------------
-# counted ranks and top-N selection against a full sort of the row
+# the per-user evaluation loop that block ranking replaced: the oracle
+
+def _metrics_from_positions(hit_ranks, n_relevant, n_eligible, cutoffs, ap_mode):
+    """One user's metrics from the ascending 1-based ranks (all <= n_eligible) of its hits."""
+    prec = {}
+    rec = {}
+    for n in cutoffs:
+        hits = int((hit_ranks <= n).sum())
+        prec[n] = hits / n
+        rec[n] = hits / n_relevant
+    numerator = float(np.sum(np.arange(1, len(hit_ranks) + 1) / hit_ranks))
+    denom = n_eligible if ap_mode == "paper_literal" else min(n_relevant, n_eligible)
+    ap = numerator / denom if denom else 0.0
+    return prec, rec, ap
+
+
+def _row_metrics(scores, relevant, cutoffs, ap_mode):
+    """One masked score row, each relevant item's rank counted on its own."""
+    n_eligible = int(np.isfinite(scores).sum())
+    ranks = [
+        1 + np.count_nonzero(scores > scores[r]) + np.count_nonzero(scores[:r] == scores[r])
+        for r in relevant
+        if scores[r] > -np.inf
+    ]
+    hit_ranks = np.sort(np.array(ranks, dtype=np.int64))
+    hit_ranks = hit_ranks[hit_ranks <= n_eligible]
+    return _metrics_from_positions(hit_ranks, len(relevant), n_eligible, cutoffs, ap_mode)
+
 
 def _sorted_metrics(scores, relevant, cutoffs, ap_mode):
-    """Hit ranks read off a full lexsort of the row: the oracle for counting."""
+    """Hit ranks read off a full lexsort of the row."""
     order = np.lexsort((np.arange(scores.size), -scores))
     n_eligible = int(np.isfinite(scores).sum())
     hit_ranks = np.flatnonzero(np.isin(order[:n_eligible], list(relevant))) + 1
     return _metrics_from_positions(hit_ranks, len(relevant), n_eligible, cutoffs, ap_mode)
+
+
+def _per_user_report(split, score_rows, cutoffs, ap_mode, exclude_seen, part):
+    """evaluate_scores as one loop over users, summing each metric in user order."""
+    held = split.test if part == "test" else split.validation
+    users = [u for u in split.users() if held[u]]
+    histories = [history_for(split, u, part) for u in users]
+    prec_sum = {n: 0.0 for n in cutoffs}
+    rec_sum = {n: 0.0 for n in cutoffs}
+    ap_sum = 0.0
+    per_user = []
+    for u, history, s in zip(users, histories, score_rows(users, histories)):
+        if exclude_seen and history:
+            s = s.copy()
+            s[np.asarray(history, dtype=np.int64)] = -np.inf
+        prec, rec, ap = _row_metrics(s, set(held[u]), cutoffs, ap_mode)
+        for n in cutoffs:
+            prec_sum[n] += prec[n]
+            rec_sum[n] += rec[n]
+        ap_sum += ap
+        per_user.append((u, ap, round(prec[max(cutoffs)] * max(cutoffs))))
+    count = len(users)
+    return (
+        {n: (prec_sum[n] / count).hex() for n in cutoffs},
+        {n: (rec_sum[n] / count).hex() for n in cutoffs},
+        (ap_sum / count).hex(),
+        count,
+        [(u, ap.hex(), hits) for u, ap, hits in per_user],
+    )
+
+
+def _report_bits(report):
+    return (
+        {n: v.hex() for n, v in report.precision.items()},
+        {n: v.hex() for n, v in report.recall.items()},
+        report.mean_ap.hex(),
+        report.users_evaluated,
+        [(u, ap.hex(), hits) for u, ap, hits in report.per_user],
+    )
+
+
+# --------------------------------------------------------------------------
+# block ranking against the per-user loop and a full sort of each row
+
+@st.composite
+def score_blocks(draw):
+    """1-40 rows of few distinct scores (many exact ties, some +-inf and NaN),
+    short rows or rows past LONG_ROW, each with an excluded set and a relevant
+    set of its own size that may overlap it."""
+    n_rows = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 40) | st.integers(LONG_ROW + 1, LONG_ROW + 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, np.nan])
+    weights = np.array([1, 1, 1, 1, 1, 1, 1, 0.3, 0.3, 0.3])
+    scores = rng.choice(pool, size=(n_rows, m + 1), p=weights / weights.sum())
+    scores[:, 0] = -np.inf
+    relevant = []
+    for row in scores:
+        excluded = rng.choice(np.arange(1, m + 1), size=rng.integers(0, m + 1), replace=False)
+        row[excluded] = -np.inf
+        size = draw(st.integers(1, min(m, 20)))
+        relevant.append(set(rng.choice(np.arange(1, m + 1), size=size, replace=False).tolist()))
+    return scores, relevant
+
+
+@settings(max_examples=150, deadline=None)
+@given(score_blocks(), st.sampled_from(AP_MODES))
+def test_counted_ranks_match_full_sort(block, ap_mode):
+    scores, relevant = block
+    width = scores.shape[1]
+    # precision at every n pins down every hit rank; the long rows use every 7th
+    cutoffs = tuple(range(1, width + 1)) if width <= LONG_ROW else tuple(range(1, width + 1, 7))
+    precision, recall, ap = metrics_for_ranking(scores, relevant, cutoffs, ap_mode)
+    assert precision.shape == recall.shape == (len(cutoffs), len(relevant))
+    for i, (row, rel) in enumerate(zip(scores, relevant)):
+        got = (
+            dict(zip(cutoffs, precision[:, i].tolist())),
+            dict(zip(cutoffs, recall[:, i].tolist())),
+            float(ap[i]).hex(),
+        )
+        for oracle in (_row_metrics, _sorted_metrics):
+            prec, rec, want_ap = oracle(row, rel, cutoffs, ap_mode)
+            assert got == (prec, rec, want_ap.hex()), oracle.__name__
+
+
+def test_ap_of_many_hits_sums_like_np_sum():
+    # past 8 terms np.sum adds pairwise; the block AP must keep that order
+    rng = np.random.default_rng(5)
+    scores = rng.permutation(np.arange(400.0)).reshape(2, 200)
+    scores[:, 0] = -np.inf
+    relevant = [set(range(1, 200, 2)), set(range(3, 40))]
+    _, _, ap = metrics_for_ranking(scores, relevant, (1,), "standard")
+    for i in range(2):
+        assert float(ap[i]).hex() == _row_metrics(scores[i], relevant[i], (1,), "standard")[2].hex()
+
+
+@pytest.mark.parametrize("part", ["test", "validation"])
+@pytest.mark.parametrize("exclude_seen", [True, False])
+@pytest.mark.parametrize("ap_mode", AP_MODES)
+def test_evaluate_matches_per_user_loop_bitwise(tiny_params, tiny_hp, tiny_split, monkeypatch, ap_mode, exclude_seen, part):
+    cutoffs = (3, 1, 10)
+    width = tiny_split.item_count + 1
+
+    def model_rows(users, histories):
+        return score_matrix(tiny_params, tiny_hp, histories, users)
+
+    counts = popularity_counts(tiny_split).astype(float)
+    counts[0] = -np.inf
+
+    def pop_rows(users, histories):
+        return [counts] * len(users)
+
+    # small chunks and blocks so that users cross chunk and block edges; then
+    # the whole split in one block; then every row counted as a long row
+    for chunk, block_elements, long_row in [(16, 3 * width, LONG_ROW), (512, 1 << 17, LONG_ROW), (16, 3 * width, 0)]:
+        monkeypatch.setattr(evaluation, "SCORE_CHUNK", chunk)
+        monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", block_elements)
+        monkeypatch.setattr(evaluation, "LONG_ROW", long_row)
+        got = evaluate(
+            tiny_params, tiny_hp, tiny_split, cutoffs=cutoffs, ap_mode=ap_mode,
+            exclude_seen=exclude_seen, part=part, collect_per_user=True,
+        )
+        assert _report_bits(got) == _per_user_report(tiny_split, model_rows, cutoffs, ap_mode, exclude_seen, part)
+        assert all(type(ap) is float and type(hits) is int for _, ap, hits in got.per_user)
+        pop = evaluate_pop(tiny_split, cutoffs=cutoffs, ap_mode=ap_mode, exclude_seen=exclude_seen, part=part)
+        want = _per_user_report(tiny_split, pop_rows, cutoffs, ap_mode, exclude_seen, part)
+        assert _report_bits(dataclasses.replace(pop, per_user=[])) == want[:4] + ([],)
+
+
+def test_evaluate_deduplicates_relevant_items(tiny_params, tiny_hp, tiny_split):
+    test = [list(items) + list(items) for items in tiny_split.test]
+    split = SplitDataset(
+        tiny_split.train, tiny_split.validation, test, tiny_split.user_count,
+        tiny_split.item_count, tiny_split.user_ids, tiny_split.item_ids,
+    )
+    assert _report_bits(evaluate(tiny_params, tiny_hp, split, collect_per_user=True)) == _report_bits(
+        evaluate(tiny_params, tiny_hp, tiny_split, collect_per_user=True)
+    )
+
+
+def test_repeated_cutoff_counts_once(tiny_params, tiny_hp, tiny_split):
+    once = evaluate(tiny_params, tiny_hp, tiny_split, cutoffs=(5,))
+    twice = evaluate(tiny_params, tiny_hp, tiny_split, cutoffs=(5, 5))
+    assert twice.precision == once.precision and twice.recall == once.recall
+
+
+def test_evaluate_holds_one_chunk_and_one_block(tiny_params, tiny_hp, tiny_split, monkeypatch):
+    width = tiny_split.item_count + 1
+    monkeypatch.setattr(evaluation, "SCORE_CHUNK", 16)
+    monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", 5 * width)
+    chunks, blocks = [], []
+    real_score, real_metrics = evaluation.score_matrix, evaluation.metrics_for_ranking
+
+    def scoring(params, hp, histories, users, comp_mask, out):
+        chunks.append(out)
+        return real_score(params, hp, histories, users, comp_mask, out=out)
+
+    def ranking(scores, relevant, cutoffs, ap_mode):
+        blocks.append(scores.shape)
+        return real_metrics(scores, relevant, cutoffs, ap_mode)
+
+    monkeypatch.setattr(evaluation, "score_matrix", scoring)
+    monkeypatch.setattr(evaluation, "metrics_for_ranking", ranking)
+    report = evaluate(tiny_params, tiny_hp, tiny_split)
+    assert max(len(c) for c in chunks) == 16 and sum(len(c) for c in chunks) == report.users_evaluated
+    assert all(np.shares_memory(c, chunks[0]) for c in chunks)  # one buffer, reused
+    assert max(rows for rows, _ in blocks) == 5 and sum(rows for rows, _ in blocks) == report.users_evaluated
+    assert {w for _, w in blocks} == {width}
 
 
 @st.composite
@@ -93,15 +295,6 @@ def tied_rows(draw):
     scores = values.copy()
     scores[[0] + excluded] = -np.inf
     return values, scores, excluded, relevant
-
-
-@settings(max_examples=200, deadline=None)
-@given(tied_rows(), st.sampled_from(AP_MODES))
-def test_counted_ranks_match_full_sort(row, ap_mode):
-    _, scores, _, relevant = row
-    cutoffs = tuple(range(1, scores.size + 1))  # prec at every n pins down every hit rank
-    got = metrics_for_ranking(scores, relevant, cutoffs, ap_mode)
-    assert got == _sorted_metrics(scores, relevant, cutoffs, ap_mode)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,15 +1,18 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
 from convrec.config import HyperParams
 from convrec.data import chronological_split, build_sequences
-from convrec.errors import NonFiniteGradientError, SamplingError
+from convrec.errors import NonFiniteGradientError, NonFiniteLossError, SamplingError
 from convrec.gradients import GradientSet
 from convrec.model import init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
 from convrec.training import ADAM_BLOCK, AdamState, adam_step, sample_negative_batch, train
+
+training = importlib.import_module("convrec.training")
 
 HP = HyperParams(latent_dim=6, order=4, num_targets=2, heights=(1, 2, 4),
                  num_h_filters=2, num_v_filters=2, dropout=0.0, l2=0.0, lr=1e-3)
@@ -231,6 +234,23 @@ def test_training_is_bitwise_deterministic():
         assert np.array_equal(x, y)
     assert [r.train_loss for r in a.log] == [r.train_loss for r in b.log]
     assert [r.val_map for r in a.log] == [r.val_map for r in b.log]
+
+
+def test_non_finite_loss_stops_training_before_the_update(monkeypatch):
+    # the first update moves every touched parameter by about lr, so the
+    # second batch's scores overflow
+    split = _micro_split()
+    steps = []
+    real_adam_step = training.adam_step
+
+    def counting(params, grads, state, lr):
+        steps.append(state.step)
+        real_adam_step(params, grads, state, lr)
+
+    monkeypatch.setattr(training, "adam_step", counting)
+    with pytest.raises(NonFiniteLossError, match=r"at step 2 \(epoch 1\)"), np.errstate(over="ignore", invalid="ignore"):
+        train(split, dataclasses.replace(HP, lr=1e300), seed=1, epochs=1, batch_size=32, patience=1)
+    assert steps == [0]
 
 
 def test_zero_learning_rate_changes_nothing():
