@@ -12,8 +12,11 @@ Each run's end-to-end metrics go to BENCH_baseline.json and BENCH_<label>.json
 at the root of this checkout; a later call adds its runs to the same files.
 Both files summarise every metric per workload by median and quartiles, and
 BENCH_<label>.json also counts the pairs in which this checkout did better.
-An --env KEY=VALUE setting applies to both sides and is kept with the runs,
-which are summarised apart from the runs without it.
+Runs of different commits are summarised apart, and each run is paired only
+with the run of the other side made alongside it in the same call (same
+label, seed and pair index). An --env KEY=VALUE setting applies to both
+sides and is kept with the runs, which are summarised apart from the runs
+without it.
 """
 from __future__ import annotations
 
@@ -50,11 +53,17 @@ def group_key(run: dict) -> str:
     return " ".join([run["workload"]] + [f"{k}={v}" for k, v in sorted(run["env"].items())])
 
 
+def pair_key(run: dict) -> tuple:
+    """The runs of one pair share this; runs recorded before labels were kept have label None."""
+    return group_key(run), run["seed"], run["pair"], run.get("label")
+
+
 def summarise(runs: list[dict]) -> dict:
-    """Median and quartiles (statistics.quantiles, n=4) of each metric per workload."""
+    """Median and quartiles (statistics.quantiles, n=4) of each metric per workload and commit."""
     groups: dict[str, list[dict]] = {}
     for run in runs:
-        groups.setdefault(group_key(run), []).append(run)
+        commit = (run["commit"] or "unknown")[:7] + ("-dirty" if run.get("uncommitted_changes") else "")
+        groups.setdefault(f"{group_key(run)} @{commit}", []).append(run)
     summary = {}
     for key, group in groups.items():
         summary[key] = {"runs": len(group), "failed": sum(r["failed"] for r in group)}
@@ -67,11 +76,10 @@ def summarise(runs: list[dict]) -> dict:
 
 def better_counts(runs: list[dict], baseline: list[dict], directions: dict[str, str]) -> dict:
     """Per workload and metric, the pairs in which ``runs`` did better (ties count for neither)."""
-    by_pair = {(group_key(r), r["seed"], r["pair"]): r for r in baseline}
+    by_pair = {pair_key(r): r for r in baseline}
     wins: dict[str, dict[str, str]] = {}
     for key in sorted({group_key(r) for r in runs}):
-        pairs = [(r, by_pair[(key, r["seed"], r["pair"])]) for r in runs
-                 if group_key(r) == key and (key, r["seed"], r["pair"]) in by_pair]
+        pairs = [(r, by_pair[pair_key(r)]) for r in runs if group_key(r) == key and pair_key(r) in by_pair]
         wins[key] = {}
         for name, better in directions.items():
             sign = 1 if better == "higher" else -1
@@ -109,7 +117,7 @@ def main() -> int:
         order = ["baseline", "change"] if i % 2 == 0 else ["change", "baseline"]
         for side in order:
             run = run_once(trees[side], args.workload, seed, args.seconds, env)
-            run["pair"], run["first"] = first + i, side == order[0]
+            run["label"], run["pair"], run["first"] = args.label, first + i, side == order[0]
             done[side].append(run)
             print(f"pair {i} {side:8s} seed {seed} eval_users_per_s {run['metrics']['eval_users_per_s']:.0f} "
                   f"failed {run['failed']}", flush=True)

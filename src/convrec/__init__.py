@@ -11,7 +11,7 @@ from .config import HyperParams, RunConfig
 from .data import (
     Interaction,
     SplitDataset,
-    TrainingInstance,
+    TrainingInstances,
     UserSequence,
     build_sequences,
     chronological_split,
@@ -35,7 +35,7 @@ __all__ = [
     "Interaction",
     "UserSequence",
     "SplitDataset",
-    "TrainingInstance",
+    "TrainingInstances",
     "load_interactions",
     "build_sequences",
     "chronological_split",

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
 import struct
 
 import numpy as np
 
 from .config import HyperParams
-from .errors import CheckpointError, open_input
+from .errors import CheckpointError, ConfigError, open_input
 from .model import ModelParams
 
 MAGIC = b"CASR"
@@ -42,11 +44,11 @@ def save_checkpoint(path: str, params: ModelParams, hp: HyperParams) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read(fh, size: int, path: str) -> bytes:
-    buf = fh.read(size)
-    if len(buf) != size:
+def _read(fh, size: int, path: str, end: int) -> bytes:
+    # checked before reading, so a corrupt length cannot ask for more than the file holds
+    if size > end - fh.tell():
         raise CheckpointError(f"{path}: truncated checkpoint")
-    return buf
+    return fh.read(size)
 
 
 def load_checkpoint(path: str, expect_hp: HyperParams | None = None) -> tuple[ModelParams, HyperParams]:
@@ -56,40 +58,44 @@ def load_checkpoint(path: str, expect_hp: HyperParams | None = None) -> tuple[Mo
     field that determines tensor shapes.
     """
     with open_input(path, CheckpointError, "rb") as fh:
-        if _read(fh, 4, path) != MAGIC:
+        end = os.fstat(fh.fileno()).st_size
+        if _read(fh, 4, path, end) != MAGIC:
             raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-        (version,) = struct.unpack("<I", _read(fh, 4, path))
+        (version,) = struct.unpack("<I", _read(fh, 4, path, end))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        (hp_len,) = struct.unpack("<I", _read(fh, 4, path))
+        (hp_len,) = struct.unpack("<I", _read(fh, 4, path, end))
         try:
-            hp_dict = json.loads(_read(fh, hp_len, path).decode("utf-8"))
+            hp_dict = json.loads(_read(fh, hp_len, path, end).decode("utf-8"))
             hp_dict["heights"] = tuple(hp_dict.get("heights") or ())
             hp = HyperParams(**hp_dict)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ConfigError) as exc:
             raise CheckpointError(f"{path}: bad hyperparameter block ({exc})") from exc
 
         tensors: dict[str, np.ndarray] = {}
-        (count,) = struct.unpack("<I", _read(fh, 4, path))
+        (count,) = struct.unpack("<I", _read(fh, 4, path, end))
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read(fh, 4, path))
-            name = _read(fh, name_len, path).decode("utf-8")
-            (ndim,) = struct.unpack("<I", _read(fh, 4, path))
-            shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, path))
+            (name_len,) = struct.unpack("<I", _read(fh, 4, path, end))
             try:
+                name = _read(fh, name_len, path, end).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: tensor name is not UTF-8") from None
+            (ndim,) = struct.unpack("<I", _read(fh, 4, path, end))
+            shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, path, end))
+            if 8 * math.prod(shape) > end - fh.tell():
+                raise CheckpointError(f"{path}: truncated checkpoint, no room for tensor {name} of shape {shape}")
+            try:  # over 64 dimensions, or a zero dimension among huge ones
                 arr = tensors[name] = np.empty(shape, dtype="<f8")
-            except (ValueError, MemoryError):
-                raise CheckpointError(f"{path}: cannot allocate tensor {name} of shape {shape}") from None
-            if fh.readinto(arr) != arr.nbytes:  # straight into the array, without a bytes copy
-                raise CheckpointError(f"{path}: truncated checkpoint")
+            except ValueError:
+                raise CheckpointError(f"{path}: impossible tensor {name} of shape {shape}") from None
+            fh.readinto(arr)  # straight into the array, without a bytes copy
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensors")
 
-    h_names = sorted((n for n in tensors if n.startswith("h_filters.")), key=lambda n: int(n.split(".")[1]))
-    required = ["user_emb", "item_emb", "v_filters", "fc_w", "fc_b", "out_w", "out_b"]
-    missing = [n for n in required if n not in tensors]
-    if missing or len(h_names) != len(hp.heights):
-        raise CheckpointError(f"{path}: tensor set mismatch (missing {missing})")
+    h_names = [f"h_filters.{j}" for j in range(len(hp.heights))]
+    required = ["user_emb", "item_emb", *h_names, "v_filters", "fc_w", "fc_b", "out_w", "out_b"]
+    if set(tensors) != set(required):
+        raise CheckpointError(f"{path}: tensor set mismatch, expected {required}, got {sorted(tensors)}")
     params = ModelParams(
         user_emb=tensors["user_emb"],
         item_emb=tensors["item_emb"],
@@ -111,9 +117,8 @@ def _validate_shapes(path: str, params: ModelParams, hp: HyperParams) -> None:
     d = hp.latent_dim
     item_rows = params.item_emb.shape[0]
     ok = (
-        params.user_emb.ndim == 2
-        and params.user_emb.shape[1] == d
-        and params.item_emb.shape[1] == d
+        params.user_emb.ndim == params.item_emb.ndim == 2
+        and params.user_emb.shape[1] == params.item_emb.shape[1] == d
         and params.v_filters.shape == (hp.num_v_filters, hp.order)
         and params.fc_w.shape == (d, hp.fc_input_dim)
         and params.fc_b.shape == (d,)

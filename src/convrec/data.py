@@ -10,6 +10,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DataError, EmptyDatasetError, ParseError, open_input, utf8_lines
 
 PADDING_INDEX = 0
@@ -62,10 +64,16 @@ class SplitDataset:
 
 
 @dataclass(frozen=True)
-class TrainingInstance:
-    user: int
-    prev: tuple[int, ...]  # exactly L entries, oldest first, left-padded
-    targets: tuple[int, ...]  # 1..T entries
+class TrainingInstances:
+    """(user, previous-L, next-T) triplets as aligned arrays, one row per instance."""
+
+    prev: np.ndarray  # (n, L) int64, oldest first, left-padded with PADDING_INDEX
+    users: np.ndarray  # (n,) int64
+    targets: np.ndarray  # (n, T) int64, right-padded with PADDING_INDEX
+    target_mask: np.ndarray  # (n, T) float64, 1.0 where targets holds an item
+
+    def __len__(self) -> int:
+        return self.users.size
 
 
 def load_interactions(path: str, fmt: str = "tsv") -> list[Interaction]:
@@ -74,8 +82,9 @@ def load_interactions(path: str, fmt: str = "tsv") -> list[Interaction]:
     Rows are ``user item timestamp`` or ``user item rating timestamp``; the
     rating, when present, is discarded (all feedback is treated as implicit).
     Lines starting with '#' are skipped. Raises DataError if the file cannot
-    be opened or is not UTF-8, ParseError with the offending line number,
-    EmptyDatasetError if nothing was parsed.
+    be opened or is not UTF-8, ParseError with the offending line number
+    (also for a timestamp that is not finite), EmptyDatasetError if nothing
+    was parsed.
     """
     if fmt not in ("tsv", "csv"):
         raise ValueError(f"format must be tsv or csv, got {fmt!r}")
@@ -96,6 +105,8 @@ def load_interactions(path: str, fmt: str = "tsv") -> list[Interaction]:
                 ts = float(ts_text)
             except ValueError:
                 raise ParseError(line_no, f"bad timestamp {ts_text!r}") from None
+            if not math.isfinite(ts):  # NaN would defeat deduplication and sort arbitrarily
+                raise ParseError(line_no, f"timestamp {ts_text!r} is not finite")
             out.append(Interaction(cols[0], cols[1], ts))
     if not out:
         raise EmptyDatasetError(f"{path}: no interactions parsed")
@@ -199,47 +210,35 @@ def pad_left(items: list[int] | tuple[int, ...], length: int) -> tuple[int, ...]
 
 def generate_instances(
     split: SplitDataset, order: int, num_targets: int, part: str = "train"
-) -> list[TrainingInstance]:
-    """Expand the split into (user, previous-L, next-T) triplets.
+) -> TrainingInstances:
+    """Expand the training prefixes into (user, previous-L, next-T) triplets.
 
-    Training instances come from sliding a window of ``order + num_targets``
-    over each user's training prefix; a shorter prefix yields one left-padded
-    instance whose targets are its last min(T, len) actions. Validation
-    instances take each validation action as a target start and draw history
-    from the training prefix plus earlier validation actions.
+    A window of ``order + num_targets`` slides over each user's training
+    prefix; a shorter prefix yields one left-padded instance whose targets
+    are its last min(T, len) actions. Every window of every user is read
+    with one gather from the padded prefixes laid end to end.
     """
     if order < 1 or num_targets < 1:
         raise ValueError("order and num_targets must be >= 1")
-    if part not in ("train", "validation"):
-        raise ValueError(f"part must be train or validation, got {part!r}")
+    if part != "train":
+        raise ValueError(f"part must be train, got {part!r}")
     L, T = order, num_targets
-    out: list[TrainingInstance] = []
-    for u in split.users():
-        if part == "train":
-            seq = split.train[u]
-            n = len(seq)
-            if n == 0:
-                continue
-            if n >= L + T:
-                for off in range(n - L - T + 1):
-                    out.append(
-                        TrainingInstance(
-                            u, tuple(seq[off : off + L]), tuple(seq[off + L : off + L + T])
-                        )
-                    )
-            else:
-                k = min(T, n)
-                out.append(TrainingInstance(u, pad_left(seq[: n - k], L), tuple(seq[n - k :])))
-        else:
-            body = split.validation[u]
-            if not body:
-                continue
-            full = split.train[u] + body
-            start = len(split.train[u])
-            for t in range(start, len(full)):
-                prev = pad_left(full[max(0, t - L) : t], L)
-                out.append(TrainingInstance(u, prev, tuple(full[t : t + T])))
-    return out
+    users = [u for u in split.users() if split.train[u]]
+    # left-pad each prefix to at least one window; a prefix shorter than T
+    # becomes L padding items, the prefix, and padding up to T targets
+    padded = [
+        [PADDING_INDEX] * (L + T - len(seq) if len(seq) >= T else L) + seq + [PADDING_INDEX] * (T - len(seq))
+        for seq in (split.train[u] for u in users)
+    ]
+    width = np.fromiter(map(len, padded), np.int64, len(padded))
+    windows = width - (L + T) + 1
+    flat = np.fromiter(itertools.chain.from_iterable(padded), np.int64, width.sum())
+    starts = np.repeat(np.cumsum(width) - width - (np.cumsum(windows) - windows), windows)
+    gathered = flat[(starts + np.arange(starts.size))[:, None] + np.arange(L + T)]
+    targets = gathered[:, L:]
+    return TrainingInstances(
+        gathered[:, :L], np.repeat(np.asarray(users, dtype=np.int64), windows), targets, (targets != PADDING_INDEX).astype(np.float64)
+    )
 
 
 _SPLIT_KEYS = ("user_count", "item_count", "user_ids", "item_ids", "train", "validation", "test")

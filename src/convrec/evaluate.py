@@ -109,8 +109,8 @@ def prec_recall_at(ranked_items, relevant: set, n: int) -> tuple[float, float]:
         raise ValueError(f"n must lie in 1..{len(ranked_items)}")
     if not relevant:
         raise ValueError("relevant set is empty; caller should skip this user")
-    hits = sum(1 for item in list(ranked_items)[:n] if item in relevant)
-    return hits / n, hits / len(relevant)
+    precision, recall, _ = _list_metrics(ranked_items, relevant, n, "standard")
+    return precision, recall
 
 
 def average_precision(
@@ -123,19 +123,25 @@ def average_precision(
     """
     if mode not in AP_MODES:
         raise ValueError(f"mode must be one of {AP_MODES}")
-    items = list(ranked_items)
     if cutoff is None:
-        cutoff = len(items)
-    if cutoff > len(items) or cutoff < 1:
-        raise ValueError(f"cutoff must lie in 1..{len(items)}")
-    hits = 0
-    numerator = 0.0
-    for k in range(1, cutoff + 1):
-        if items[k - 1] in relevant:
-            hits += 1
-            numerator += hits / k
-    denom = cutoff if mode == "paper_literal" else min(len(relevant), cutoff)
-    return numerator / denom if denom else 0.0
+        cutoff = len(ranked_items)
+    if cutoff > len(ranked_items) or cutoff < 1:
+        raise ValueError(f"cutoff must lie in 1..{len(ranked_items)}")
+    return _list_metrics(ranked_items, relevant, cutoff, mode)[2] if relevant else 0.0
+
+
+def _list_metrics(ranked_items, relevant: set, n: int, ap_mode: str) -> tuple[float, float, float]:
+    """Precision and recall at n and AP of a list's first n items, counted by
+    metrics_for_ranking on one score row over the items named in the list
+    or the relevant set: the first n in list order, every other at -inf."""
+    ids = np.asarray(list(ranked_items)[:n] + list(relevant), dtype=np.int64)
+    _, column = np.unique(ids, return_inverse=True)
+    scores = np.full((1, column.max() + 1), -np.inf)
+    scores[0, column[:n]] = np.arange(n, 0, -1)
+    if np.count_nonzero(np.isfinite(scores)) < n:
+        raise ValueError("the ranked items must be distinct")
+    precision, recall, ap = metrics_for_ranking(scores, [set(column[n:].tolist())], (n,), ap_mode)
+    return float(precision[0, 0]), float(recall[0, 0]), float(ap[0])
 
 
 def score_matrix(

@@ -120,21 +120,6 @@ class TrainResult:
                 fh.write(row.csv_row() + "\n")
 
 
-def _instance_arrays(instances, order: int, num_targets: int):
-    n = len(instances)
-    prev = np.zeros((n, order), dtype=np.int64)
-    users = np.zeros(n, dtype=np.int64)
-    tgt = np.zeros((n, num_targets), dtype=np.int64)
-    tgt_mask = np.zeros((n, num_targets))
-    for i, inst in enumerate(instances):
-        prev[i] = inst.prev
-        users[i] = inst.user
-        k = len(inst.targets)
-        tgt[i, :k] = inst.targets
-        tgt_mask[i, :k] = 1.0
-    return prev, users, tgt, tgt_mask
-
-
 def _check_some_item_eligible(targets, neg_mask, item_count: int, history) -> None:
     """Raise SamplingError if a row with a negative slot excludes items 1..item_count."""
     longest = max((h.size for h in history), default=0) if history is not None else 0
@@ -208,10 +193,10 @@ def train(
     from .evaluate import evaluate  # late import: evaluate depends on model only
 
     instances = generate_instances(split, hp.order, hp.num_targets, "train")
-    if not instances:
-        raise EmptyDatasetError("no training instances")
-    prev, users, tgt, tgt_mask = _instance_arrays(instances, hp.order, hp.num_targets)
     n_inst = len(instances)
+    if not n_inst:
+        raise EmptyDatasetError("no training instances")
+    prev, users, tgt, tgt_mask = instances.prev, instances.users, instances.targets, instances.target_mask
 
     history = None
     if exclude_history_negatives:

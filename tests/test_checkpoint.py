@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from convrec.checkpoint import load_checkpoint, save_checkpoint
 from convrec.config import HyperParams
@@ -117,3 +119,60 @@ def test_nonzero_padding_row_rejected(tmp_path, name, value):
     save_checkpoint(path, p, HP)
     with pytest.raises(CheckpointError, match=f"padding row 0 of {name}"):
         load_checkpoint(path)
+
+
+def _corrupted(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), _params(), HP)
+    raw = bytearray(path.read_bytes())
+    edit(raw)
+    path.write_bytes(bytes(raw))
+    return str(path)
+
+
+def test_bad_hyperparameter_value_is_a_checkpoint_error(tmp_path):
+    def zero_order(raw):
+        at = raw.index(b'"order": 5')
+        raw[at + len('"order": ')] = ord("0")
+
+    with pytest.raises(CheckpointError, match="hyperparameter"):
+        load_checkpoint(_corrupted(tmp_path, zero_order))
+
+
+def test_non_utf8_tensor_name_is_a_checkpoint_error(tmp_path):
+    def break_name(raw):
+        raw[raw.index(b"user_emb")] = 0xFF
+
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(_corrupted(tmp_path, break_name))
+
+
+def test_huge_ndim_is_refused_before_allocating(tmp_path):
+    def huge_ndim(raw):
+        struct.pack_into("<I", raw, raw.index(b"user_emb") + len("user_emb"), 2**31 - 1)
+
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(_corrupted(tmp_path, huge_ndim))
+
+
+TINY_HP = HyperParams(latent_dim=2, order=2, num_targets=1, heights=(1, 2), num_h_filters=1, num_v_filters=1)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
+    save_checkpoint(str(path), init_params(TINY_HP, 2, 3, np.random.default_rng(0)), TINY_HP)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_every_single_byte_change_loads_or_is_a_checkpoint_error(tiny_checkpoint, data):
+    path, raw = tiny_checkpoint
+    at = data.draw(st.integers(0, len(raw) - 1))
+    value = data.draw(st.integers(0, 255).filter(lambda v: v != raw[at]))
+    path.write_bytes(raw[:at] + bytes([value]) + raw[at + 1 :])
+    try:
+        load_checkpoint(str(path))
+    except CheckpointError:
+        pass

@@ -1,17 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import convrec
 from convrec.data import (
     Interaction,
-    TrainingInstance,
     build_sequences,
     chronological_split,
     generate_instances,
     load_interactions,
     load_split,
+    pad_left,
     save_split,
 )
 from convrec.errors import DataError, EmptyDatasetError, ParseError
@@ -69,6 +71,16 @@ def test_bad_timestamp_raises(tmp_path):
     path.write_text("u1 i1 notanumber\n")
     with pytest.raises(ParseError):
         load_interactions(str(path))
+
+
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+def test_non_finite_timestamp_raises_with_line_number(tmp_path, stamp):
+    # two `u1 i1 nan` rows used to survive deduplication, since NaN != NaN
+    path = tmp_path / "log.tsv"
+    path.write_text(f"u1 i1 3\nu1 i1 {stamp}\nu1 i1 {stamp}\n")
+    with pytest.raises(ParseError, match="not finite") as exc:
+        load_interactions(str(path))
+    assert exc.value.line_no == 2
 
 
 # --------------------------------------------------------------------------
@@ -213,75 +225,122 @@ def test_split_reconstructs_sequence(n):
 # --------------------------------------------------------------------------
 # instance generation
 
-def _split_with_train(items):
-    n = len(items)
+def _split_with_train(*prefixes):
+    """A stand-in split whose users 1..len(prefixes) have these training prefixes."""
     return type(
         "S",
         (),
         {
-            "train": [[], list(items)],
-            "validation": [[], []],
-            "test": [[], []],
-            "user_count": 1,
-            "item_count": max(items) if items else 1,
-            "users": lambda self: range(1, 2),
+            "train": [[]] + [list(p) for p in prefixes],
+            "users": lambda self: range(1, len(prefixes) + 1),
         },
     )()
 
 
-def test_window_exact_fit():
-    split = _split_with_train([1, 2, 3, 4, 5, 6])
-    inst = generate_instances(split, 4, 2, "train")
-    assert inst == [TrainingInstance(1, (1, 2, 3, 4), (5, 6))]
+def _oracle_instances(split, order, num_targets):
+    """Instances built one tuple at a time, then copied into arrays row by row."""
+    L, T = order, num_targets
+    triplets = []
+    for u in split.users():
+        seq = split.train[u]
+        n = len(seq)
+        if n == 0:
+            continue
+        if n >= L + T:
+            for off in range(n - L - T + 1):
+                triplets.append((u, tuple(seq[off : off + L]), tuple(seq[off + L : off + L + T])))
+        else:
+            k = min(T, n)
+            triplets.append((u, pad_left(seq[: n - k], L), tuple(seq[n - k :])))
+    n = len(triplets)
+    prev = np.zeros((n, L), dtype=np.int64)
+    users = np.zeros(n, dtype=np.int64)
+    tgt = np.zeros((n, T), dtype=np.int64)
+    tgt_mask = np.zeros((n, T))
+    for i, (user, window, targets) in enumerate(triplets):
+        prev[i] = window
+        users[i] = user
+        tgt[i, : len(targets)] = targets
+        tgt_mask[i, : len(targets)] = 1.0
+    return prev, users, tgt, tgt_mask
 
 
-def test_window_two_offsets():
-    split = _split_with_train([1, 2, 3, 4, 5, 6, 7])
-    inst = generate_instances(split, 4, 2, "train")
-    assert inst == [
-        TrainingInstance(1, (1, 2, 3, 4), (5, 6)),
-        TrainingInstance(1, (2, 3, 4, 5), (6, 7)),
+def _triplets(inst):
+    """(user, previous L, unpadded targets) of each instance."""
+    return [
+        (int(u), tuple(p.tolist()), tuple(t[m > 0].tolist()))
+        for u, p, t, m in zip(inst.users, inst.prev, inst.targets, inst.target_mask)
     ]
 
 
+def test_window_exact_fit():
+    inst = generate_instances(_split_with_train([1, 2, 3, 4, 5, 6]), 4, 2, "train")
+    assert _triplets(inst) == [(1, (1, 2, 3, 4), (5, 6))]
+
+
+def test_window_two_offsets():
+    inst = generate_instances(_split_with_train([1, 2, 3, 4, 5, 6, 7]), 4, 2, "train")
+    assert _triplets(inst) == [(1, (1, 2, 3, 4), (5, 6)), (1, (2, 3, 4, 5), (6, 7))]
+
+
 def test_short_sequence_left_padded():
-    split = _split_with_train([7, 8, 9])
-    inst = generate_instances(split, 4, 2, "train")
-    assert inst == [TrainingInstance(1, (0, 0, 0, 7), (8, 9))]
+    inst = generate_instances(_split_with_train([7, 8, 9]), 4, 2, "train")
+    assert _triplets(inst) == [(1, (0, 0, 0, 7), (8, 9))]
 
 
 def test_tiny_sequence_all_padding():
-    split = _split_with_train([5])
-    inst = generate_instances(split, 4, 2, "train")
-    assert inst == [TrainingInstance(1, (0, 0, 0, 0), (5,))]
+    inst = generate_instances(_split_with_train([5]), 4, 2, "train")
+    assert _triplets(inst) == [(1, (0, 0, 0, 0), (5,))]
+    assert inst.targets.tolist() == [[5, 0]]
+    assert inst.target_mask.tolist() == [[1.0, 0.0]]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 6), st.integers(1, 3))
 def test_window_count(n, order, t):
-    split = _split_with_train(list(range(1, n + 1)))
-    inst = generate_instances(split, order, t, "train")
-    if n >= order + t:
-        assert len(inst) == n - order - t + 1
-    else:
-        assert len(inst) == 1
-    for i in inst:
-        assert len(i.prev) == order
-        assert 1 <= len(i.targets) <= t
+    inst = generate_instances(_split_with_train(range(1, n + 1)), order, t, "train")
+    assert len(inst) == (n - order - t + 1 if n >= order + t else 1)
+    for _, prev, targets in _triplets(inst):
+        assert len(prev) == order
+        assert 1 <= len(targets) <= t
         # padding only at the left
-        nonpad = [k for k, v in enumerate(i.prev) if v != 0]
+        nonpad = [k for k, v in enumerate(prev) if v != 0]
         if nonpad:
-            assert all(v != 0 for v in i.prev[nonpad[0] :])
+            assert all(v != 0 for v in prev[nonpad[0] :])
 
 
-def test_validation_instances_use_training_history():
-    rows = [Interaction("u", f"i{k}", float(k)) for k in range(10)]
-    split = chronological_split(build_sequences(rows, 1))
-    inst = generate_instances(split, 4, 2, "validation")
-    # one validation action (ceil(0.8*10) - 7 = 1), history is the train tail
-    assert len(inst) == 1
-    assert inst[0].prev == tuple(split.train[1][-4:])
-    assert inst[0].targets == tuple(split.validation[1])
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.lists(st.integers(1, 50), max_size=3),  # empty and shorter than T
+            st.lists(st.integers(1, 50), min_size=4, max_size=20),  # around L + T
+            st.lists(st.integers(1, 50), min_size=20, max_size=60),  # many windows
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(1, 9),
+    st.integers(1, 10),
+)
+def test_instances_match_tuple_oracle_bitwise(prefixes, order, num_targets):
+    split = _split_with_train(*prefixes)
+    inst = generate_instances(split, order, num_targets, "train")
+    got = (inst.prev, inst.users, inst.targets, inst.target_mask)
+    for a, b in zip(got, _oracle_instances(split, order, num_targets)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert len(inst) == len(inst.users)
+
+
+def test_only_training_instances_are_generated():
+    with pytest.raises(ValueError, match="train"):
+        generate_instances(_split_with_train([1, 2, 3]), 2, 1, "validation")
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in convrec.__all__ if not hasattr(convrec, name)]
+    assert not missing
 
 
 # --------------------------------------------------------------------------

@@ -332,6 +332,15 @@ def test_prec_recall_empty_relevant_rejected():
         prec_recall_at([1, 2], set(), 1)
 
 
+def test_list_metrics_take_any_integer_ids_and_refuse_repeats():
+    assert prec_recall_at([10**12, -4, 7], {-4, 10**15}, 2) == (0.5, 0.5)
+    assert average_precision([10**12, -4, 7], {-4, 7}) == pytest.approx((1 / 2 + 2 / 3) / 2, abs=1e-12)
+    with pytest.raises(ValueError, match="distinct"):
+        prec_recall_at([3, 5, 3], {3}, 3)
+    with pytest.raises(ValueError, match="distinct"):
+        average_precision([3, 3], {3})
+
+
 def test_ap_perfect_ranking():
     assert average_precision([5, 6, 7, 1, 2], {5, 6, 7}) == pytest.approx(1.0)
 
