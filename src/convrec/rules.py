@@ -8,6 +8,9 @@ confidence is support(rule) / support(antecedent).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -40,52 +43,103 @@ class MiningConfig:
 def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:
     """All rules meeting the support and confidence thresholds.
 
-    Antecedents are grown by prefix extension; since the sequence support of
-    a contiguous pattern can only shrink when the pattern grows, any
-    antecedent below minsup is pruned together with its whole subtree.
+    Item ids must be integers within int64, as ``Rule`` declares; any other
+    item raises ValueError.
+
+    Antecedents grow one length at a time over arrays of occurrences: each
+    occurrence is a pattern code and the flat position of the pattern's last
+    item, with the sequences laid end to end. The occurrences stay ordered by
+    (pattern, position) and pattern codes follow the order of the antecedent
+    tuples, so each grouping is one stable sort and a pass of differences.
+    Since the sequence support of a contiguous pattern can only shrink when
+    the pattern grows, an antecedent below minsup is dropped together with
+    its whole subtree.
     """
     seqs = [list(seq) for seq in sequences]
     if not seqs:
         raise ValueError("sequences must be nonempty")
+    try:
+        flat = np.array(list(chain.from_iterable(seqs)))
+    except ValueError as exc:  # ragged: an item that is itself a sequence
+        raise ValueError("item ids must be integers") from exc
+    if not flat.size:
+        return []
+    if flat.ndim != 1 or flat.dtype.kind not in "iu":
+        raise ValueError(f"item ids must be integers within int64, got {flat.dtype} items")
 
-    # occurrence index for single items: pattern -> {seq id -> [end positions]}
-    occurrences: dict[tuple[int, ...], dict[int, list[int]]] = {}
-    for sid, seq in enumerate(seqs):
-        for pos, item in enumerate(seq):
-            occurrences.setdefault((item,), {}).setdefault(sid, []).append(pos)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    ids, code = np.unique(flat, return_inverse=True)
+    seq_of = np.repeat(np.arange(len(seqs)), lengths)
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(flat.size) - 1  # positions after each one
+
+    # length 1: every position, in (item, position) order
+    end = np.argsort(code, kind="stable")
+    pat = code[end]
+    sup_x = np.bincount(pat[_firsts(pat, seq_of[end])], minlength=ids.size)
+    antecedents = np.arange(ids.size)[:, None]  # item codes of each pattern
 
     rules: list[Rule] = []
-    frontier = [(pat, occ) for pat, occ in occurrences.items() if len(occ) >= cfg.minsup]
-    while frontier:
-        pattern, occ = frontier.pop()
-        sup_x = len(occ)
-        # emit rules for this antecedent
+    for _ in range(cfg.max_order):
+        kept = sup_x >= cfg.minsup
+        antecedents, sup_x = antecedents[kept], sup_x[kept]
+        has_next = kept[pat] & (room[end] > 0)
+        pat, end = (np.cumsum(kept) - 1)[pat[has_next]], end[has_next]
+        if not pat.size:
+            break
+        found = []
+        room_end = room[end]
         for skip in range(cfg.max_skip + 1):
-            counts: dict[int, set[int]] = {}
-            for sid, ends in occ.items():
-                seq = seqs[sid]
-                for end in ends:
-                    follow = end + skip + 1
-                    if follow < len(seq):
-                        counts.setdefault(seq[follow], set()).add(sid)
-            for consequent, sids in counts.items():
-                sup_xy = len(sids)
-                conf = sup_xy / sup_x
-                if sup_xy >= cfg.minsup and conf >= cfg.minconf:
-                    rules.append(Rule(pattern, consequent, skip, sup_xy, conf))
-        # extend the antecedent by one item
-        if len(pattern) < cfg.max_order:
-            children: dict[tuple[int, ...], dict[int, list[int]]] = {}
-            for sid, ends in occ.items():
-                seq = seqs[sid]
-                for end in ends:
-                    if end + 1 < len(seq):
-                        child = pattern + (seq[end + 1],)
-                        children.setdefault(child, {}).setdefault(sid, []).append(end + 1)
-            frontier.extend((pat, c) for pat, c in children.items() if len(c) >= cfg.minsup)
-
-    rules.sort(key=lambda r: (len(r.antecedent), r.antecedent, r.skip, r.consequent))
+            reach = room_end > skip
+            s_pat, s_end = pat[reach], end[reach]
+            if not s_pat.size:
+                break
+            cons = code[s_end + skip + 1]
+            order = _pair_order(s_pat, sup_x.size, cons, ids.size)
+            s_pat, s_end, cons = s_pat[order], s_end[order], cons[order]
+            first = _firsts(s_pat, cons)
+            starts = np.flatnonzero(first)
+            # sequences per group: count the first row of each (group, sequence) run
+            support = np.add.reduceat(first | _firsts(seq_of[s_end]), starts, dtype=np.int64)
+            g_pat, g_cons = s_pat[starts], cons[starts]
+            conf = support / sup_x[g_pat]
+            hit = (support >= cfg.minsup) & (conf >= cfg.minconf)
+            found.append((g_pat[hit], g_cons[hit], np.full(hit.sum(), skip), support[hit], conf[hit]))
+            if skip == 0:
+                # each (antecedent, consequent) group is a pattern one item longer,
+                # and its skip-0 support is that pattern's support
+                sizes = np.diff(np.append(starts, s_end.size))
+                extended = (np.column_stack([antecedents[g_pat], g_cons]), support,
+                            np.repeat(np.arange(starts.size), sizes), s_end + 1)
+        rules.extend(_to_rules(ids, antecedents, *map(np.concatenate, zip(*found))))
+        antecedents, sup_x, pat, end = extended
     return rules
+
+
+def _firsts(*keys: np.ndarray) -> np.ndarray:
+    """True where a row starts a run of equal (key, ...) rows."""
+    first = np.zeros(keys[0].size, dtype=bool)
+    first[:1] = True
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
+    return first
+
+
+def _pair_order(major: np.ndarray, major_bound: int, minor: np.ndarray, minor_bound: int) -> np.ndarray:
+    """Stable order of the rows by (major, minor), both nonnegative and below their bounds."""
+    if major_bound * minor_bound <= np.iinfo(np.int64).max:
+        return np.argsort(major * minor_bound + minor, kind="stable")
+    return np.lexsort((minor, major))
+
+
+def _to_rules(ids, antecedents, pat, cons, skip, support, conf) -> list[Rule]:
+    """Rules of one antecedent length, ordered by (antecedent, skip, consequent)."""
+    order = np.lexsort((cons, skip, pat))
+    ante = ids[antecedents[pat[order]]].tolist()
+    return [
+        Rule(tuple(a), c, s, n, f)
+        for a, c, s, n, f in zip(ante, ids[cons[order]].tolist(), skip[order].tolist(),
+                                 support[order].tolist(), conf[order].tolist())
+    ]
 
 
 def sequential_intensity(sequences, cfg: MiningConfig | None = None) -> float:

@@ -126,10 +126,24 @@ def _check_some_item_eligible(targets, neg_mask, item_count: int, history) -> No
     if targets.shape[1] + longest < item_count:  # no row can exclude that many items
         return
     for b in np.flatnonzero(neg_mask.any(axis=1)):
-        excluded = targets[b] if history is None else np.concatenate([targets[b], history[b]])
-        excluded = np.unique(excluded)
+        excluded = np.unique(_excluded_items(targets, history, b))
         if np.count_nonzero((excluded >= 1) & (excluded <= item_count)) == item_count:
             raise SamplingError(f"row {b} of the batch excludes every item; no negative can be drawn")
+
+
+def _excluded_items(targets, history, b: int) -> np.ndarray:
+    return targets[b] if history is None else np.concatenate([targets[b], history[b]])
+
+
+def _excluded_draws(neg, targets, neg_mask, history) -> np.ndarray:
+    """True at each negative slot whose draw is a target (or history item) of its row."""
+    bad = (neg[:, :, None] == targets[:, None, :]).any(axis=2)
+    if history is not None:
+        for b in range(neg.shape[0]):
+            if history[b].size:
+                bad[b] |= np.isin(neg[b], history[b])
+    bad &= neg_mask > 0
+    return bad
 
 
 def sample_negative_batch(
@@ -144,8 +158,9 @@ def sample_negative_batch(
     """Uniform negatives for a batch, rejecting targets (and history if given).
 
     Raises SamplingError before the first draw when some row with a
-    negative slot excludes every item, and after 200 rejection rounds when
-    the draws still hit excluded items.
+    negative slot excludes every item. Slots that still hit excluded items
+    after 200 rejection rounds (a row with only a few eligible items) are
+    drawn uniformly from their row's eligible items, with the same rng.
     """
     n_batch, n_t = targets.shape
     if per_instance:
@@ -157,18 +172,16 @@ def sample_negative_batch(
     _check_some_item_eligible(targets, neg_mask, item_count, history)
     neg = rng.integers(1, item_count + 1, size=(n_batch, slots))
     for _ in range(200):
-        bad = (neg[:, :, None] == targets[:, None, :]).any(axis=2)
-        if history is not None:
-            for b in range(n_batch):
-                if history[b].size:
-                    bad[b] |= np.isin(neg[b], history[b])
-        bad &= neg_mask > 0
+        bad = _excluded_draws(neg, targets, neg_mask, history)
         if not bad.any():
             break
         where = np.nonzero(bad)
         neg[where] = rng.integers(1, item_count + 1, size=where[0].size)
     else:
-        raise SamplingError("negative sampling did not converge; exclusion set too large")
+        bad = _excluded_draws(neg, targets, neg_mask, history)
+        for b in np.flatnonzero(bad.any(axis=1)):
+            eligible = np.setdiff1d(np.arange(1, item_count + 1), _excluded_items(targets, history, b))
+            neg[b, bad[b]] = eligible[rng.integers(0, eligible.size, size=np.count_nonzero(bad[b]))]
     neg[neg_mask == 0] = 0
     return neg, neg_mask
 

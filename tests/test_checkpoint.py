@@ -176,3 +176,12 @@ def test_every_single_byte_change_loads_or_is_a_checkpoint_error(tiny_checkpoint
         load_checkpoint(str(path))
     except CheckpointError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_any_truncation_is_a_checkpoint_error(tiny_checkpoint, data):
+    path, raw = tiny_checkpoint
+    path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))

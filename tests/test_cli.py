@@ -4,11 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from convrec.checkpoint import load_checkpoint, save_checkpoint
 from convrec.cli import main
 from convrec.config import HyperParams, RunConfig
 from convrec.data import load_split
+from convrec.evaluate import AP_MODES
 from convrec.model import init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
 
@@ -229,6 +232,46 @@ def test_config_file_roundtrip(data_file, tmp_path, capsys):
     assert code == 0
     _, hp = load_checkpoint(ck)
     assert hp.latent_dim == 4 and hp.order == 2
+
+
+def _comma_ints(low: int, min_size: int):
+    return st.lists(st.integers(low, 50), min_size=min_size, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+
+
+def _config_values(key: str):
+    """Values that RunConfig.apply accepts for the key, as config-file text."""
+    special = {
+        "data": st.text(alphabet="abcXYZ019/._- ", max_size=12),
+        "format": st.sampled_from(["tsv", "csv"]),
+        "ap_mode": st.sampled_from(AP_MODES),
+        "heights": _comma_ints(1, 0),
+        "eval_n": _comma_ints(1, 1),
+        "seed": st.integers(0, 2**32).map(str),
+    }
+    if key in special:
+        return special[key]
+    default = RunConfig.DEFAULTS[key]
+    if isinstance(default, bool):
+        return st.sampled_from(["true", "false", "yes", "no", "1", "0", "on", "off"])
+    if isinstance(default, int):
+        return st.integers(1, 10**9).map(str)
+    return st.floats().map(repr)
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "run.cfg"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_resolved_config_text_reads_back_to_the_same_config(config_file, data):
+    keys = data.draw(st.lists(st.sampled_from(RunConfig.field_names()), unique=True))
+    cfg = RunConfig.from_sources(overrides={key: data.draw(_config_values(key)) for key in keys})
+    config_file.write_text(cfg.resolved_text(), encoding="utf-8")
+    again = RunConfig.from_sources(str(config_file))
+    assert again.to_pairs() == cfg.to_pairs()
+    assert again.resolved_text() == cfg.resolved_text()
 
 
 def test_recommend_rejects_n_below_one(prepared, checkpoint, capsys):

@@ -15,8 +15,9 @@ from convrec.data import (
     load_split,
     pad_left,
     save_split,
+    SplitDataset,
 )
-from convrec.errors import DataError, EmptyDatasetError, ParseError
+from convrec.errors import ConvrecError, DataError, EmptyDatasetError, ParseError
 
 
 # --------------------------------------------------------------------------
@@ -389,3 +390,60 @@ def test_load_split_rejects_missing_and_non_json_files(tmp_path):
 def test_missing_interaction_log_is_data_error(tmp_path):
     with pytest.raises(DataError, match="nope.tsv"):
         load_interactions(str(tmp_path / "nope.tsv"))
+
+
+# --------------------------------------------------------------------------
+# every input boundary raises only ConvrecError on random bytes
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("inputs") / "input"
+
+
+LOG_LIKE = st.text(alphabet="\t ,\n\r#0123456789.-+eEinfa_ux\u00e9", max_size=300).map(str.encode)
+JSON_LIKE = st.text(alphabet='{}[]",:0123456789 .-eEtruflasn_', max_size=300).map(str.encode)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**20) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+SPLIT_LIKE = st.dictionaries(
+    st.sampled_from(["user_count", "item_count", "user_ids", "item_ids", "train", "validation", "test"]),
+    JSON_VALUES,
+).map(lambda payload: json.dumps(payload).encode())
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=300), LOG_LIKE), fmt=st.sampled_from(["tsv", "csv"]))
+def test_load_interactions_on_random_bytes_raises_only_convrec_errors(input_file, raw, fmt):
+    input_file.write_bytes(raw)
+    try:
+        load_interactions(str(input_file), fmt)
+    except ConvrecError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=300), JSON_LIKE, SPLIT_LIKE))
+def test_load_split_on_random_bytes_raises_only_convrec_errors(input_file, raw):
+    input_file.write_bytes(raw)
+    try:
+        load_split(str(input_file))
+    except ConvrecError:
+        pass
+
+
+@st.composite
+def splits(draw):
+    users, items = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    parts = [[[]] + [draw(st.lists(st.integers(1, items), max_size=5)) for _ in range(users)] for _ in range(3)]
+    return SplitDataset(*parts, user_count=users, item_count=items,
+                        user_ids=[""] + draw(st.lists(st.text(max_size=5), min_size=users, max_size=users)),
+                        item_ids=[""] + draw(st.lists(st.text(max_size=5), min_size=items, max_size=items)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(split=splits())
+def test_save_split_load_split_roundtrip(input_file, split):
+    save_split(str(input_file), split)
+    assert load_split(str(input_file)) == split

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from convrec.rules import MiningConfig, Rule, mine_rules, rules_to_csv, sequential_intensity
+from convrec.rules import MiningConfig, Rule, _pair_order, mine_rules, rules_to_csv, sequential_intensity
 
 
 # --------------------------------------------------------------------------
@@ -112,6 +112,73 @@ def test_matches_exhaustive_enumeration(seed):
         minconf=float(rng.uniform(0.1, 1.0)),
     )
     assert mine_rules(seqs, cfg) == brute_force_rules(seqs, cfg)
+
+
+def assert_same_rules(got, want):
+    assert got == want
+    assert [r.confidence.hex() for r in got] == [r.confidence.hex() for r in want]
+
+
+# negative, sparse and >= 2**40 ids
+ID_POOL = [-(2**62), -7, -1, 0, 1, 2, 5, 97, 2**40, 2**40 + 3, 2**62]
+SEQUENCE_TYPES = {"list": list, "tuple": tuple, "ndarray": lambda seq: np.array(seq, dtype=np.int64)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matches_exhaustive_enumeration_on_wide_inputs(data):
+    pool = data.draw(st.lists(st.sampled_from(ID_POOL), min_size=1, max_size=6, unique=True))
+    # empty sequences are allowed anywhere in the corpus
+    raw = data.draw(st.lists(st.lists(st.sampled_from(pool), max_size=14), min_size=1, max_size=15))
+    as_type = SEQUENCE_TYPES[data.draw(st.sampled_from(sorted(SEQUENCE_TYPES)))]
+    cfg = MiningConfig(
+        max_order=data.draw(st.integers(1, 6)),
+        max_skip=data.draw(st.integers(0, 2)),
+        minsup=data.draw(st.integers(1, 3)),
+        minconf=data.draw(st.floats(0.05, 1.0)),
+    )
+    assert_same_rules(mine_rules([as_type(seq) for seq in raw], cfg), brute_force_rules(raw, cfg))
+
+
+def test_ids_past_naive_int64_keys_match_oracle():
+    # pairs of raw ids near +-2**62 overflow int64 if combined into one key;
+    # the miner groups dense codes instead
+    rng = np.random.default_rng(11)
+    ids = np.array([2**62 - 1, 2**62 - 5, 2**40, -(2**62), -(2**62) + 9, 2**40 + 2**39])
+    seqs = [[int(x) for x in rng.choice(ids, size=rng.integers(0, 12))] for _ in range(60)]
+    cfg = MiningConfig(max_order=4, max_skip=2, minsup=2, minconf=0.1)
+    rules = mine_rules(seqs, cfg)
+    assert rules
+    assert_same_rules(rules, brute_force_rules(seqs, cfg))
+
+
+def test_pair_order_falls_back_to_lexsort_past_int64():
+    rng = np.random.default_rng(5)
+    major = np.sort(rng.integers(0, 4, size=200))
+    minor = rng.integers(0, 3, size=200)
+    want = np.lexsort((minor, major))
+    # the combined key (major * 3 + minor) and the lexsort fallback give one stable order
+    assert np.array_equal(_pair_order(major, 4, minor, 3), want)
+    assert np.array_equal(_pair_order(major, 2**40, minor, 2**40), want)
+
+
+@pytest.mark.parametrize("bad", [[[1, 2.5]], [["a", "b"]], [[1], [None]], [[2**64, 1]], [[[1, 2]]]])
+def test_non_integer_items_raise_value_error(bad):
+    with pytest.raises(ValueError, match="integers"):
+        mine_rules(bad, MiningConfig(minsup=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_order_preserving_relabelling_maps_the_rules(data):
+    seqs = data.draw(st.lists(st.lists(st.integers(0, 7), max_size=12), min_size=1, max_size=12))
+    labels = sorted(data.draw(st.lists(st.integers(-(2**62), 2**62), min_size=8, max_size=8, unique=True)))
+    cfg = MiningConfig(max_order=data.draw(st.integers(1, 5)), max_skip=data.draw(st.integers(0, 2)),
+                       minsup=data.draw(st.integers(1, 3)), minconf=data.draw(st.floats(0.05, 1.0)))
+    relabelled = mine_rules([[labels[i] for i in seq] for seq in seqs], cfg)
+    want = [Rule(tuple(labels[i] for i in r.antecedent), labels[r.consequent], r.skip, r.support, r.confidence)
+            for r in mine_rules(seqs, cfg)]
+    assert_same_rules(relabelled, want)
 
 
 def test_confidence_bounds_hold():

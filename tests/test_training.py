@@ -193,6 +193,28 @@ def test_negative_batch_ignores_exclusions_of_rows_without_negative_slots():
     assert neg[1, 0] in (2, 3)
 
 
+def test_negative_batch_few_eligible_items_never_raises():
+    # only item 1000 is eligible; 200 rejection rounds miss it for most seeds,
+    # and the slots left are drawn from the eligible set instead of raising
+    tgt = np.array([[1]], dtype=np.int64)
+    hist = [np.arange(2, 1000)]
+    for seed in range(50):
+        neg, _ = sample_negative_batch(np.random.default_rng(seed), tgt, np.ones((1, 1)), item_count=1000,
+                                       count=3, history=hist)
+        assert (neg == 1000).all()
+
+
+def test_negative_batch_eligible_set_draws_cover_every_eligible_item():
+    tgt = np.array([[1]], dtype=np.int64)
+    hist = [np.setdiff1d(np.arange(2, 1000), [500])]  # items 500 and 1000 stay eligible
+    drawn = np.concatenate([
+        sample_negative_batch(np.random.default_rng(seed), tgt, np.ones((1, 1)), item_count=1000, count=4,
+                              history=hist)[0].ravel()
+        for seed in range(30)
+    ])
+    assert set(drawn.tolist()) == {500, 1000}
+
+
 def test_negative_batch_frequencies_uniform():
     tgt = np.array([[5]], dtype=np.int64)
     neg, _ = sample_negative_batch(np.random.default_rng(7), tgt, np.ones((1, 1)), item_count=20,
