@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import HyperParams
 from .errors import CheckpointError, ConfigError, open_input
-from .model import ModelParams
+from .model import PADDED, ModelParams, param_shapes
 
 MAGIC = b"CASR"
 VERSION = 1
@@ -72,7 +72,7 @@ def load_checkpoint(path: str, expect_hp: HyperParams | None = None) -> tuple[Mo
         except (ValueError, TypeError, ConfigError) as exc:
             raise CheckpointError(f"{path}: bad hyperparameter block ({exc})") from exc
 
-        tensors: dict[str, np.ndarray] = {}
+        headers = []  # (name, shape, data offset); the data is skipped here
         (count,) = struct.unpack("<I", _read(fh, 4, path, end))
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read(fh, 4, path, end))
@@ -82,62 +82,31 @@ def load_checkpoint(path: str, expect_hp: HyperParams | None = None) -> tuple[Mo
                 raise CheckpointError(f"{path}: tensor name is not UTF-8") from None
             (ndim,) = struct.unpack("<I", _read(fh, 4, path, end))
             shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, path, end))
-            if 8 * math.prod(shape) > end - fh.tell():
+            nbytes = 8 * math.prod(shape)
+            if nbytes > end - fh.tell():
                 raise CheckpointError(f"{path}: truncated checkpoint, no room for tensor {name} of shape {shape}")
-            try:  # over 64 dimensions, or a zero dimension among huge ones
-                arr = tensors[name] = np.empty(shape, dtype="<f8")
-            except ValueError:
-                raise CheckpointError(f"{path}: impossible tensor {name} of shape {shape}") from None
-            fh.readinto(arr)  # straight into the array, without a bytes copy
-        if fh.read(1):
+            headers.append((name, shape, fh.tell()))
+            fh.seek(nbytes, os.SEEK_CUR)
+        if fh.tell() != end:
             raise CheckpointError(f"{path}: trailing bytes after tensors")
 
-    h_names = [f"h_filters.{j}" for j in range(len(hp.heights))]
-    required = ["user_emb", "item_emb", *h_names, "v_filters", "fc_w", "fc_b", "out_w", "out_b"]
-    if set(tensors) != set(required):
-        raise CheckpointError(f"{path}: tensor set mismatch, expected {required}, got {sorted(tensors)}")
-    params = ModelParams(
-        user_emb=tensors["user_emb"],
-        item_emb=tensors["item_emb"],
-        h_filters=[tensors[n] for n in h_names],
-        v_filters=tensors["v_filters"],
-        fc_w=tensors["fc_w"],
-        fc_b=tensors["fc_b"],
-        out_w=tensors["out_w"],
-        out_b=tensors["out_b"],
-    )
-    _validate_shapes(path, params, hp)
-    _validate_padding_rows(path, params)
-    if expect_hp is not None:
-        _check_structural(path, hp, expect_hp)
-    return params, hp
+        found = [(name, shape) for name, shape, _ in headers]
+        rows = {name: shape[0] for name, shape in found if shape}  # the user and item counts
+        layout = param_shapes(hp, rows.get("user_emb", 0) - 1, rows.get("item_emb", 0) - 1)
+        if found != layout:
+            raise CheckpointError(f"{path}: tensors {found} inconsistent with stored hyperparameters, expected {layout}")
+        params = ModelParams.empty(layout)  # not zeroed: every element is read below
+        for (_, view), (_, _, offset) in zip(params.tensors(), headers):
+            fh.seek(offset)
+            fh.readinto(view)  # straight into the buffer, without a bytes copy
 
-
-def _validate_shapes(path: str, params: ModelParams, hp: HyperParams) -> None:
-    d = hp.latent_dim
-    item_rows = params.item_emb.shape[0]
-    ok = (
-        params.user_emb.ndim == params.item_emb.ndim == 2
-        and params.user_emb.shape[1] == params.item_emb.shape[1] == d
-        and params.v_filters.shape == (hp.num_v_filters, hp.order)
-        and params.fc_w.shape == (d, hp.fc_input_dim)
-        and params.fc_b.shape == (d,)
-        and params.out_w.shape == (item_rows, 2 * d)
-        and params.out_b.shape == (item_rows,)
-        and all(
-            f.shape == (hp.num_h_filters, h, d) for f, h in zip(params.h_filters, hp.heights)
-        )
-    )
-    if not ok:
-        raise CheckpointError(f"{path}: tensor shapes inconsistent with stored hyperparameters")
-
-
-def _validate_padding_rows(path: str, params: ModelParams) -> None:
-    """Padded windows and masked history slots read these rows as zeros."""
-    for name in ("user_emb", "item_emb", "out_w", "out_b"):
+    for name in PADDED:  # padded windows and masked history slots read these rows as zeros
         table = getattr(params, name)
         if len(table) == 0 or np.any(table[0]):
             raise CheckpointError(f"{path}: padding row 0 of {name} is missing or not zero")
+    if expect_hp is not None:
+        _check_structural(path, hp, expect_hp)
+    return params, hp
 
 
 # hyperparameters that fix tensor shapes

@@ -169,7 +169,8 @@ def cmd_mine_rules(args) -> int:
         Path(args.out).write_text(csv_text, encoding="utf-8")
     else:
         sys.stdout.write(csv_text)
-    si = rules.sequential_intensity(sequences)
+    # the defaults are the SI setting: the rules just mined are the SI rules
+    si = len(mined) / len(sequences) if mining_cfg == rules.MiningConfig() else rules.sequential_intensity(sequences)
     print(f"rules={len(mined)} users={len(sequences)} SI={si:.4f}")
     return 0
 
@@ -324,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine-rules", help="mine sequential association rules", parents=config)
     p.add_argument("--data-dir", help="directory written by prepare")
-    p.add_argument("--max-order", type=int, default=5)
-    p.add_argument("--max-skip", type=int, default=0)
-    p.add_argument("--minsup", type=int, default=5)
-    p.add_argument("--minconf", type=float, default=0.5)
+    p.add_argument("--max-order", type=int, default=rules.MiningConfig.max_order)
+    p.add_argument("--max-skip", type=int, default=rules.MiningConfig.max_skip)
+    p.add_argument("--minsup", type=int, default=rules.MiningConfig.minsup)
+    p.add_argument("--minconf", type=float, default=rules.MiningConfig.minconf)
     p.add_argument("--out", help="rule CSV output path (default stdout)")
     p.set_defaults(func=cmd_mine_rules)
 

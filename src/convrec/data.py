@@ -259,18 +259,22 @@ def load_split(path: str) -> SplitDataset:
     """
     with open_input(path, DataError) as fh:
         try:
-            payload = json.load(fh)
+            text = fh.read()
+            # a split holds no floats; as strings they can never equal an item id
+            payload = json.loads(text, parse_float=str, parse_constant=str)
         except ValueError as exc:
             raise DataError(f"{path}: not a JSON split file ({exc})") from None
     missing = [k for k in _SPLIT_KEYS if not isinstance(payload, dict) or k not in payload]
     if missing:
         raise DataError(f"{path}: split is missing {', '.join(missing)}")
     split = SplitDataset(**{k: payload[k] for k in _SPLIT_KEYS})
-    _check_split(path, split)
+    _check_split(path, split, may_hold_true="true" in text)
     return split
 
 
-def _check_split(path: str, split: SplitDataset) -> None:
+def _check_split(path: str, split: SplitDataset, may_hold_true: bool) -> None:
+    """Validate a split parsed with its floats as strings. The id check is a set lookup, which True
+    passes as 1; only a file with the text ``true`` pays for a pass over the types of the ids."""
     users, items = split.user_count, split.item_count
     if type(users) is not int or type(items) is not int or min(users, items) < 1:
         raise DataError(f"{path}: user_count and item_count must be integers >= 1")
@@ -279,9 +283,12 @@ def _check_split(path: str, split: SplitDataset) -> None:
         if not isinstance(getattr(split, key), list) or len(getattr(split, key)) != length:
             raise DataError(f"{path}: {key} must be a list of {length} entries")
     seqs = list(itertools.chain(split.train, split.validation, split.test))
+    ids = itertools.chain.from_iterable
     try:
-        # set lookups keep the pass over every id in C; a Python loop cost as much as the parse
-        if set(map(type, seqs)) == {list} and set(range(1, items + 1)).issuperset(itertools.chain(*seqs)):
+        # set passes keep the work over every id in C; a Python loop cost as much as the parse
+        if (set(map(type, seqs)) == {list}
+                and (not may_hold_true or set(map(type, ids(seqs))) <= {int})
+                and set(range(1, items + 1)).issuperset(ids(seqs))):
             return
     except TypeError:  # an unhashable id, such as a nested list
         pass

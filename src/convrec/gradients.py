@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import HyperParams
-from .model import FULL_MASK, ComponentMask, ModelParams, dropout_mask_for, init_params
+from .model import FULL_MASK, PADDED, ComponentMask, ModelParams, dropout_mask_for, init_params
 
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
@@ -172,11 +172,7 @@ class GradCheckReport:
 
 def _pinned_coords(name: str, arr: np.ndarray) -> set[int]:
     """Flat indices that are structurally zero and not free parameters."""
-    if name in ("user_emb", "item_emb", "out_w"):
-        return set(range(arr.shape[1]))  # row 0
-    if name == "out_b":
-        return {0}
-    return set()
+    return set(range(arr[0].size)) if name in PADDED else set()  # row 0
 
 
 def _guard_signature(bt, hp: HyperParams) -> list[np.ndarray]:

@@ -12,6 +12,7 @@ All arithmetic is float64. Item row 0 and output row 0 are pinned to zero
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +95,31 @@ class ComponentMask:
 FULL_MASK = ComponentMask()
 
 
-@dataclass
-class ModelParams:
-    """All learnable tensors.
+# tables whose row 0 is padding: never a real user or item, pinned to zero
+PADDED = ("user_emb", "item_emb", "out_w", "out_b")
 
-    h_filters is a list over ascending heights; entry j has shape
+
+def param_shapes(hp: HyperParams, user_count: int, item_count: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every learnable tensor, in buffer and checkpoint order."""
+    d = hp.latent_dim
+    return [
+        ("user_emb", (user_count + 1, d)),
+        ("item_emb", (item_count + 1, d)),
+        *((f"h_filters.{j}", (hp.num_h_filters, h, d)) for j, h in enumerate(hp.heights)),
+        ("v_filters", (hp.num_v_filters, hp.order)),
+        ("fc_w", (d, hp.fc_input_dim)),
+        ("fc_b", (d,)),
+        ("out_w", (item_count + 1, 2 * d)),
+        ("out_b", (item_count + 1,)),
+    ]
+
+
+class ModelParams:
+    """All learnable tensors, each a view of one flat C-contiguous float64 buffer.
+
+    ``layout`` is a param_shapes list; the views follow it end to end, so
+    whole-model operations (copy, Adam) run once over ``buffer``. h_filters
+    is a list over ascending heights; entry j has shape
     (num_h_filters, heights[j], d). v_filters is (num_v_filters, L).
     """
 
@@ -110,6 +131,22 @@ class ModelParams:
     fc_b: np.ndarray  # (d,)
     out_w: np.ndarray  # (item_count+1, 2d); row 0 pinned zero
     out_b: np.ndarray  # (item_count+1,); entry 0 pinned zero
+
+    def __init__(self, layout: list[tuple[str, tuple[int, ...]]], buffer: np.ndarray):
+        """Views of a flat float64 buffer of the layout's total size."""
+        self.layout = layout
+        self.buffer = buffer
+        self._views = []
+        self.h_filters = []
+        offset = 0
+        for name, shape in layout:
+            view = self.buffer[offset : offset + math.prod(shape)].reshape(shape)
+            offset += view.size
+            self._views.append((name, view))
+            if name.startswith("h_filters."):
+                self.h_filters.append(view)
+            else:
+                setattr(self, name, view)
 
     @property
     def latent_dim(self) -> int:
@@ -129,39 +166,35 @@ class ModelParams:
 
     def tensors(self):
         """Stable (name, array) iteration used by Adam, checkpoints, and L2."""
-        yield "user_emb", self.user_emb
-        yield "item_emb", self.item_emb
-        for j, f in enumerate(self.h_filters):
-            yield f"h_filters.{j}", f
-        yield "v_filters", self.v_filters
-        yield "fc_w", self.fc_w
-        yield "fc_b", self.fc_b
-        yield "out_w", self.out_w
-        yield "out_b", self.out_b
+        return iter(self._views)
+
+    @classmethod
+    def empty(cls, layout: list[tuple[str, tuple[int, ...]]]) -> "ModelParams":
+        """Views of an uninitialised buffer, for a caller that writes every element."""
+        return cls(layout, np.empty(sum(math.prod(shape) for _, shape in layout)))
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.user_emb.copy(),
-            self.item_emb.copy(),
-            [f.copy() for f in self.h_filters],
-            self.v_filters.copy(),
-            self.fc_w.copy(),
-            self.fc_b.copy(),
-            self.out_w.copy(),
-            self.out_b.copy(),
-        )
+        return ModelParams(self.layout, self.buffer.copy())
+
+    def __reduce__(self):  # pickle and deepcopy the buffer once and rebuild the views on it
+        return ModelParams, (self.layout, self.buffer)
 
     def pin_rows(self) -> None:
         """Re-zero the padding rows; call after every update."""
-        self.user_emb[0] = 0.0
-        self.item_emb[0] = 0.0
-        self.out_w[0] = 0.0
-        self.out_b[0] = 0.0
+        for name in PADDED:
+            getattr(self, name)[0] = 0.0
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
+DRAW_BLOCK = 65536  # elements per block of initial draws
+
+
+def _glorot(rng: np.random.Generator, out: np.ndarray, fan_in: int, fan_out: int) -> None:
+    """Uniform draws into ``out`` a block at a time: the same stream as one draw, without a full-size temporary."""
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=shape)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, DRAW_BLOCK):
+        block = flat[start : start + DRAW_BLOCK]
+        block[:] = rng.uniform(-a, a, size=block.size)
 
 
 def init_params(hp: HyperParams, user_count: int, item_count: int, rng: np.random.Generator) -> ModelParams:
@@ -169,17 +202,16 @@ def init_params(hp: HyperParams, user_count: int, item_count: int, rng: np.rando
     if user_count < 1 or item_count < 1:
         raise ValueError("user_count and item_count must be >= 1")
     d = hp.latent_dim
-    user_emb = _glorot(rng, (user_count + 1, d), user_count + 1, d)
-    item_emb = _glorot(rng, (item_count + 1, d), item_count + 1, d)
-    h_filters = [
-        _glorot(rng, (hp.num_h_filters, h, d), h * d, 1) for h in hp.heights
-    ]
-    v_filters = _glorot(rng, (hp.num_v_filters, hp.order), hp.order, 1)
-    fc_w = _glorot(rng, (d, hp.fc_input_dim), hp.fc_input_dim, d)
-    fc_b = np.zeros(d)
-    out_w = _glorot(rng, (item_count + 1, 2 * d), 2 * d, item_count + 1)
-    out_b = np.zeros(item_count + 1)
-    params = ModelParams(user_emb, item_emb, h_filters, v_filters, fc_w, fc_b, out_w, out_b)
+    params = ModelParams.empty(param_shapes(hp, user_count, item_count))
+    params.fc_b[:] = 0.0
+    params.out_b[:] = 0.0
+    _glorot(rng, params.user_emb, user_count + 1, d)
+    _glorot(rng, params.item_emb, item_count + 1, d)
+    for f, h in zip(params.h_filters, hp.heights):
+        _glorot(rng, f, h * d, 1)
+    _glorot(rng, params.v_filters, hp.order, 1)
+    _glorot(rng, params.fc_w, hp.fc_input_dim, d)
+    _glorot(rng, params.out_w, 2 * d, item_count + 1)
     params.pin_rows()
     return params
 

@@ -7,6 +7,7 @@ confidence is support(rule) / support(antecedent).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -24,6 +25,8 @@ class Rule:
 
 @dataclass(frozen=True)
 class MiningConfig:
+    """The defaults are the paper's setting for sequential intensity."""
+
     max_order: int = 5
     max_skip: int = 0
     minsup: int = 5
@@ -55,19 +58,17 @@ def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:
     the pattern grows, an antecedent below minsup is dropped together with
     its whole subtree.
     """
-    seqs = [list(seq) for seq in sequences]
+    seqs = list(sequences)
     if not seqs:
         raise ValueError("sequences must be nonempty")
-    try:
-        flat = np.array(list(chain.from_iterable(seqs)))
-    except ValueError as exc:  # ragged: an item that is itself a sequence
-        raise ValueError("item ids must be integers") from exc
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    try:  # one pass over the items
+        flat = np.fromiter(map(operator.index, chain.from_iterable(seqs)), np.int64, count=int(lengths.sum()))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError("item ids must be integers within int64") from exc
     if not flat.size:
         return []
-    if flat.ndim != 1 or flat.dtype.kind not in "iu":
-        raise ValueError(f"item ids must be integers within int64, got {flat.dtype} items")
 
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     ids, code = np.unique(flat, return_inverse=True)
     seq_of = np.repeat(np.arange(len(seqs)), lengths)
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(flat.size) - 1  # positions after each one
@@ -142,13 +143,11 @@ def _to_rules(ids, antecedents, pat, cons, skip, support, conf) -> list[Rule]:
     ]
 
 
-def sequential_intensity(sequences, cfg: MiningConfig | None = None) -> float:
-    """Mined-rule count divided by the number of sequences (users)."""
-    seqs = [list(seq) for seq in sequences]
+def sequential_intensity(sequences, cfg: MiningConfig = MiningConfig()) -> float:
+    """Mined-rule count divided by the number of sequences (users); by default with the paper's setting."""
+    seqs = list(sequences)
     if not seqs:
         raise ValueError("user count must be >= 1")
-    if cfg is None:
-        cfg = MiningConfig(max_order=5, max_skip=0, minsup=5, minconf=0.5)
     return len(mine_rules(seqs, cfg)) / len(seqs)
 
 

@@ -24,8 +24,8 @@ ADAM_BLOCK = 65536  # elements per block of the parameter update
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: ModelParams  # first moments, in the parameters' layout
+    v: ModelParams  # second moments
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -37,14 +37,12 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(arr) for name, arr in params.tensors()},
-            v={name: np.zeros_like(arr) for name, arr in params.tensors()},
-        )
+        return cls(m=ModelParams(params.layout, np.zeros_like(params.buffer)),
+                   v=ModelParams(params.layout, np.zeros_like(params.buffer)))
 
 
 def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, lr: float) -> None:
-    """Bias-corrected dense Adam; padding rows re-pinned afterwards.
+    """Bias-corrected dense Adam over the flat parameter buffer; padding rows re-pinned afterwards.
 
     Every moment decays every step, as in plain Adam. The gradient of the
     user, item and output tables arrives as compact (rows, values) pairs
@@ -60,35 +58,27 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, lr: flo
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    for (name, p), (_, g), rows in zip(params.tensors(), grads.tensors(), grads.rows()):
-        m, v = state.m[name], state.v[name]
-        m *= b1
-        v *= b2
+    state.m.buffer *= b1
+    state.v.buffer *= b2
+    for (_, m), (_, v), (_, g), rows in zip(state.m.tensors(), state.v.tensors(), grads.tensors(), grads.rows()):
         m[rows] += (1.0 - b1) * g
         sq = (1.0 - b2) * g
         sq *= g
         v[rows] += sq
-        _update_in_blocks(p, m, v, state, lr, c1, c2)
-    params.pin_rows()
-
-
-def _update_in_blocks(p, m, v, state: AdamState, lr: float, c1: float, c2: float) -> None:
-    """p -= lr * (m / c1) / (sqrt(v / c2) + eps), one block at a time."""
-    if not p.flags.c_contiguous:  # reshape would copy and the update would be lost
-        raise ValueError("Adam updates only C-contiguous parameter tensors")
-    flat_p, flat_m, flat_v = p.reshape(-1), m.reshape(-1), v.reshape(-1)
+    p, m, v = params.buffer, state.m.buffer, state.v.buffer
     buf_a, buf_b = state.scratch
-    for start in range(0, flat_p.size, ADAM_BLOCK):
-        stop = min(start + ADAM_BLOCK, flat_p.size)
+    for start in range(0, p.size, ADAM_BLOCK):  # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        stop = min(start + ADAM_BLOCK, p.size)
         step = buf_a[: stop - start]
         denom = buf_b[: stop - start]
-        np.divide(flat_m[start:stop], c1, out=step)
+        np.divide(m[start:stop], c1, out=step)
         step *= lr
-        np.divide(flat_v[start:stop], c2, out=denom)
+        np.divide(v[start:stop], c2, out=denom)
         np.sqrt(denom, out=denom)
         denom += state.eps
         step /= denom
-        flat_p[start:stop] -= step
+        p[start:stop] -= step
+    params.pin_rows()
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -43,6 +44,21 @@ def test_save_load_save_identical_bytes(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+# sha256 of the v1 file below, as the per-tensor writer and initialiser
+# produced it before the parameters moved into one flat buffer
+GOLDEN_SHA256 = "d744e4e51675aca94f8eeb9d588a92738da6921d75b22aa1bf5f59761fde9c30"
+
+
+def test_v1_checkpoint_bytes_are_pinned(tmp_path):
+    """The file format, the tensor order and the init draw order, byte for byte.
+
+    Nothing here calls BLAS, so the bytes do not depend on the platform.
+    """
+    path = tmp_path / "golden.ckpt"
+    save_checkpoint(str(path), init_params(HP, 7, 30, np.random.default_rng(0)), HP)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(str(path), _params(), HP)
@@ -82,6 +98,27 @@ def test_impossible_tensor_shape_rejected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(str(path))
+
+
+class _Reordered:
+    """Writes the tensors of some params after an edit of their list."""
+
+    def __init__(self, params, edit):
+        self.params, self.edit = params, edit
+
+    def tensors(self):
+        tensors = list(self.params.tensors())
+        self.edit(tensors)
+        return tensors
+
+
+@pytest.mark.parametrize("edit", [lambda t: t.pop(3), lambda t: t.append(t[3]), lambda t: t.reverse(),
+                                  lambda t: t.insert(3, t.pop(4))], ids=["missing", "duplicate", "reversed", "swapped"])
+def test_tensors_off_the_layout_rejected(tmp_path, edit):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, _Reordered(_params(), edit), HP)
+    with pytest.raises(CheckpointError, match="inconsistent with stored hyperparameters"):
+        load_checkpoint(path)
 
 
 def test_trailing_bytes_rejected(tmp_path):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from convrec import rules
 from convrec.checkpoint import load_checkpoint, save_checkpoint
 from convrec.cli import main
 from convrec.config import HyperParams, RunConfig
 from convrec.data import load_split
 from convrec.evaluate import AP_MODES
 from convrec.model import init_params
+from convrec.rules import MiningConfig
 from convrec.synthetic import SyntheticSpec, generate_interactions
 
 
@@ -130,6 +132,19 @@ def test_mine_rules_csv_and_intensity(prepared, tmp_path, capsys):
     assert "SI=" in capsys.readouterr().out
     header = open(out_csv).read().splitlines()[0]
     assert header == "antecedent,consequent,skip,support,confidence"
+
+
+def test_mine_rules_mines_once_with_the_si_setting(prepared, tmp_path, capsys, monkeypatch):
+    calls = []
+    mine = rules.mine_rules
+    monkeypatch.setattr(rules, "mine_rules", lambda seqs, cfg: calls.append(cfg) or mine(seqs, cfg))
+    si = []
+    for flags, mined in (([], [MiningConfig()]), (["--minsup", "2"], [MiningConfig(minsup=2), MiningConfig()])):
+        calls.clear()
+        assert main(["mine-rules", "--data-dir", prepared, "--out", str(tmp_path / "rules.csv")] + flags) == 0
+        assert calls == mined
+        si.append(re.search(r" SI=(\S+)$", capsys.readouterr().out).group(1))
+    assert si[0] == si[1]  # SI uses the paper's setting whatever the flags
 
 
 def test_ablate_produces_table(prepared, tmp_path, capsys):
@@ -451,6 +466,16 @@ def test_split_item_past_item_count_exits_1(prepared, tmp_path, capsys):
     assert code == 1
     assert "item id" in _one_error_line(capsys)
     assert not ckpt.exists()
+
+
+def test_split_with_non_int_item_ids_exits_1(prepared, tmp_path, capsys):
+    def corrupt(p):  # each equals some item id under ==, but none is an int
+        p["train"][1] = [1.0, True, 2]
+
+    data_dir = _corrupt_split(prepared, tmp_path, corrupt)
+    code = main(["mine-rules", "--data-dir", data_dir, "--out", str(tmp_path / "rules.csv")])
+    assert code == 1
+    assert "item id" in _one_error_line(capsys)
 
 
 def test_non_integer_thread_cap_exits_2_before_any_trial(prepared, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -362,6 +363,10 @@ CORRUPTIONS = {
     "item_past_count": lambda p: p["train"][1].__setitem__(0, p["item_count"] + 1),
     "item_zero": lambda p: p["validation"][1].append(0),
     "string_item": lambda p: p["test"][1].append("3"),
+    "float_item": lambda p: p["train"][1].append(1.0),
+    "nan_item": lambda p: p["train"][1].append(float("nan")),
+    "bool_item": lambda p: p["validation"][1].append(True),
+    "nested_item": lambda p: p["test"][1].append([1]),
     "sequence_not_a_list": lambda p: p["train"].__setitem__(2, 5),
     "short_item_ids": lambda p: p["item_ids"].pop(),
 }
@@ -376,6 +381,14 @@ def test_load_split_rejects_malformed_split(tmp_path, tiny_split, corrupt):
     path.write_text(json.dumps(payload))
     with pytest.raises(DataError):
         load_split(str(path))
+
+
+def test_load_split_accepts_the_word_true_inside_an_id(tmp_path, tiny_split):
+    """A file with the text true is checked type by type; ids that are strings stay valid."""
+    split = dataclasses.replace(tiny_split, item_ids=["<pad>", "true"] + tiny_split.item_ids[2:])
+    path = str(tmp_path / "split.json")
+    save_split(path, split)
+    assert load_split(path) == split
 
 
 def test_load_split_rejects_missing_and_non_json_files(tmp_path):

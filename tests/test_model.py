@@ -1,19 +1,24 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 from convrec.batch import batch_forward, forward
+from convrec.checkpoint import load_checkpoint, save_checkpoint
 from convrec.config import HyperParams
 from convrec.model import (
     ComponentMask,
     dropout_mask_for,
     horizontal_conv,
     init_params,
+    param_shapes,
     sigmoid,
     vertical_conv,
 )
+from convrec.training import AdamState
 
 
 def _params(hp, users=5, items=12, seed=0, random_biases=False):
@@ -51,6 +56,30 @@ def test_init_biases_zero():
     p = _params(HP)
     assert not p.fc_b.any()
     assert not p.out_b.any()
+
+
+def _address(arr):
+    return arr.__array_interface__["data"][0]
+
+
+def test_every_tensor_and_moment_is_a_view_of_one_buffer(tmp_path):
+    p = _params(HP, users=5, items=12)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, p, HP)
+    copied, (loaded, _) = p.copy(), load_checkpoint(path)
+    state = AdamState.for_params(p)
+    for params in (p, copied, loaded, state.m, state.v, copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        buf = params.buffer
+        assert buf.ndim == 1 and buf.dtype == np.float64 and buf.flags.c_contiguous
+        assert [(n, a.shape) for n, a in params.tensors()] == param_shapes(HP, 5, 12)
+        offset = 0
+        for name, arr in params.tensors():  # laid end to end in layout order
+            assert np.shares_memory(arr, buf) and _address(arr) == _address(buf) + 8 * offset, name
+            offset += arr.size
+        assert offset == buf.size
+        assert params.h_filters[1] is dict(params.tensors())["h_filters.1"]
+    assert not np.shares_memory(copied.buffer, p.buffer)
+    assert copied.buffer.tobytes() == loaded.buffer.tobytes() == p.buffer.tobytes()
 
 
 def test_init_mean_within_statistical_bound():

@@ -162,7 +162,8 @@ def test_pair_order_falls_back_to_lexsort_past_int64():
     assert np.array_equal(_pair_order(major, 2**40, minor, 2**40), want)
 
 
-@pytest.mark.parametrize("bad", [[[1, 2.5]], [["a", "b"]], [[1], [None]], [[2**64, 1]], [[[1, 2]]]])
+@pytest.mark.parametrize("bad", [[[1, 2.5]], [["a", "b"]], [[1], [None]], [[2**64, 1]], [[[1, 2]]],
+                                 [[2**63, 2**63 + 1]] * 2])
 def test_non_integer_items_raise_value_error(bad):
     with pytest.raises(ValueError, match="integers"):
         mine_rules(bad, MiningConfig(minsup=1))

@@ -82,7 +82,7 @@ def _dense_adam(params, dense_grads, state, lr):
     c1 = 1.0 - state.beta1**state.step
     c2 = 1.0 - state.beta2**state.step
     for (name, p), g in zip(params.tensors(), dense_grads):
-        m, v = state.m[name], state.v[name]
+        m, v = dict(state.m.tensors())[name], dict(state.v.tensors())[name]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
@@ -130,10 +130,12 @@ def test_adam_matches_dense_oracle_bitwise():
         adam_step(p, g, state, lr=0.01)
         _dense_adam(want, dense, want_state, lr=0.01)
         assert state.step == want_state.step
+        m, want_m = dict(state.m.tensors()), dict(want_state.m.tensors())
+        v, want_v = dict(state.v.tensors()), dict(want_state.v.tensors())
         for (name, got), (_, arr) in zip(p.tensors(), want.tensors()):
             assert np.array_equal(got.view(np.uint64), arr.view(np.uint64)), name
-            assert np.array_equal(state.m[name].view(np.uint64), want_state.m[name].view(np.uint64)), name
-            assert np.array_equal(state.v[name].view(np.uint64), want_state.v[name].view(np.uint64)), name
+            assert np.array_equal(m[name].view(np.uint64), want_m[name].view(np.uint64)), name
+            assert np.array_equal(v[name].view(np.uint64), want_v[name].view(np.uint64)), name
 
 
 def test_adam_rejects_non_finite_touched_row():
