@@ -41,7 +41,7 @@ def save_checkpoint(path: str, params: ModelParams, hp: HyperParams) -> None:
             fh.write(encoded)
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))  # the buffer itself on a little-endian host, no copy
 
 
 def _read(fh, size: int, path: str, end: int) -> bytes:

@@ -22,18 +22,8 @@ from .evaluate import evaluate, recommend_top_n
 from .gradients import gradient_check
 from .training import train
 
-
-def _config_parser() -> argparse.ArgumentParser:
-    """The config options, declared once and copied into each subcommand that reads a config."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument(
-        "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
-        help="override a config key (repeatable)",
-    )
-    p.add_argument("--seed", type=int, help="shortcut for --set seed=...")
-    p.add_argument("--data", help="shortcut for --set data=...")
-    return p
+# Binary despite the name: the benchmark (perfbench/harness.py) writes a split under this name.
+SPLIT_FILE = "split.json"
 
 
 def _build_config(args) -> RunConfig:
@@ -49,7 +39,7 @@ def _build_config(args) -> RunConfig:
 
 def _resolve_split(args, cfg: RunConfig):
     if getattr(args, "data_dir", None):
-        return load_split(str(Path(args.data_dir) / "split.json"))
+        return load_split(str(Path(args.data_dir) / SPLIT_FILE))
     if not cfg.data:
         raise ConfigError("either --data-dir or a data path in the config is required")
     interactions = load_interactions(cfg.data, cfg.format)
@@ -90,7 +80,7 @@ def cmd_prepare(args) -> int:
     split = chronological_split(seqdata)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_split(str(out / "split.json"), split)
+    save_split(str(out / SPLIT_FILE), split)
     print(f"users={split.user_count} items={split.item_count}")
     print(f"prepared dataset in {out}")
     return 0
@@ -238,7 +228,7 @@ def cmd_sweep(args) -> int:
     _print_config(cfg)
     if not args.data_dir:
         raise ConfigError("sweep requires --data-dir (run prepare first)")
-    split_path = str(Path(args.data_dir) / "split.json")
+    split_path = str(Path(args.data_dir) / SPLIT_FILE)
     load_split(split_path)  # fail fast
 
     grid: dict[str, list[str]] = {}
@@ -290,77 +280,73 @@ def cmd_sweep(args) -> int:
 
 # --------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_CONFIG = [  # the options of every subcommand that reads a config
+    ("--config", dict(help="flat key = value config file")),
+    ("--set", dict(dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                   help="override a config key (repeatable)")),
+    ("--seed", dict(type=int, help="shortcut for --set seed=...")),
+    ("--data", dict(help="shortcut for --set data=...")),
+]
+_DATA_DIR = ("--data-dir", dict(help="directory written by prepare"))
+_CHECKPOINT = ("--checkpoint", dict(required=True))
+
+SUBCOMMANDS = {  # name: (help, handler, options as (flag, add_argument keywords))
+    "prepare": ("ingest, filter, and split a dataset", cmd_prepare, [
+        *_CONFIG, ("--out", dict(required=True, help="output directory"))]),
+    "train": ("train a model", cmd_train, [
+        *_CONFIG, _DATA_DIR,
+        ("--checkpoint", dict(required=True, help="checkpoint output path")),
+        ("--log", dict(help="per-epoch CSV log path")),
+        ("--exclude-history", dict(action="store_true",
+                                   help="exclude the user's whole training history from negatives")),
+        ("--quiet", dict(action="store_true"))]),
+    "evaluate": ("evaluate a checkpoint on the held-out part", cmd_evaluate, [
+        *_CONFIG, _DATA_DIR, _CHECKPOINT,
+        ("--part", dict(choices=("test", "validation"), default="test")),
+        ("--csv", dict(help="write the report as CSV")),
+        ("--per-user", dict(help="write per-user TSV (user, AP, hits)"))]),
+    "recommend": ("top-N recommendations for one user", cmd_recommend, [
+        *_CONFIG, _DATA_DIR, _CHECKPOINT,
+        ("--user", dict(required=True, help="original user id")), ("--N", dict(type=int, default=10))]),
+    "mine-rules": ("mine sequential association rules", cmd_mine_rules, [
+        *_CONFIG, _DATA_DIR,
+        ("--max-order", dict(type=int, default=rules.MiningConfig.max_order)),
+        ("--max-skip", dict(type=int, default=rules.MiningConfig.max_skip)),
+        ("--minsup", dict(type=int, default=rules.MiningConfig.minsup)),
+        ("--minconf", dict(type=float, default=rules.MiningConfig.minconf)),
+        ("--out", dict(help="rule CSV output path (default stdout)"))]),
+    "ablate": ("train and evaluate component-masked variants", cmd_ablate, [
+        *_CONFIG, _DATA_DIR,
+        ("--masks", dict(default="p,v,h,pv,ph,vh,pvh", help="comma list; 'pop' evaluates the popularity baseline")),
+        ("--out", dict(help="CSV output path"))]),
+    "grad-check": ("finite-difference gradient verification", cmd_grad_check, [
+        ("--seed", dict(type=int, default=0)), ("--step", dict(type=float, default=1e-5)),
+        ("--dropout", dict(type=float, default=0.0)), ("--l2", dict(type=float, default=0.0))]),
+    "inspect": ("dump checkpoint contents", cmd_inspect, [
+        _CHECKPOINT, ("--filters", dict(action="store_true", help="dump vertical filter weights as CSV"))]),
+    "sweep": ("grid search over config values", cmd_sweep, [
+        *_CONFIG, ("--data-dir", dict(required=False)),
+        ("--grid", dict(action="append", default=[], metavar="KEY=V1,V2[,...]")),
+        ("--jobs", dict(type=int, default=1, help="parallel trials (capped by CASER_THREADS)"))]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand is listed, but only ``command`` declares its options: each option costs a help formatter."""
     parser = argparse.ArgumentParser(prog="convrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    config = [_config_parser()]
-
-    p = sub.add_parser("prepare", help="ingest, filter, and split a dataset", parents=config)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_prepare)
-
-    p = sub.add_parser("train", help="train a model", parents=config)
-    p.add_argument("--data-dir", help="directory written by prepare")
-    p.add_argument("--checkpoint", required=True, help="checkpoint output path")
-    p.add_argument("--log", help="per-epoch CSV log path")
-    p.add_argument("--exclude-history", action="store_true",
-                   help="exclude the user's whole training history from negatives")
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on the held-out part", parents=config)
-    p.add_argument("--data-dir", help="directory written by prepare")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--part", choices=("test", "validation"), default="test")
-    p.add_argument("--csv", help="write the report as CSV")
-    p.add_argument("--per-user", help="write per-user TSV (user, AP, hits)")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("recommend", help="top-N recommendations for one user", parents=config)
-    p.add_argument("--data-dir", help="directory written by prepare")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--user", required=True, help="original user id")
-    p.add_argument("--N", type=int, default=10)
-    p.set_defaults(func=cmd_recommend)
-
-    p = sub.add_parser("mine-rules", help="mine sequential association rules", parents=config)
-    p.add_argument("--data-dir", help="directory written by prepare")
-    p.add_argument("--max-order", type=int, default=rules.MiningConfig.max_order)
-    p.add_argument("--max-skip", type=int, default=rules.MiningConfig.max_skip)
-    p.add_argument("--minsup", type=int, default=rules.MiningConfig.minsup)
-    p.add_argument("--minconf", type=float, default=rules.MiningConfig.minconf)
-    p.add_argument("--out", help="rule CSV output path (default stdout)")
-    p.set_defaults(func=cmd_mine_rules)
-
-    p = sub.add_parser("ablate", help="train and evaluate component-masked variants", parents=config)
-    p.add_argument("--data-dir", help="directory written by prepare")
-    p.add_argument("--masks", default="p,v,h,pv,ph,vh,pvh", help="comma list; 'pop' evaluates the popularity baseline")
-    p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("grad-check", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--l2", type=float, default=0.0)
-    p.set_defaults(func=cmd_grad_check)
-
-    p = sub.add_parser("inspect", help="dump checkpoint contents")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--filters", action="store_true", help="dump vertical filter weights as CSV")
-    p.set_defaults(func=cmd_inspect)
-
-    p = sub.add_parser("sweep", help="grid search over config values", parents=config)
-    p.add_argument("--data-dir", required=False)
-    p.add_argument("--grid", action="append", default=[], metavar="KEY=V1,V2[,...]")
-    p.add_argument("--jobs", type=int, default=1, help="parallel trials (capped by CASER_THREADS)")
-    p.set_defaults(func=cmd_sweep)
-
+    for name, (help_text, func, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options if name == command else []:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no option with a value, so the first subcommand name is the subcommand
+    parser = build_parser(next((arg for arg in argv if arg in SUBCOMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -6,8 +6,9 @@ pinned to the zero vector and it never appears as a target or negative.
 from __future__ import annotations
 
 import itertools
-import json
 import math
+import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,58 +242,71 @@ def generate_instances(
     )
 
 
-_SPLIT_KEYS = ("user_count", "item_count", "user_ids", "item_ids", "train", "validation", "test")
+# Split file, little-endian (README "Split files"): header, the int32 offset
+# and item id arrays, then the user and item ids as two UTF-8 blocks.
+SPLIT_MAGIC, SPLIT_VERSION = b"CSPL", 1
+_HEADER = struct.Struct("<4s8I")  # magic, version, users, items, 2 id block bytes, 3 part lengths
+
+
+def _offsets(seqs) -> np.ndarray:
+    return np.cumsum([0, *map(len, seqs)], dtype="<i4")
+
+
+def _sliced(seq, offsets: np.ndarray) -> list:
+    bounds = offsets.tolist()
+    return [seq[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def save_split(path: str, split: SplitDataset) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({k: getattr(split, k) for k in _SPLIT_KEYS}, fh)
+    blocks = ["".join(ids).encode("utf-8") for ids in (split.user_ids, split.item_ids)]
+    parts = [split.train, split.validation, split.test]
+    flat = [np.fromiter(itertools.chain.from_iterable(part), "<i4") for part in parts]
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(SPLIT_MAGIC, SPLIT_VERSION, split.user_count, split.item_count,
+                              *map(len, blocks), *(f.size for f in flat)))
+        for arr in [_offsets(split.user_ids), _offsets(split.item_ids), *map(_offsets, parts), *flat]:
+            fh.write(arr)
+        fh.writelines(blocks)
 
 
 def load_split(path: str) -> SplitDataset:
-    """Read a split written by save_split.
-
-    Raises DataError when the file is missing or not JSON, a key is missing,
-    the id maps or the per-user lists do not match the user and item
-    counts, or an entry of train, validation or test is not a list of item
-    ids in 1..item_count.
-    """
-    with open_input(path, DataError) as fh:
-        try:
-            text = fh.read()
-            # a split holds no floats; as strings they can never equal an item id
-            payload = json.loads(text, parse_float=str, parse_constant=str)
-        except ValueError as exc:
-            raise DataError(f"{path}: not a JSON split file ({exc})") from None
-    missing = [k for k in _SPLIT_KEYS if not isinstance(payload, dict) or k not in payload]
-    if missing:
-        raise DataError(f"{path}: split is missing {', '.join(missing)}")
-    split = SplitDataset(**{k: payload[k] for k in _SPLIT_KEYS})
-    _check_split(path, split, may_hold_true="true" in text)
-    return split
-
-
-def _check_split(path: str, split: SplitDataset, may_hold_true: bool) -> None:
-    """Validate a split parsed with its floats as strings. The id check is a set lookup, which True
-    passes as 1; only a file with the text ``true`` pays for a pass over the types of the ids."""
-    users, items = split.user_count, split.item_count
-    if type(users) is not int or type(items) is not int or min(users, items) < 1:
-        raise DataError(f"{path}: user_count and item_count must be integers >= 1")
-    for key, length in (("user_ids", users + 1), ("item_ids", items + 1), ("train", users + 1),
-                        ("validation", users + 1), ("test", users + 1)):
-        if not isinstance(getattr(split, key), list) or len(getattr(split, key)) != length:
-            raise DataError(f"{path}: {key} must be a list of {length} entries")
-    seqs = list(itertools.chain(split.train, split.validation, split.test))
-    ids = itertools.chain.from_iterable
+    """Read a split written by save_split. Raises DataError when the file is missing or not a binary
+    split of this version (a JSON split included), the header's sections do not fill it exactly
+    (checked before anything past the header is read), an id block is not UTF-8, an offset array
+    does not rise from 0 to the length of its section, or an item id lies outside 1..item_count."""
+    refresh = "; re-run `convrec prepare` to write it"
+    with open_input(path, DataError, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if head[:4] != SPLIT_MAGIC or len(head) < _HEADER.size:
+            raise DataError(f"{path}: not a binary split file{refresh}")
+        _, version, users, items, user_bytes, item_bytes, *part_lens = _HEADER.unpack(head)
+        if version != SPLIT_VERSION:
+            raise DataError(f"{path}: unsupported split version {version}{refresh}")
+        if min(users, items) < 1:
+            raise DataError(f"{path}: user_count and item_count must be >= 1")
+        # int32 counts: user id offsets, item id offsets, three part offsets, three parts' item ids
+        ends = list(itertools.accumulate([users + 2, items + 2] + [users + 2] * 3 + part_lens))
+        need, size = _HEADER.size + 4 * ends[-1] + user_bytes + item_bytes, os.fstat(fh.fileno()).st_size
+        if need != size:
+            raise DataError(f"{path}: the header's sections take {need} bytes, the file has {size}")
+        body = fh.read()
+    ints = np.frombuffer(body, "<i4", ends[-1])
+    user_off, item_off, *part_offs = np.split(ints[: ends[4]], ends[:4])
+    blocks = body[4 * ends[-1] :]
     try:
-        # set passes keep the work over every id in C; a Python loop cost as much as the parse
-        if (set(map(type, seqs)) == {list}
-                and (not may_hold_true or set(map(type, ids(seqs))) <= {int})
-                and set(range(1, items + 1)).issuperset(ids(seqs))):
-            return
-    except TypeError:  # an unhashable id, such as a nested list
-        pass
-    raise DataError(f"{path}: train, validation and test must be lists of item ids in 1..{items}")
+        user_text, item_text = blocks[:user_bytes].decode("utf-8"), blocks[user_bytes:].decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: an id block is not UTF-8") from None
+    # id offsets count code points, so one decode checks a block and the slices need no search
+    for off, end in zip([user_off, item_off, *part_offs], [len(user_text), len(item_text), *part_lens]):
+        if off[0] != 0 or off[-1] != end or np.any(off[1:] < off[:-1]):
+            raise DataError(f"{path}: an offset array does not rise from 0 to the length of its section")
+    flat = ints[ends[4] :]  # the item ids of train, validation and test, end to end
+    if flat.size and (flat.min() < 1 or flat.max() > items):
+        raise DataError(f"{path}: train, validation and test must hold item ids in 1..{items}")
+    parts = np.split(flat, [part_lens[0], part_lens[0] + part_lens[1]])
+    return SplitDataset(*(_sliced(part.tolist(), off) for part, off in zip(parts, part_offs)), users, items,
+                        _sliced(user_text, user_off), _sliced(item_text, item_off))
 
 
 def history_for(split: SplitDataset, user: int, part: str = "test") -> list[int]:

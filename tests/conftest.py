@@ -1,3 +1,6 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -41,3 +44,37 @@ def tiny_params(tiny_hp, tiny_split):
     params.fc_b[:] = rng.normal(scale=0.2, size=params.fc_b.shape)
     params.out_b[1:] = rng.normal(scale=0.2, size=tiny_split.item_count)
     return params
+
+
+# The split file's layout, read here independently of convrec.data
+SPLIT_HEADER = ("magic", "version", "users", "items", "user_bytes", "item_bytes", "train", "validation", "test")
+SPLIT_ARRAYS = ("user_offsets", "item_offsets", "train_offsets", "validation_offsets", "test_offsets",
+                "train", "validation", "test")
+
+
+def _rewrite_split(src, dst, corrupt) -> None:
+    """Copy a split file after ``corrupt(header, sections)`` edits it.
+
+    ``header`` maps the header fields to their values; ``sections`` maps each
+    int32 array to a list of ints and each id block ("user_ids", "item_ids")
+    to a bytearray. The header is written as edited, not recomputed.
+    """
+    raw = Path(src).read_bytes()
+    header = dict(zip(SPLIT_HEADER, struct.unpack_from("<4s8I", raw)))
+    users, items = header["users"], header["items"]
+    counts = [users + 2, items + 2] + [users + 2] * 3 + [header[p] for p in ("train", "validation", "test")]
+    ints = np.frombuffer(raw, "<i4", sum(counts), offset=36)
+    sections = {name: arr.tolist() for name, arr in zip(SPLIT_ARRAYS, np.split(ints, np.cumsum(counts)[:-1]))}
+    blocks = raw[36 + 4 * sum(counts):]
+    sections["user_ids"] = bytearray(blocks[: header["user_bytes"]])
+    sections["item_ids"] = bytearray(blocks[header["user_bytes"]:])
+    corrupt(header, sections)
+    out = [struct.pack("<4s8I", *header.values())]
+    out += [np.asarray(sections[name], "<i4").tobytes() for name in SPLIT_ARRAYS if name in sections]
+    out += [bytes(sections[name]) for name in ("user_ids", "item_ids") if name in sections]
+    Path(dst).write_bytes(b"".join(out))
+
+
+@pytest.fixture
+def rewrite_split():
+    return _rewrite_split

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,19 @@ def test_v1_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "golden.ckpt"
     save_checkpoint(str(path), init_params(HP, 7, 30, np.random.default_rng(0)), HP)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+
+def test_save_writes_tensors_without_copies(tmp_path):
+    """Planted-large-size parameters (27.8 MB; out_w alone is 18 MB) are written from their own buffers."""
+    hp = HyperParams()
+    params = init_params(hp, 1000, 22537, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        save_checkpoint(str(tmp_path / "large.ckpt"), params, hp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from convrec import rules
 from convrec.checkpoint import load_checkpoint, save_checkpoint
-from convrec.cli import main
+from convrec.cli import SUBCOMMANDS, main
 from convrec.config import HyperParams, RunConfig
 from convrec.data import load_split
 from convrec.evaluate import AP_MODES
@@ -442,25 +442,25 @@ def test_missing_checkpoint_exits_1(prepared, tmp_path, capsys):
     assert "nope.ckpt" in _one_error_line(capsys)
 
 
-def _corrupt_split(prepared, tmp_path, corrupt) -> str:
-    payload = json.loads((Path(prepared) / "split.json").read_text())
-    corrupt(payload)
-    (tmp_path / "split.json").write_text(json.dumps(payload))
+def _corrupt_split(prepared, tmp_path, rewrite_split, corrupt) -> str:
+    rewrite_split(Path(prepared) / "split.json", tmp_path / "split.json", corrupt)
     return str(tmp_path)
 
 
-def test_split_without_train_exits_1(prepared, tmp_path, capsys):
-    data_dir = _corrupt_split(prepared, tmp_path, lambda p: p.pop("train"))
+def test_split_without_train_exits_1(prepared, tmp_path, capsys, rewrite_split):
+    data_dir = _corrupt_split(prepared, tmp_path, rewrite_split,
+                              lambda header, sections: [sections.pop("train_offsets"), sections.pop("train")])
     code = main(["train", "--data-dir", data_dir, "--checkpoint", str(tmp_path / "x.ckpt"), "--quiet"] + BASE)
     assert code == 1
-    assert "train" in _one_error_line(capsys)
+    line = _one_error_line(capsys)
+    assert str(tmp_path / "split.json") in line and "bytes" in line
 
 
-def test_split_item_past_item_count_exits_1(prepared, tmp_path, capsys):
-    def corrupt(p):
-        p["train"][1][0] = p["item_count"] + 1
+def test_split_item_past_item_count_exits_1(prepared, tmp_path, capsys, rewrite_split):
+    def corrupt(header, sections):
+        sections["train"][0] = header["items"] + 1
 
-    data_dir = _corrupt_split(prepared, tmp_path, corrupt)
+    data_dir = _corrupt_split(prepared, tmp_path, rewrite_split, corrupt)
     ckpt = tmp_path / "x.ckpt"
     code = main(["train", "--data-dir", data_dir, "--checkpoint", str(ckpt), "--quiet"] + BASE)
     assert code == 1
@@ -468,14 +468,43 @@ def test_split_item_past_item_count_exits_1(prepared, tmp_path, capsys):
     assert not ckpt.exists()
 
 
-def test_split_with_non_int_item_ids_exits_1(prepared, tmp_path, capsys):
-    def corrupt(p):  # each equals some item id under ==, but none is an int
-        p["train"][1] = [1.0, True, 2]
+def test_split_with_item_zero_exits_1(prepared, tmp_path, capsys, rewrite_split):
+    def corrupt(header, sections):  # 0 is the padding index, never an item
+        sections["train"][1] = 0
 
-    data_dir = _corrupt_split(prepared, tmp_path, corrupt)
+    data_dir = _corrupt_split(prepared, tmp_path, rewrite_split, corrupt)
     code = main(["mine-rules", "--data-dir", data_dir, "--out", str(tmp_path / "rules.csv")])
     assert code == 1
     assert "item id" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "recommend"])
+def test_json_split_exits_1_naming_prepare(prepared, checkpoint, tmp_path, capsys, command):
+    """A split.json in the JSON format of earlier versions is refused with one line."""
+    split = load_split(str(Path(prepared) / "split.json"))
+    keys = ("user_count", "item_count", "user_ids", "item_ids", "train", "validation", "test")
+    (tmp_path / "split.json").write_text(json.dumps({k: getattr(split, k) for k in keys}))
+    args = {"train": ["--checkpoint", str(tmp_path / "x.ckpt"), "--quiet"] + BASE,
+            "evaluate": ["--checkpoint", checkpoint],
+            "recommend": ["--checkpoint", checkpoint, "--user", split.user_ids[1]]}[command]
+    code = main([command, "--data-dir", str(tmp_path)] + args)
+    assert code == 1
+    line = _one_error_line(capsys)
+    assert line.startswith("error: ") and "convrec prepare" in line
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+HELP_SNAPSHOT = Path(__file__).with_name("cli_help.json")
+
+
+def test_help_outputs_are_unchanged(capsys, monkeypatch):
+    """Every --help text, byte for byte, as the parser that declared every option wrote it (80 columns)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = json.loads(HELP_SNAPSHOT.read_text(encoding="utf-8"))
+    assert sorted(expected) == sorted(["convrec", *SUBCOMMANDS])
+    for name, text in expected.items():
+        assert main(([] if name == "convrec" else [name]) + ["--help"]) == 0
+        assert capsys.readouterr().out == text, name
 
 
 def test_non_integer_thread_cap_exits_2_before_any_trial(prepared, capsys, monkeypatch):

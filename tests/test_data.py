@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from convrec.data import (
     SplitDataset,
 )
 from convrec.errors import ConvrecError, DataError, EmptyDatasetError, ParseError
+from convrec.synthetic import SyntheticSpec, generate_interactions
 
 
 # --------------------------------------------------------------------------
@@ -357,47 +359,100 @@ def test_split_roundtrip(tmp_path, tiny_split):
     assert loaded.item_ids == tiny_split.item_ids
 
 
+def _set(section, at, value):
+    return lambda header, sections: sections[section].__setitem__(at, value)
+
+
+def _set_header(field, value):
+    return lambda header, sections: header.__setitem__(field, value)
+
+
 CORRUPTIONS = {
-    "no_train": lambda p: p.pop("train"),
-    "short_test": lambda p: p["test"].pop(),
-    "item_past_count": lambda p: p["train"][1].__setitem__(0, p["item_count"] + 1),
-    "item_zero": lambda p: p["validation"][1].append(0),
-    "string_item": lambda p: p["test"][1].append("3"),
-    "float_item": lambda p: p["train"][1].append(1.0),
-    "nan_item": lambda p: p["train"][1].append(float("nan")),
-    "bool_item": lambda p: p["validation"][1].append(True),
-    "nested_item": lambda p: p["test"][1].append([1]),
-    "sequence_not_a_list": lambda p: p["train"].__setitem__(2, 5),
-    "short_item_ids": lambda p: p["item_ids"].pop(),
+    "no_train": lambda h, s: [s.pop("train_offsets"), s.pop("train")],
+    "train_items_missing": lambda h, s: [s["train"].clear(), h.__setitem__("train", 0)],
+    "short_test": lambda h, s: s["test_offsets"].pop(),
+    "short_test_items": lambda h, s: [s["test"].pop(), h.__setitem__("test", h["test"] - 1)],
+    "item_past_count": lambda h, s: s["train"].__setitem__(0, h["items"] + 1),
+    "item_zero": _set("validation", 0, 0),
+    "negative_item": _set("test", -1, -1),
+    "decreasing_offset": lambda h, s: s["train_offsets"].__setitem__(2, s["train_offsets"][1] - 1),
+    "first_offset_not_zero": _set("user_offsets", 0, -1),
+    "offset_past_end": lambda h, s: s["validation_offsets"].__setitem__(-1, h["validation"] + 1),
+    "short_id_block": lambda h, s: [s["item_ids"].pop(), h.__setitem__("item_bytes", h["item_bytes"] - 1)],
+    "id_block_cut_short": lambda h, s: s["user_ids"].pop(),
+    "id_block_not_utf8": _set("user_ids", 0, 0xFF),
+    "trailing_byte": lambda h, s: s["item_ids"].append(0),
+    "bad_version": _set_header("version", 2),
+    "bad_magic": _set_header("magic", b"CSPX"),
+    "huge_user_count": _set_header("users", 2**32 - 1),
+    "huge_part": _set_header("train", 2**32 - 1),
 }
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
-def test_load_split_rejects_malformed_split(tmp_path, tiny_split, corrupt):
+def test_load_split_rejects_malformed_split(tmp_path, tiny_split, rewrite_split, corrupt):
     path = tmp_path / "split.json"
     save_split(str(path), tiny_split)
-    payload = json.loads(path.read_text())
-    corrupt(payload)
-    path.write_text(json.dumps(payload))
+    rewrite_split(path, path, corrupt)
     with pytest.raises(DataError):
         load_split(str(path))
 
 
-def test_load_split_accepts_the_word_true_inside_an_id(tmp_path, tiny_split):
-    """A file with the text true is checked type by type; ids that are strings stay valid."""
-    split = dataclasses.replace(tiny_split, item_ids=["<pad>", "true"] + tiny_split.item_ids[2:])
+@pytest.mark.parametrize("users,items", [(0, 1), (1, 0)])
+def test_load_split_refuses_zero_counts(tmp_path, users, items):
+    empty = [[]] * (users + 1)
+    path = str(tmp_path / "split.json")
+    save_split(path, SplitDataset(empty, empty, empty, users, items, [""] * (users + 1), [""] * (items + 1)))
+    with pytest.raises(DataError, match=">= 1"):
+        load_split(path)
+
+
+def test_rewrite_split_without_an_edit_keeps_the_file(tmp_path, tiny_split, rewrite_split):
+    """The corruptions above edit the real layout: an empty edit writes the same bytes."""
+    path = tmp_path / "split.json"
+    save_split(str(path), tiny_split)
+    rewrite_split(path, tmp_path / "copy", lambda header, sections: None)
+    assert (tmp_path / "copy").read_bytes() == path.read_bytes()
+
+
+def test_load_split_keeps_ids_with_separators(tmp_path, tiny_split):
+    """Ids may be empty or hold tabs, newlines, the text true or any code point."""
+    odd = ["", "\n", "a\tb", "true", "\u00e9\U0001f600", "x\x00y"]
+    split = dataclasses.replace(tiny_split, item_ids=["<pad>"] + odd + tiny_split.item_ids[1 + len(odd):],
+                                user_ids=tiny_split.user_ids[:-2] + ["\n\n", ""])
     path = str(tmp_path / "split.json")
     save_split(path, split)
     assert load_split(path) == split
 
 
-def test_load_split_rejects_missing_and_non_json_files(tmp_path):
+def _json_split(split) -> str:
+    """A split as the JSON writer of earlier versions stored it."""
+    keys = ("user_count", "item_count", "user_ids", "item_ids", "train", "validation", "test")
+    return json.dumps({k: getattr(split, k) for k in keys})
+
+
+def test_load_split_refuses_missing_and_json_files(tmp_path, tiny_split):
     with pytest.raises(DataError, match="missing.json"):
         load_split(str(tmp_path / "missing.json"))
     path = tmp_path / "split.json"
-    path.write_text('{"train": [')
-    with pytest.raises(DataError, match="JSON"):
-        load_split(str(path))
+    for text in (_json_split(tiny_split), '{"train": [', ""):
+        path.write_text(text)
+        with pytest.raises(DataError, match="re-run `convrec prepare`"):
+            load_split(str(path))
+
+
+BENCH_CORPORA = {  # the benchmark's corpora; ablate-gate trains on the planted-500 corpus
+    "planted-500": SyntheticSpec(seed=1),
+    "planted-large": SyntheticSpec(num_users=1000, num_items=50000, seed=1),
+}
+
+
+@pytest.mark.parametrize("spec", BENCH_CORPORA.values(), ids=BENCH_CORPORA.keys())
+def test_bench_corpus_split_roundtrip(tmp_path, spec):
+    split = chronological_split(build_sequences(generate_interactions(spec), 1))
+    path = str(tmp_path / "split.json")
+    save_split(path, split)
+    assert load_split(path) == split
 
 
 def test_missing_interaction_log_is_data_error(tmp_path):
@@ -436,8 +491,16 @@ def test_load_interactions_on_random_bytes_raises_only_convrec_errors(input_file
         pass
 
 
+# raw bytes that get past the magic, and whole headers with random counts and lengths
+BINARY_SPLIT_LIKE = st.one_of(
+    st.binary(max_size=300).map(lambda raw: b"CSPL" + raw),
+    st.tuples(st.lists(st.integers(0, 12), min_size=7, max_size=7), st.binary(max_size=300)).map(
+        lambda t: struct.pack("<4s8I", b"CSPL", 1, *t[0]) + t[1]),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(raw=st.one_of(st.binary(max_size=300), JSON_LIKE, SPLIT_LIKE))
+@given(raw=st.one_of(st.binary(max_size=300), JSON_LIKE, SPLIT_LIKE, BINARY_SPLIT_LIKE))
 def test_load_split_on_random_bytes_raises_only_convrec_errors(input_file, raw):
     input_file.write_bytes(raw)
     try:
@@ -460,3 +523,27 @@ def splits(draw):
 def test_save_split_load_split_roundtrip(input_file, split):
     save_split(str(input_file), split)
     assert load_split(str(input_file)) == split
+
+
+@settings(max_examples=300, deadline=None)
+@given(split=splits(), data=st.data())
+def test_every_single_byte_change_loads_or_is_a_data_error(input_file, split, data):
+    save_split(str(input_file), split)
+    raw = input_file.read_bytes()
+    at = data.draw(st.integers(0, len(raw) - 1))
+    value = data.draw(st.integers(0, 255).filter(lambda v: v != raw[at]))
+    input_file.write_bytes(raw[:at] + bytes([value]) + raw[at + 1 :])
+    try:
+        load_split(str(input_file))
+    except DataError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(split=splits(), data=st.data())
+def test_every_truncation_is_a_data_error(input_file, split, data):
+    save_split(str(input_file), split)
+    raw = input_file.read_bytes()
+    input_file.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(DataError):
+        load_split(str(input_file))
