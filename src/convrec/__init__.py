@@ -22,9 +22,9 @@ from .model import ComponentMask, ModelParams, init_params
 from .batch import forward
 from .gradients import GradientSet, gradient_check
 from .training import AdamState, TrainResult, adam_step, train
-from .evaluate import EvalReport, RankedList, average_precision, evaluate, prec_recall_at, recommend_top_n
+from .evaluate import EvalReport, RankedList, evaluate, recommend_top_n
 from .rules import MiningConfig, Rule, mine_rules, sequential_intensity
-from .ablation import mask_history_items, masked_forward, run_ablation
+from .ablation import mask_history_items, run_ablation
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"
@@ -53,14 +53,11 @@ __all__ = [
     "EvalReport",
     "RankedList",
     "recommend_top_n",
-    "prec_recall_at",
-    "average_precision",
     "evaluate",
     "Rule",
     "MiningConfig",
     "mine_rules",
     "sequential_intensity",
-    "masked_forward",
     "run_ablation",
     "mask_history_items",
     "save_checkpoint",

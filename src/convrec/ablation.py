@@ -17,6 +17,7 @@ from .data import PADDING_INDEX, SplitDataset, pad_left
 # metrics_for_ranking and ranked_order are unused here, but perfbench hooks them under this module's name
 from .evaluate import (  # noqa: F401
     EvalReport,
+    eligible_and_ranks,
     evaluate,
     evaluate_scores,
     metrics_for_ranking,
@@ -27,19 +28,11 @@ from .training import TrainResult, train
 
 __all__ = [
     "ComponentMask",
-    "masked_forward",
     "evaluate_pop",
     "run_ablation",
     "mask_history_items",
     "AblationRow",
 ]
-
-
-def masked_forward(
-    params: ModelParams, hp: HyperParams, prev_items, user_index: int, mask: ComponentMask
-) -> np.ndarray:
-    """Inference scores with the given components disabled."""
-    return forward(params, hp, prev_items, user_index, mask)
 
 
 def popularity_counts(split: SplitDataset) -> np.ndarray:
@@ -141,8 +134,5 @@ def mask_history_items(
         scores[seen] = -np.inf
     if not np.isfinite(scores[probe_item]):
         raise ValueError(f"probe item {probe_item} is excluded from ranking")
-    better = int((scores > scores[probe_item]).sum())
-    ties_before = int(
-        ((scores == scores[probe_item]) & (np.arange(scores.size) < probe_item)).sum()
-    )
-    return scores, better + ties_before + 1
+    _, rank = eligible_and_ranks(scores[None], np.zeros(1, dtype=np.int64), np.array([probe_item]))
+    return scores, int(rank[0])

@@ -190,7 +190,10 @@ def cmd_grad_check(args) -> int:
         import dataclasses as _dc
 
         hp = _dc.replace(TOY_HP, dropout=args.dropout, l2=args.l2)
-    report = gradient_check(hp=hp, seed=args.seed, step=args.step)
+    try:
+        report = gradient_check(hp=hp, seed=args.seed, step=args.step)
+    except ValueError as exc:  # a --step that is not finite and > 0
+        raise ConfigError(str(exc)) from None
     print(report)
     return 0 if report.passed() else 1
 

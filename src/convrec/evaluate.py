@@ -103,47 +103,6 @@ def recommend_top_n(
     return RankedList(user_index, top, scores[top])
 
 
-def prec_recall_at(ranked_items, relevant: set, n: int) -> tuple[float, float]:
-    """Fraction of the top n that is relevant, and of the relevant set found."""
-    if n < 1 or n > len(ranked_items):
-        raise ValueError(f"n must lie in 1..{len(ranked_items)}")
-    if not relevant:
-        raise ValueError("relevant set is empty; caller should skip this user")
-    precision, recall, _ = _list_metrics(ranked_items, relevant, n, "standard")
-    return precision, recall
-
-
-def average_precision(
-    ranked_items, relevant: set, mode: str = "standard", cutoff: int | None = None
-) -> float:
-    """Precision-weighted hit average over ranks 1..cutoff.
-
-    standard mode divides by min(|relevant|, cutoff); paper_literal divides
-    by the cutoff (the recommendation-list length) itself.
-    """
-    if mode not in AP_MODES:
-        raise ValueError(f"mode must be one of {AP_MODES}")
-    if cutoff is None:
-        cutoff = len(ranked_items)
-    if cutoff > len(ranked_items) or cutoff < 1:
-        raise ValueError(f"cutoff must lie in 1..{len(ranked_items)}")
-    return _list_metrics(ranked_items, relevant, cutoff, mode)[2] if relevant else 0.0
-
-
-def _list_metrics(ranked_items, relevant: set, n: int, ap_mode: str) -> tuple[float, float, float]:
-    """Precision and recall at n and AP of a list's first n items, counted by
-    metrics_for_ranking on one score row over the items named in the list
-    or the relevant set: the first n in list order, every other at -inf."""
-    ids = np.asarray(list(ranked_items)[:n] + list(relevant), dtype=np.int64)
-    _, column = np.unique(ids, return_inverse=True)
-    scores = np.full((1, column.max() + 1), -np.inf)
-    scores[0, column[:n]] = np.arange(n, 0, -1)
-    if np.count_nonzero(np.isfinite(scores)) < n:
-        raise ValueError("the ranked items must be distinct")
-    precision, recall, ap = metrics_for_ranking(scores, [set(column[n:].tolist())], (n,), ap_mode)
-    return float(precision[0, 0]), float(recall[0, 0]), float(ap[0])
-
-
 def score_matrix(
     params: ModelParams,
     hp: HyperParams,
@@ -178,10 +137,12 @@ def _row_counts(mask: np.ndarray) -> np.ndarray:
     return mask.view(np.uint8).sum(axis=1, dtype=np.int64)
 
 
-def _eligible_and_ahead(scores: np.ndarray, rows: np.ndarray, items: np.ndarray, values: np.ndarray):
-    """Eligible (finite) items per row, and per (row, item) pair the items ranked
-    ahead of it: those scoring higher, or equal at a smaller index. NaN
+def eligible_and_ranks(scores: np.ndarray, rows: np.ndarray, items: np.ndarray):
+    """Eligible (finite) items per row of a score block, and the rank of each
+    (row, item) pair: 1 + the items scoring higher + the items scoring equal
+    at a smaller index, its 1-based position in ``ranked_order(row)``. NaN
     compares false, so it is never ahead."""
+    values = scores[rows, items]
     if scores.shape[1] > LONG_ROW:
         # On long rows comparing against a scalar, several times faster than a
         # broadcast comparison, outweighs making two calls per pair. An equal
@@ -194,30 +155,28 @@ def _eligible_and_ahead(scores: np.ndarray, rows: np.ndarray, items: np.ndarray,
             ],
             dtype=np.int64,
         )
-        return eligible, ahead
+        return eligible, ahead + 1
     eligible = _row_counts(np.isfinite(scores))
     pair_rows = scores[rows]
     ahead = pair_rows > values[:, None]
     ahead |= (pair_rows == values[:, None]) & (np.arange(scores.shape[1]) < items[:, None])
-    return eligible, _row_counts(ahead)
+    return eligible, _row_counts(ahead) + 1
 
 
 def metrics_for_ranking(scores: np.ndarray, relevant, cutoffs, ap_mode: str):
     """Metrics for a block of masked score rows (used by model and baseline paths).
 
     ``relevant[i]`` is row i's set of held-out items. Each relevant item's
-    rank is counted, not read off a sort of the whole row: 1 + the items
-    scoring higher + the items scoring equal at a smaller index, which is its
-    1-based position in ``ranked_order(row)``. Items at -inf (padding,
-    excluded history) or NaN never rank. Returns the precision and recall at
-    each cutoff, shape ``(len(cutoffs), rows)``, and the AP of each row.
+    rank is counted by eligible_and_ranks, not read off a sort of the whole
+    row. Items at -inf (padding, excluded history) or NaN never rank. Returns
+    the precision and recall at each cutoff, shape ``(len(cutoffs), rows)``,
+    and the AP of each row.
     """
     n_rows = scores.shape[0]
     rows, items = _flat_pairs(relevant)
     sizes = np.bincount(rows, minlength=n_rows)
     values = scores[rows, items]
-    eligible, ahead = _eligible_and_ahead(scores, rows, items, values)
-    ranks = ahead + 1
+    eligible, ranks = eligible_and_ranks(scores, rows, items)
     # items at -inf or NaN never rank; +inf scores rank first without being
     # eligible, and the ranking holds `eligible` items
     hit = (values > -np.inf) & (ranks <= eligible[rows])
@@ -271,6 +230,8 @@ def evaluate_scores(
     """
     if ap_mode not in AP_MODES:
         raise ValueError(f"ap_mode must be one of {AP_MODES}")
+    if part not in ("test", "validation"):
+        raise ValueError(f"part must be 'test' or 'validation', got {part!r}")
     held = split.test if part == "test" else split.validation
     users = [u for u in split.users() if held[u]]
     if not users:

@@ -104,27 +104,15 @@ class GradientSet:
             _NO_ROWS,
         )
 
-    def tensors(self):
-        """(name, gradient) per model tensor; the sparse tables as their values."""
-        yield "user_emb", self.user_emb
-        yield "item_emb", self.item_emb
-        for j, f in enumerate(self.h_filters):
-            yield f"h_filters.{j}", f
-        yield "v_filters", self.v_filters
-        yield "fc_w", self.fc_w
-        yield "fc_b", self.fc_b
-        yield "out_w", self.out_w
-        yield "out_b", self.out_b
-
-    def rows(self):
-        """Per tensor, in tensors() order, the rows its gradient values belong to."""
-        every = slice(None)
-        yield self.user_rows
-        yield self.item_rows
-        for _ in self.h_filters:
-            yield every
-        yield from (every, every, every)
-        yield from (self.out_rows, self.out_rows)
+    def by_layout(self, layout):
+        """(name, values, rows) per tensor of a param_shapes layout, in its order:
+        a dense gradient with every row, a sparse table with its recorded rows."""
+        sparse_rows = {"user_emb": self.user_rows, "item_emb": self.item_rows,
+                       "out_w": self.out_rows, "out_b": self.out_rows}
+        for name, _ in layout:
+            _, _, height = name.partition("h_filters.")
+            values = self.h_filters[int(height)] if height else getattr(self, name)
+            yield name, values, sparse_rows.get(name, slice(None))
 
 
 # --------------------------------------------------------------------------
@@ -240,6 +228,8 @@ def gradient_check(
 
     if num_instances < 2:
         raise ValueError("num_instances must be >= 2")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a finite number > 0, got {step}")
     start = time.monotonic()
     if hp is None:
         hp = TOY_HP
@@ -261,7 +251,7 @@ def gradient_check(
     grads = loss_and_grads()[1]
     base_sig = signature()
     report = GradCheckReport(tol=tol, per_tensor={n: TensorCheck() for n, _ in params.tensors()})
-    for (name, arr), (_, g_values), rows in zip(params.tensors(), grads.tensors(), grads.rows()):
+    for (name, arr), (_, g_values, rows) in zip(params.tensors(), grads.by_layout(params.layout)):
         flat = arr.reshape(-1)
         g_full = np.zeros_like(arr)
         g_full[rows] = g_values  # a sparse table at full size, once per tensor
@@ -284,7 +274,7 @@ def gradient_check(
             an = g_flat[idx]
             rel = abs(fd - an) / max(abs(fd), abs(an), 1e-3)
             tc.checked += 1
-            if rel > tc.max_rel_err:
+            if rel > tc.max_rel_err or np.isnan(rel):  # a NaN error stays and fails the tensor
                 tc.max_rel_err = rel
 
     report.elapsed_s = time.monotonic() - start

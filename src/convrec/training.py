@@ -51,7 +51,8 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, lr: flo
     and adding it would change no bit. The conv and FC gradients are dense.
     The parameter update runs in place over blocks of ADAM_BLOCK elements.
     """
-    for name, g in grads.tensors():
+    by_tensor = list(grads.by_layout(params.layout))
+    for name, g, _ in by_tensor:
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient in {name} at step {state.step + 1}")
     state.step += 1
@@ -60,7 +61,7 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, lr: flo
     c2 = 1.0 - b2**state.step
     state.m.buffer *= b1
     state.v.buffer *= b2
-    for (_, m), (_, v), (_, g), rows in zip(state.m.tensors(), state.v.tensors(), grads.tensors(), grads.rows()):
+    for (_, m), (_, v), (_, g, rows) in zip(state.m.tensors(), state.v.tensors(), by_tensor):
         m[rows] += (1.0 - b1) * g
         sq = (1.0 - b2) * g
         sq *= g

@@ -7,13 +7,12 @@ from convrec.ablation import (
     ablation_csv,
     evaluate_pop,
     mask_history_items,
-    masked_forward,
     popularity_counts,
     run_ablation,
 )
 from convrec.config import HyperParams
 from convrec.data import build_sequences, chronological_split
-from convrec.evaluate import evaluate, ranked_order
+from convrec.evaluate import LONG_ROW, evaluate, ranked_order
 from convrec.batch import forward
 from convrec.model import ComponentMask, init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
@@ -30,13 +29,6 @@ def test_mask_codes():
         ComponentMask(p=False, h=False, v=False)
 
 
-def test_all_enabled_mask_is_identity(tiny_params, tiny_hp):
-    prev, user = [1, 2, 3, 4], 1
-    a = masked_forward(tiny_params, tiny_hp, prev, user, ComponentMask())
-    b = forward(tiny_params, tiny_hp, prev, user)
-    assert np.array_equal(a, b)
-
-
 def test_p_only_equals_latent_factor_form(tiny_params, tiny_hp, tiny_split):
     """With both conv paths off, ranking must equal the plain form
     out_w[:, d:] @ p_u + out_b exactly, for arbitrary (including nonzero-bias)
@@ -45,7 +37,7 @@ def test_p_only_equals_latent_factor_form(tiny_params, tiny_hp, tiny_split):
     rng = np.random.default_rng(0)
     for user in rng.integers(1, tiny_split.user_count + 1, size=20):
         prev = rng.integers(1, tiny_split.item_count + 1, size=tiny_hp.order)
-        scores = masked_forward(tiny_params, tiny_hp, prev, int(user), ComponentMask(p=True, h=False, v=False))
+        scores = forward(tiny_params, tiny_hp, prev, int(user), ComponentMask(p=True, h=False, v=False))
         direct = tiny_params.out_w[:, d:] @ tiny_params.user_emb[int(user)] + tiny_params.out_b
         direct[0] = -np.inf
         assert np.array_equal(ranked_order(scores), ranked_order(direct))
@@ -61,7 +53,7 @@ def test_v_only_single_filter_matches_weighted_sum_scorer(tiny_split):
     params = init_params(hp, tiny_split.user_count, tiny_split.item_count, rng)
     params.fc_b[:] = rng.normal(size=hp.latent_dim)
     prev, user = [2, 5, 7, 9], 3
-    scores = masked_forward(params, hp, prev, user, ComponentMask(p=True, h=False, v=True))
+    scores = forward(params, hp, prev, user, ComponentMask(p=True, h=False, v=True))
     # hand scorer: weighted sum of history embeddings -> fc (v slots only) -> output
     agg = sum(params.v_filters[0, l] * params.item_emb[prev[l]] for l in range(4))
     n = 1  # one horizontal filter slot, zeroed by the mask
@@ -212,6 +204,33 @@ def test_empty_mask_keeps_rank(tiny_params, tiny_hp):
     assert rank0 == want
 
 
+def _tied_params(hp, item_count, tied):
+    """Random parameters under which the items in ``tied`` score exactly the same:
+    zero output rows (a dot product of exact zeros) and one shared bias."""
+    rng = np.random.default_rng(8)
+    params = init_params(hp, 3, item_count, rng)
+    params.out_b[1:] = rng.normal(size=item_count)
+    params.out_w[tied] = 0.0
+    params.out_b[tied] = params.out_b[tied[0]]
+    return params
+
+
+@pytest.mark.parametrize("item_count", [40, LONG_ROW + 50])
+def test_mask_rank_is_position_in_ranked_order_with_ties(tiny_hp, item_count):
+    # the probe ties with an item of a smaller and one of a larger index; the
+    # longer catalog is counted by the rank counter's long-row branch
+    tied = [5, 17, 29]
+    params = _tied_params(tiny_hp, item_count, tied)
+    history = [2, 3, 4]
+    for positions in (set(), {1}, {2, 4}):
+        for probe in tied + [1, item_count]:
+            scores, rank = mask_history_items(params, tiny_hp, history, 2, positions, probe)
+            assert scores[tied[0]] == scores[tied[1]] == scores[tied[2]]
+            assert rank == int(np.flatnonzero(ranked_order(scores) == probe)[0]) + 1
+    _, ranks = zip(*(mask_history_items(params, tiny_hp, history, 2, set(), p) for p in tied))
+    assert ranks[1] == ranks[0] + 1 and ranks[2] == ranks[1] + 1
+
+
 def test_masking_padding_position_is_noop(tiny_params, tiny_hp):
     history = [7, 8]  # window = [0, 0, 7, 8]
     base, rank_base = mask_history_items(tiny_params, tiny_hp, history, 1, set(), probe_item=9)
@@ -228,7 +247,7 @@ def test_mask_all_positions_equals_p_only_when_biases_zero(tiny_hp, tiny_split):
     scores, _ = mask_history_items(
         params, tiny_hp, history, 2, {1, 2, 3, 4}, probe_item=11, exclude_seen=False
     )
-    p_only = masked_forward(params, tiny_hp, [2, 3, 4, 5], 2, ComponentMask(p=True, h=False, v=False))
+    p_only = forward(params, tiny_hp, [2, 3, 4, 5], 2, ComponentMask(p=True, h=False, v=False))
     assert np.max(np.abs(scores[1:] - p_only[1:])) < 1e-12
 
 

@@ -15,7 +15,7 @@ from convrec.checkpoint import load_checkpoint
 from convrec.cli import main as cli_main
 from convrec.config import HyperParams
 from convrec.data import build_sequences, chronological_split
-from convrec.evaluate import average_precision, evaluate, prec_recall_at, ranked_order
+from convrec.evaluate import evaluate, metrics_for_ranking, ranked_order
 from convrec.gradients import gradient_check
 from convrec.model import ComponentMask, init_params, vertical_conv
 from convrec.rules import MiningConfig, mine_rules
@@ -76,13 +76,13 @@ def test_criterion_3_reduction_identity():
     params = init_params(hp, 100, 200, rng)
     params.fc_b[:] = rng.normal(size=hp.latent_dim)  # biases must not leak through
     params.out_b[1:] = rng.normal(size=200)
-    from convrec.ablation import masked_forward
+    from convrec.batch import forward
 
     mask = ComponentMask(p=True, h=False, v=False)
     ok = True
     for user in range(1, 101):
         prev = rng.integers(1, 201, size=hp.order)
-        scores = masked_forward(params, hp, prev, user, mask)
+        scores = forward(params, hp, prev, user, mask)
         direct = params.out_w[:, hp.latent_dim :] @ params.user_emb[user] + params.out_b
         direct[0] = -np.inf
         if not np.array_equal(ranked_order(scores), ranked_order(direct)):
@@ -108,6 +108,15 @@ def _ref_ap(ranked, relevant, mode, cutoff):
     return num / denom if denom else 0.0
 
 
+def _metrics_of_list(ranked, relevant, n, mode="standard"):
+    """metrics_for_ranking on one score row that ranks ranked[:n] in list order:
+    n..1 there and -inf in every other column, so n items are eligible."""
+    row = np.full((1, max(ranked + list(relevant)) + 1), -np.inf)
+    row[0, ranked[:n]] = np.arange(n, 0, -1)
+    precision, recall, ap = metrics_for_ranking(row, [relevant], (n,), mode)
+    return float(precision[0, 0]), float(recall[0, 0]), float(ap[0])
+
+
 def test_criterion_4_metric_oracle():
     rng = np.random.default_rng(4)
     exact = True
@@ -120,18 +129,18 @@ def test_criterion_4_metric_oracle():
         )
         n = int(rng.integers(1, universe + 1))
         cutoff = int(rng.integers(1, universe + 1))
-        if prec_recall_at(ranked, relevant, n) != _ref_prec_recall(ranked, relevant, n):
+        if _metrics_of_list(ranked, relevant, n)[:2] != _ref_prec_recall(ranked, relevant, n):
             exact = False
             break
         for mode in ("standard", "paper_literal"):
-            got = average_precision(ranked, relevant, mode=mode, cutoff=cutoff)
+            got = _metrics_of_list(ranked, relevant, cutoff, mode)[2]
             want = _ref_ap(ranked, relevant, mode, cutoff)
             if abs(got - want) > 1e-12:
                 exact = False
                 break
         if not exact:
             break
-    hand = average_precision([4, 8, 9, 1], {4, 9}, mode="standard")
+    hand = _metrics_of_list([4, 8, 9, 1], {4, 9}, 4)[2]
     hand_ok = abs(hand - 5.0 / 6.0) <= 1e-12
     _report(4, exact and hand_ok, f"1000 random instances exact; hand case AP={hand:.4f}")
 

@@ -163,6 +163,12 @@ def test_grad_check_command(capsys):
     assert "max_rel_err" in out and "[ok]" in out
 
 
+@pytest.mark.parametrize("step", ["nan", "0"])
+def test_grad_check_bad_step_exits_2(capsys, step):
+    assert main(["grad-check", "--step", step]) == 2
+    assert capsys.readouterr().err.startswith("config error: step must be")
+
+
 def test_inspect_filters_exact_roundtrip(checkpoint, capsys):
     code = main(["inspect", "--checkpoint", checkpoint, "--filters"])
     assert code == 0

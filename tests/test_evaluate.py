@@ -11,10 +11,8 @@ from convrec.data import SplitDataset, history_for
 from convrec.evaluate import (
     AP_MODES,
     LONG_ROW,
-    average_precision,
     evaluate,
     metrics_for_ranking,
-    prec_recall_at,
     ranked_order,
     recommend_top_n,
     score_matrix,
@@ -242,6 +240,13 @@ def test_evaluate_matches_per_user_loop_bitwise(tiny_params, tiny_hp, tiny_split
         assert _report_bits(dataclasses.replace(pop, per_user=[])) == want[:4] + ([],)
 
 
+def test_unknown_part_is_refused(tiny_params, tiny_hp, tiny_split):
+    with pytest.raises(ValueError, match="part"):
+        evaluate(tiny_params, tiny_hp, tiny_split, part="tset")
+    with pytest.raises(ValueError, match="part"):
+        evaluate_pop(tiny_split, part="tset")
+
+
 def test_evaluate_deduplicates_relevant_items(tiny_params, tiny_hp, tiny_split):
     test = [list(items) + list(items) for items in tiny_split.test]
     split = SplitDataset(
@@ -313,49 +318,44 @@ def test_recommend_selection_matches_full_sort(tiny_hp, row):
 
 
 # --------------------------------------------------------------------------
-# precision / recall / AP
+# precision / recall / AP of one ranked list, counted by metrics_for_ranking
+
+def _metrics_of_list(ranked, relevant, n, mode="standard"):
+    """Precision and recall at n and AP of ranked[:n]: one score row with n..1
+    there and -inf in every other column, so n items are eligible."""
+    row = np.full((1, max(list(ranked) + list(relevant)) + 1), -np.inf)
+    row[0, ranked[:n]] = np.arange(n, 0, -1)
+    precision, recall, ap = metrics_for_ranking(row, [relevant], (n,), mode)
+    return float(precision[0, 0]), float(recall[0, 0]), float(ap[0])
+
 
 def test_prec_recall_hand_case():
     ranked = [10, 3, 7, 2, 9]
     relevant = {3, 9, 20, 21}
-    prec, rec = prec_recall_at(ranked, relevant, 5)
+    prec, rec, _ = _metrics_of_list(ranked, relevant, 5)
     assert prec == pytest.approx(0.4)
     assert rec == pytest.approx(0.5)
 
 
 def test_prec_recall_no_hits():
-    assert prec_recall_at([1, 2, 3], {9}, 3) == (0.0, 0.0)
-
-
-def test_prec_recall_empty_relevant_rejected():
-    with pytest.raises(ValueError):
-        prec_recall_at([1, 2], set(), 1)
-
-
-def test_list_metrics_take_any_integer_ids_and_refuse_repeats():
-    assert prec_recall_at([10**12, -4, 7], {-4, 10**15}, 2) == (0.5, 0.5)
-    assert average_precision([10**12, -4, 7], {-4, 7}) == pytest.approx((1 / 2 + 2 / 3) / 2, abs=1e-12)
-    with pytest.raises(ValueError, match="distinct"):
-        prec_recall_at([3, 5, 3], {3}, 3)
-    with pytest.raises(ValueError, match="distinct"):
-        average_precision([3, 3], {3})
+    assert _metrics_of_list([1, 2, 3], {9}, 3)[:2] == (0.0, 0.0)
 
 
 def test_ap_perfect_ranking():
-    assert average_precision([5, 6, 7, 1, 2], {5, 6, 7}) == pytest.approx(1.0)
+    assert _metrics_of_list([5, 6, 7, 1, 2], {5, 6, 7}, 5)[2] == pytest.approx(1.0)
 
 
 def test_ap_hand_case_standard():
     ranked = [4, 8, 9, 1, 2]
     relevant = {4, 9}
-    val = average_precision(ranked, relevant, mode="standard")
+    val = _metrics_of_list(ranked, relevant, 5, "standard")[2]
     assert val == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-12)
 
 
 def test_ap_hand_case_paper_literal():
     ranked = [4, 8, 9]
     relevant = {4, 9}
-    val = average_precision(ranked, relevant, mode="paper_literal", cutoff=3)
+    val = _metrics_of_list(ranked, relevant, 3, "paper_literal")[2]
     assert val == pytest.approx((1.0 + 2.0 / 3.0) / 3.0, abs=1e-12)
 
 
@@ -369,10 +369,10 @@ def test_metrics_match_reference(data):
     n_rel = int(rng.integers(1, universe))
     relevant = set(int(x) for x in rng.choice(np.arange(1, universe + 1), size=n_rel, replace=False))
     n = int(rng.integers(1, universe + 1))
-    assert prec_recall_at(ranked, relevant, n) == ref_prec_recall(ranked, relevant, n)
+    assert _metrics_of_list(ranked, relevant, n)[:2] == ref_prec_recall(ranked, relevant, n)
     cutoff = int(rng.integers(1, universe + 1))
     for mode in ("standard", "paper_literal"):
-        got = average_precision(ranked, relevant, mode=mode, cutoff=cutoff)
+        got = _metrics_of_list(ranked, relevant, cutoff, mode)[2]
         assert got == pytest.approx(ref_ap(ranked, relevant, mode, cutoff), abs=1e-12)
 
 
@@ -384,8 +384,8 @@ def test_ap_bounds_and_mode_inequality(seed):
     ranked = list(rng.permutation(np.arange(1, universe + 1)))
     n_rel = int(rng.integers(1, universe))
     relevant = set(int(x) for x in rng.choice(np.arange(1, universe + 1), size=n_rel, replace=False))
-    std = average_precision(ranked, relevant, mode="standard")
-    lit = average_precision(ranked, relevant, mode="paper_literal")
+    std = _metrics_of_list(ranked, relevant, universe, "standard")[2]
+    lit = _metrics_of_list(ranked, relevant, universe, "paper_literal")[2]
     assert 0.0 <= std <= 1.0
     assert lit <= std + 1e-12  # cutoff = full list >= |relevant|
 
@@ -396,7 +396,7 @@ def test_recall_monotone_in_n():
     relevant = {3, 7, 19}
     last = 0.0
     for n in range(1, 30):
-        _, rec = prec_recall_at(ranked, relevant, n)
+        _, rec, _ = _metrics_of_list(ranked, relevant, n)
         assert rec >= last
         last = rec
 

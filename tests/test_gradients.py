@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import math
 
@@ -305,12 +306,33 @@ def test_gradient_check_needs_two_rows():
         gradient_check(num_instances=1)
 
 
+def test_gradient_check_fails_a_nan_gradient(monkeypatch):
+    batch = importlib.import_module("convrec.batch")
+    real = batch.batch_loss_and_grads
+
+    def nan_fc_b(*args):
+        loss, grads = real(*args)
+        grads.fc_b[0] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(batch, "batch_loss_and_grads", nan_fc_b)
+    report = gradient_check(seed=1)
+    assert math.isnan(report.per_tensor["fc_b"].max_rel_err)
+    assert not report.passed() and "[FAIL]" in str(report)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
+def test_gradient_check_refuses_a_bad_step(step):
+    with pytest.raises(ValueError, match="step"):
+        gradient_check(step=step)
+
+
 def test_loss_decreases_under_small_gradient_step():
     p, rng = _setup(HP, seed=7)
     args = ([1, 2, 3, 4], 1, (5, 6), (8, 9, 10, 11, 12, 13))
     base, g = _one(p, HP, *args)
     lr = 1e-3
-    for (_, arr), (_, grad), rows in zip(p.tensors(), g.tensors(), g.rows()):
+    for (_, arr), (_, grad, rows) in zip(p.tensors(), g.by_layout(p.layout)):
         arr[rows] -= lr * grad
     p.pin_rows()
     after, _ = _one(p, HP, *args)

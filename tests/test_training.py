@@ -46,7 +46,7 @@ def test_adam_first_step_matches_hand_computation():
     p = _params(seed=1)
     g = GradientSet.zeros_like(p)
     _declare_all_rows(g, p)
-    for _, arr in g.tensors():
+    for _, arr, _ in g.by_layout(p.layout):
         arr[:] = 0.25
     before = p.copy()
     state = AdamState.for_params(p)
@@ -69,7 +69,7 @@ def test_adam_repins_padding_rows():
     p = _params()
     g = GradientSet.zeros_like(p)
     _declare_all_rows(g, p)
-    for _, arr in g.tensors():
+    for _, arr, _ in g.by_layout(p.layout):
         arr[:] = 1.0  # including pinned rows
     adam_step(p, g, AdamState.for_params(p), lr=0.5)
     assert not p.item_emb[0].any()
