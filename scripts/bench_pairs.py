@@ -38,15 +38,20 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int, env: dict[str, 
     lines = out.stdout.splitlines()
     result = json.loads(lines[-1])
     environment = json.loads(next(line for line in lines if line.startswith("# environment "))[len("# environment "):])
-    status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=tree,
-                            capture_output=True, text=True).stdout
     return {
         "workload": workload, "seed": seed, "env": env, "commit": environment.get("git_commit"),
-        "uncommitted_changes": bool(status.strip()),
+        "uncommitted_changes": uncommitted_changes(tree),
         "attempted": result["attempted"], "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "environment": environment,
     }
+
+
+def uncommitted_changes(tree: Path) -> bool:
+    """Whether a tracked file differs from the commit; the BENCH_*.json files that record() rewrites do not count."""
+    status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)BENCH_*.json"],
+                            cwd=tree, capture_output=True, text=True).stdout
+    return bool(status.strip())
 
 
 def group_key(run: dict) -> str:

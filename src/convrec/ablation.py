@@ -126,6 +126,8 @@ def mask_history_items(
     """
     if any(p < 1 or p > hp.order for p in mask_positions):
         raise ValueError(f"mask positions must lie in 1..{hp.order}")
+    if not 1 <= probe_item <= params.item_count:
+        raise ValueError(f"probe item {probe_item} must lie in 1..{params.item_count}")
     window = np.asarray(pad_left(list(history), hp.order), dtype=np.int64)
     window[[p - 1 for p in mask_positions]] = PADDING_INDEX
     scores = forward(params, hp, window, user_index)

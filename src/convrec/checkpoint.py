@@ -1,12 +1,15 @@
-"""Binary checkpoint format: magic, version, hyperparameters, tensors.
+"""Binary checkpoint format v2: a fixed header, the hyperparameters, the parameter buffer.
 
-Layout (all integers little-endian u32, floats little-endian f64):
+Layout (integers little-endian u32, floats little-endian f64):
 
-    b"CASR" | version | hp_json_len | hp_json
-    tensor_count
-    per tensor: name_len | name | ndim | dims... | row-major data
+    b"CASR" | version | user_count | item_count | hp_json_len     (20 bytes)
+    hp_json                                                       (UTF-8)
+    params.buffer                                                 (f64, param_shapes order)
 
-Round trips are bit-exact.
+The tensor layout is not stored: it is ``model.param_shapes`` of the stored
+hyperparameters and counts, so the file size is known from the header and
+the JSON alone. Version 1 files, which stored a shape header per tensor,
+are refused. Round trips are bit-exact.
 """
 from __future__ import annotations
 
@@ -23,100 +26,53 @@ from .errors import CheckpointError, ConfigError, open_input
 from .model import PADDED, ModelParams, param_shapes
 
 MAGIC = b"CASR"
-VERSION = 1
+VERSION = 2
+HEADER = struct.Struct("<4s4I")  # magic, version, user_count, item_count, hp_json_len
 
 
 def save_checkpoint(path: str, params: ModelParams, hp: HyperParams) -> None:
     hp_json = json.dumps(dataclasses.asdict(hp)).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(hp_json)))
+        fh.write(HEADER.pack(MAGIC, VERSION, params.user_count, params.item_count, len(hp_json)))
         fh.write(hp_json)
-        tensors = list(params.tensors())
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8"))  # the buffer itself on a little-endian host, no copy
+        fh.write(np.ascontiguousarray(params.buffer, dtype="<f8"))  # the buffer itself on a little-endian host, no copy
 
 
-def _read(fh, size: int, path: str, end: int) -> bytes:
-    # checked before reading, so a corrupt length cannot ask for more than the file holds
-    if size > end - fh.tell():
-        raise CheckpointError(f"{path}: truncated checkpoint")
-    return fh.read(size)
-
-
-def load_checkpoint(path: str, expect_hp: HyperParams | None = None) -> tuple[ModelParams, HyperParams]:
-    """Load and validate a checkpoint.
-
-    With ``expect_hp`` set, the stored hyperparameters must agree on every
-    field that determines tensor shapes.
-    """
+def load_checkpoint(path: str) -> tuple[ModelParams, HyperParams]:
+    """Load and validate a checkpoint; every size is checked before anything is allocated."""
     with open_input(path, CheckpointError, "rb") as fh:
-        end = os.fstat(fh.fileno()).st_size
-        if _read(fh, 4, path, end) != MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(HEADER.size)
+        if len(header) < HEADER.size:
+            raise CheckpointError(f"{path}: truncated checkpoint, {len(header)} bytes is shorter than the header")
+        magic, version, users, items, hp_len = HEADER.unpack(header)
+        if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-        (version,) = struct.unpack("<I", _read(fh, 4, path, end))
         if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        (hp_len,) = struct.unpack("<I", _read(fh, 4, path, end))
+            raise CheckpointError(
+                f"{path}: checkpoint version {version} is not supported, only version {VERSION}; "
+                f"re-run `convrec train` to write one"
+            )
+        if users < 1 or items < 1:
+            raise CheckpointError(f"{path}: user_count {users} and item_count {items} must be >= 1")
+        if hp_len > size - HEADER.size:
+            raise CheckpointError(f"{path}: truncated checkpoint, no room for a {hp_len}-byte hyperparameter block")
         try:
-            hp_dict = json.loads(_read(fh, hp_len, path, end).decode("utf-8"))
+            hp_dict = json.loads(fh.read(hp_len).decode("utf-8"))
             hp_dict["heights"] = tuple(hp_dict.get("heights") or ())
             hp = HyperParams(**hp_dict)
         except (ValueError, TypeError, ConfigError) as exc:
             raise CheckpointError(f"{path}: bad hyperparameter block ({exc})") from exc
 
-        headers = []  # (name, shape, data offset); the data is skipped here
-        (count,) = struct.unpack("<I", _read(fh, 4, path, end))
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read(fh, 4, path, end))
-            try:
-                name = _read(fh, name_len, path, end).decode("utf-8")
-            except UnicodeDecodeError:
-                raise CheckpointError(f"{path}: tensor name is not UTF-8") from None
-            (ndim,) = struct.unpack("<I", _read(fh, 4, path, end))
-            shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, path, end))
-            nbytes = 8 * math.prod(shape)
-            if nbytes > end - fh.tell():
-                raise CheckpointError(f"{path}: truncated checkpoint, no room for tensor {name} of shape {shape}")
-            headers.append((name, shape, fh.tell()))
-            fh.seek(nbytes, os.SEEK_CUR)
-        if fh.tell() != end:
-            raise CheckpointError(f"{path}: trailing bytes after tensors")
-
-        found = [(name, shape) for name, shape, _ in headers]
-        rows = {name: shape[0] for name, shape in found if shape}  # the user and item counts
-        layout = param_shapes(hp, rows.get("user_emb", 0) - 1, rows.get("item_emb", 0) - 1)
-        if found != layout:
-            raise CheckpointError(f"{path}: tensors {found} inconsistent with stored hyperparameters, expected {layout}")
+        layout = param_shapes(hp, users, items)
+        expected = HEADER.size + hp_len + 8 * sum(math.prod(shape) for _, shape in layout)
+        if size != expected:
+            fault = "truncated checkpoint" if size < expected else "trailing bytes after the parameters"
+            raise CheckpointError(f"{path}: {fault}, {size} bytes where the header and hyperparameters give {expected}")
         params = ModelParams.empty(layout)  # not zeroed: every element is read below
-        for (_, view), (_, _, offset) in zip(params.tensors(), headers):
-            fh.seek(offset)
-            fh.readinto(view)  # straight into the buffer, without a bytes copy
+        fh.readinto(params.buffer)  # straight into the buffer, without a bytes copy
 
     for name in PADDED:  # padded windows and masked history slots read these rows as zeros
-        table = getattr(params, name)
-        if len(table) == 0 or np.any(table[0]):
-            raise CheckpointError(f"{path}: padding row 0 of {name} is missing or not zero")
-    if expect_hp is not None:
-        _check_structural(path, hp, expect_hp)
+        if np.any(getattr(params, name)[0]):
+            raise CheckpointError(f"{path}: padding row 0 of {name} is not zero")
     return params, hp
-
-
-# hyperparameters that fix tensor shapes
-STRUCTURAL_KEYS = ("latent_dim", "order", "heights", "num_h_filters", "num_v_filters")
-
-
-def _check_structural(path: str, hp: HyperParams, expect: HyperParams) -> None:
-    for name in STRUCTURAL_KEYS:
-        if getattr(hp, name) != getattr(expect, name):
-            raise CheckpointError(
-                f"{path}: shape mismatch, checkpoint has {name}={getattr(hp, name)} "
-                f"but run config wants {name}={getattr(expect, name)}"
-            )

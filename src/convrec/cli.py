@@ -14,12 +14,13 @@ import sys
 from pathlib import Path
 
 from . import ablation, rules
-from .checkpoint import STRUCTURAL_KEYS, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_override_args
 from .data import build_sequences, chronological_split, load_interactions, load_split, save_split
 from .errors import CheckpointError, ConfigError, ConvrecError
 from .evaluate import evaluate, recommend_top_n
 from .gradients import gradient_check
+from .model import SHAPE_KEYS
 from .training import train
 
 # Binary despite the name: the benchmark (perfbench/harness.py) writes a split under this name.
@@ -47,12 +48,21 @@ def _resolve_split(args, cfg: RunConfig):
     return chronological_split(seqdata)
 
 
-def _load_model(path: str, split, expect_hp=None):
-    """Load a checkpoint; refuse it unless its tables fit the split's user and item counts."""
-    params, hp = load_checkpoint(path, expect_hp=expect_hp)
+def _load_model(path: str, split, cfg: RunConfig | None = None):
+    """Load a checkpoint; refuse it unless its tables fit the split's user and item counts,
+    and its shapes fit every shape key that ``cfg`` sets explicitly."""
+    params, hp = load_checkpoint(path)
     got, want = (params.user_count, params.item_count), (split.user_count, split.item_count)
     if got != want:
         raise CheckpointError(f"{path}: checkpoint has (users, items) = {got}, the split {want}")
+    explicit = [name for name in SHAPE_KEYS if cfg is not None and name in cfg.explicit]
+    wanted = cfg.hyperparams() if explicit else None
+    for name in explicit:
+        if getattr(hp, name) != getattr(wanted, name):
+            raise CheckpointError(
+                f"{path}: shape mismatch, checkpoint has {name}={getattr(hp, name)} "
+                f"but run config wants {name}={getattr(wanted, name)}"
+            )
     return params, hp
 
 
@@ -106,9 +116,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _build_config(args)
-    expect = cfg.hyperparams() if cfg.explicit & set(STRUCTURAL_KEYS) else None
     split = _resolve_split(args, cfg)
-    params, hp = _load_model(args.checkpoint, split, expect)
+    params, hp = _load_model(args.checkpoint, split, cfg)
     report = evaluate(
         params, hp, split, cutoffs=cfg.eval_cutoffs(), ap_mode=cfg.ap_mode,
         exclude_seen=cfg.exclude_seen, part=args.part, collect_per_user=bool(args.per_user),

@@ -47,6 +47,9 @@ class HyperParams:
             object.__setattr__(self, "heights", tuple(range(1, self.order + 1)))
         else:
             object.__setattr__(self, "heights", tuple(sorted(set(int(h) for h in self.heights))))
+        for f in fields(self):  # a checkpoint's JSON block can hold 2.0 where an int belongs
+            if f.type == "int" and type(getattr(self, f.name)) is not int:
+                raise ConfigError(f"{f.name} must be an integer")
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be >= 1")
         if self.order < 1:

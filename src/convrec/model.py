@@ -98,6 +98,9 @@ FULL_MASK = ComponentMask()
 # tables whose row 0 is padding: never a real user or item, pinned to zero
 PADDED = ("user_emb", "item_emb", "out_w", "out_b")
 
+# the HyperParams fields that param_shapes reads
+SHAPE_KEYS = ("latent_dim", "order", "heights", "num_h_filters", "num_v_filters")
+
 
 def param_shapes(hp: HyperParams, user_count: int, item_count: int) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every learnable tensor, in buffer and checkpoint order."""

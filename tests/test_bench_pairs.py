@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py: summaries per baseline commit, and pairs only within one call."""
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,3 +58,22 @@ def test_runs_of_other_calls_are_neither_summarised_nor_paired_together(bench_pa
     _call(bench_pairs, monkeypatch, "old", 1, "a" * 40, 100.0, 200.0)
     assert _read(tmp_path, "old")["pairs_better_than_baseline"]["planted-500"]["eval_users_per_s"] == "3/3"
     assert _read(tmp_path, "baseline")["summary"]["planted-500 @aaaaaaa"]["runs"] == 3
+
+
+def test_rewritten_bench_files_do_not_mark_a_checkout_dirty(bench_pairs, tmp_path):
+    repo = tmp_path / "checkout"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo, check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    (repo / "BENCH_baseline.json").write_text("{}\n")
+    (repo / "model.py").write_text("x = 1\n")
+    git("add", ".")
+    git("commit", "-q", "-m", "seed")
+    (repo / "BENCH_baseline.json").write_text('{"runs": []}\n')
+    assert not bench_pairs.uncommitted_changes(repo)
+    (repo / "model.py").write_text("x = 2\n")
+    assert bench_pairs.uncommitted_changes(repo)

@@ -103,7 +103,18 @@ def test_evaluate_structural_mismatch_fails(prepared, checkpoint, capsys):
     code = main(["evaluate", "--data-dir", prepared, "--checkpoint", checkpoint,
                  "--set", "latent_dim=32"])
     assert code == 1
-    assert "shape mismatch" in capsys.readouterr().err
+    assert "shape mismatch, checkpoint has latent_dim=6 but run config wants latent_dim=32" in capsys.readouterr().err
+
+
+def test_evaluate_ignores_shape_keys_the_config_leaves_unset(prepared, checkpoint):
+    """The checkpoint has order=3; the default order (5) is not set, so it is not compared."""
+    assert main(["evaluate", "--data-dir", prepared, "--checkpoint", checkpoint, "--set", "latent_dim=6"]) == 0
+    assert main(["evaluate", "--data-dir", prepared, "--checkpoint", checkpoint, "--set", "order=3"]) == 0
+
+
+def test_evaluate_ignores_explicit_keys_that_fix_no_shape(prepared, checkpoint):
+    assert main(["evaluate", "--data-dir", prepared, "--checkpoint", checkpoint,
+                 "--set", "dropout=0.9", "--set", "lr=123.0"]) == 0
 
 
 def test_recommend_lists_items(prepared, checkpoint, capsys):

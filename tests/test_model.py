@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -14,6 +15,7 @@ from convrec.model import (
     dropout_mask_for,
     horizontal_conv,
     init_params,
+    SHAPE_KEYS,
     param_shapes,
     sigmoid,
     vertical_conv,
@@ -80,6 +82,25 @@ def test_every_tensor_and_moment_is_a_view_of_one_buffer(tmp_path):
         assert params.h_filters[1] is dict(params.tensors())["h_filters.1"]
     assert not np.shares_memory(copied.buffer, p.buffer)
     assert copied.buffer.tobytes() == loaded.buffer.tobytes() == p.buffer.tobytes()
+
+
+def _changed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + (1 if isinstance(value, int) else 0.25)
+    if isinstance(value, str):
+        return "tanh" if value != "tanh" else "relu"
+    return (1,)  # heights
+
+
+def test_shape_keys_are_the_fields_that_change_the_layout():
+    moved = {
+        f.name for f in dataclasses.fields(HyperParams)
+        if param_shapes(dataclasses.replace(HP, **{f.name: _changed(getattr(HP, f.name))}), 5, 12)
+        != param_shapes(HP, 5, 12)
+    }
+    assert moved == set(SHAPE_KEYS)
 
 
 def test_init_mean_within_statistical_bound():
