@@ -78,24 +78,30 @@ def run_ablation(
     patience: int = 5,
     cutoffs=(1, 5, 10),
     progress=None,
+    exclude_history_negatives: bool = False,
+    ap_mode: str = "standard",
+    exclude_seen: bool = True,
 ) -> list[AblationRow]:
     """Train one model per mask from the same seed and data; report test MAP.
 
     The special mask name "pop" evaluates the popularity baseline instead of
-    training a model.
+    training a model. The training keys go to train, the metric keys to
+    evaluate and evaluate_pop.
     """
     rows: list[AblationRow] = []
     for code in masks:
         if code.strip().lower() == "pop":
-            report = evaluate_pop(split, cutoffs=cutoffs)
+            report = evaluate_pop(split, cutoffs=cutoffs, ap_mode=ap_mode, exclude_seen=exclude_seen)
             rows.append(AblationRow("pop", report.mean_ap, report.precision[1], 0, seed))
         else:
             mask = ComponentMask.from_code(code)
             result: TrainResult = train(
                 split, hp, seed=seed, epochs=epochs, batch_size=batch_size,
-                patience=patience, comp_mask=mask, progress=progress,
+                patience=patience, comp_mask=mask, exclude_history_negatives=exclude_history_negatives,
+                progress=progress,
             )
-            report = evaluate(result.params, hp, split, cutoffs=cutoffs, comp_mask=mask)
+            report = evaluate(result.params, hp, split, cutoffs=cutoffs, ap_mode=ap_mode,
+                              exclude_seen=exclude_seen, comp_mask=mask)
             rows.append(
                 AblationRow(mask.code, report.mean_ap, report.precision[1], len(result.log), seed)
             )

@@ -10,8 +10,9 @@ with a zero weight in the slot mask.
 Regularization is coupled into the objective: each instance adds an L2
 penalty over the parameters it actually touches (one term per occurrence for
 embedding/output rows, the dense conv/FC tensors once), so the gradient's
-support is exactly the touched set. gradients.gradient_check verifies the
-backward pass against central finite differences of this loss.
+support is exactly the touched set. A training step runs batch_forward,
+then batch_loss and _batch_backward on its trace; gradients.gradient_check
+reads each probe's loss from batch_loss of one batch_forward.
 """
 from __future__ import annotations
 
@@ -63,6 +64,8 @@ class BatchTrace:
     fc_pre: np.ndarray | None
     z: np.ndarray  # (B, d)
     scores: np.ndarray  # (B, S) for score_ids, else (B, item_count+1)
+    score_ids: np.ndarray | None = None  # (B, S)
+    out_w_scored: np.ndarray | None = None  # out_w[score_ids], (B, S, 2d)
 
 
 def batch_forward(
@@ -109,13 +112,16 @@ def batch_forward(
         z = np.zeros((B, d))
 
     xo = np.concatenate([z, p_u], axis=1)
+    out_w_scored = None
     if score_ids is None:
         scores = np.matmul(xo, params.out_w.T, out=out)
         scores += params.out_b
         scores[:, 0] = -np.inf
     else:
-        scores = np.einsum("bsk,bk->bs", params.out_w[score_ids], xo) + params.out_b[score_ids]
-    return BatchTrace(prev, users, comp_mask, E, p_u, hpre, hamax, ot_pre, dropout_mask, x, fc_pre, z, scores)
+        out_w_scored = params.out_w[score_ids]
+        scores = np.einsum("bsk,bk->bs", out_w_scored, xo) + params.out_b[score_ids]
+    return BatchTrace(prev, users, comp_mask, E, p_u, hpre, hamax, ot_pre, dropout_mask, x, fc_pre, z, scores,
+                      score_ids, out_w_scored)
 
 
 def forward(
@@ -139,6 +145,37 @@ def forward(
     return batch_forward(params, hp, prev[None], users, comp_mask).scores[0]
 
 
+def batch_loss(params: ModelParams, hp: HyperParams, bt: BatchTrace,
+               target_mask: np.ndarray, negative_mask: np.ndarray) -> float:
+    """Mean per-instance loss, L2 penalty included, of a trace scored on targets then negatives."""
+    B, n_t = target_mask.shape
+    y = bt.scores
+    loss = (
+        float(np.sum(softplus(-y[:, :n_t]) * target_mask))
+        + float(np.sum(softplus(y[:, n_t:]) * negative_mask))
+    ) / B
+    if not hp.l2:
+        return loss
+    mask = bt.comp_mask
+    sq = 0.0
+    if mask.h or mask.v:
+        w = (bt.prev.ravel() != 0).astype(float)
+        sq += float((bt.E.reshape(-1, params.latent_dim) ** 2).sum(axis=1) @ w)
+        cols = _enabled_fc_cols(params, mask)
+        sq += B * (float(np.sum(params.fc_w[:, cols] ** 2)) + float(params.fc_b @ params.fc_b))
+    if mask.p:
+        sq += float(np.sum(bt.p_u**2))
+    wf = np.concatenate([target_mask, negative_mask], axis=1).ravel()
+    out_b = params.out_b[bt.score_ids.ravel()]
+    sq += float((bt.out_w_scored.reshape(len(wf), -1) ** 2).sum(axis=1) @ wf) + float((out_b**2) @ wf)
+    if mask.h:
+        for f in params.h_filters:
+            sq += B * float(np.sum(f**2))
+    if mask.v:
+        sq += B * float(np.sum(params.v_filters**2))
+    return loss + 0.5 * hp.l2 * sq / B
+
+
 def batch_loss_and_grads(
     params: ModelParams,
     hp: HyperParams,
@@ -151,54 +188,53 @@ def batch_loss_and_grads(
     comp_mask: ComponentMask = FULL_MASK,
     dropout_mask: np.ndarray | None = None,
 ) -> tuple[float, GradientSet]:
-    """Mean per-instance loss and gradient over one batch."""
-    B, n_t = targets.shape
+    """Mean per-instance loss (batch_loss) and its gradient over one batch."""
     ids = np.concatenate([targets, negatives], axis=1)
-    slot_mask = np.concatenate([target_mask, negative_mask], axis=1)
     bt = batch_forward(params, hp, prev, users, comp_mask, dropout_mask, score_ids=ids)
-    y = bt.scores
-
-    loss = (
-        float(np.sum(softplus(-y[:, :n_t]) * target_mask))
-        + float(np.sum(softplus(y[:, n_t:]) * negative_mask))
-    ) / B
-
-    gy = sigmoid(y) * slot_mask
-    gy[:, :n_t] -= target_mask
-    gy /= B
-    g, scatters = _batch_backward(params, hp, bt, ids, gy)
-    if hp.l2 > 0.0:
-        loss += _batch_l2(g, scatters, params, hp, bt, ids, slot_mask)
-    return loss, g
+    loss = batch_loss(params, hp, bt, target_mask, negative_mask)
+    return loss, _batch_backward(params, hp, bt, target_mask, negative_mask)
 
 
-def _batch_backward(params, hp, bt, ids, gy) -> tuple[GradientSet, tuple]:
-    """Data-term gradient and its (user, item, out) RowScatters, None where unused."""
+def _batch_backward(params, hp, bt, target_mask, negative_mask) -> GradientSet:
+    """The gradient of batch_loss: each tensor's data term, then its L2 term."""
     g = GradientSet.zeros_like(params)
     d = params.latent_dim
-    B = ids.shape[0]
+    B, n_t = target_mask.shape
     mask = bt.comp_mask
-    user_sc = item_sc = None
 
+    slot_mask = np.concatenate([target_mask, negative_mask], axis=1)
+    gy = sigmoid(bt.scores) * slot_mask
+    gy[:, :n_t] -= target_mask
+    gy /= B
     xo = np.concatenate([bt.z, bt.p_u], axis=1)
-    out_sc = RowScatter(ids, 2 * d)
+    out_sc = RowScatter(bt.score_ids, 2 * d)
     g.out_rows = out_sc.rows
     g.out_w = out_sc.sum((gy[:, :, None] * xo[:, None, :]).reshape(-1, 2 * d))
     g.out_b = out_sc.sum(gy.ravel())
     out_sc.zero_padding_row(g.out_w)
     out_sc.zero_padding_row(g.out_b)
-    dxo = np.einsum("bs,bsk->bk", gy, params.out_w[ids])
+    if hp.l2:
+        wf = slot_mask.ravel()
+        out_sc.add(g.out_w, (hp.l2 / B) * bt.out_w_scored.reshape(wf.size, -1) * wf[:, None])
+        out_sc.add(g.out_b, (hp.l2 / B) * params.out_b[bt.score_ids.ravel()] * wf)
+    dxo = np.einsum("bs,bsk->bk", gy, bt.out_w_scored)
     dz, dp = dxo[:, :d], dxo[:, d:]
 
     if mask.p:
         user_sc = RowScatter(bt.users, d)
         g.user_rows = user_sc.rows
         g.user_emb = user_sc.sum(dp)
+        if hp.l2:
+            user_sc.add(g.user_emb, (hp.l2 / B) * bt.p_u)
 
     if mask.h or mask.v:
         da = dz * activate_grad(bt.fc_pre, hp.fc_act)
         g.fc_w += da.T @ bt.x
         g.fc_b += da.sum(axis=0)
+        if hp.l2:
+            cols = _enabled_fc_cols(params, mask)
+            g.fc_w[:, cols] += hp.l2 * params.fc_w[:, cols]
+            g.fc_b += hp.l2 * params.fc_b
         dx = da @ params.fc_w
         if bt.dropout_mask is not None:
             dx = dx * bt.dropout_mask
@@ -217,6 +253,8 @@ def _batch_backward(params, hp, bt, ids, gy) -> tuple[GradientSet, tuple]:
                     sel = ds * (amax == i)
                     g.h_filters[j] += np.einsum("bk,bhd->khd", sel, bt.E[:, i : i + h, :])
                     dE[:, i : i + h, :] += np.einsum("bk,khd->bhd", sel, filt)
+                if hp.l2:
+                    g.h_filters[j] += hp.l2 * filt
                 off += n_h
         if mask.v:
             dot = dx[:, n:]
@@ -225,45 +263,13 @@ def _batch_backward(params, hp, bt, ids, gy) -> tuple[GradientSet, tuple]:
             dc = dot.reshape(B, len(params.v_filters), d)
             g.v_filters += np.einsum("bkd,bld->kl", dc, bt.E)
             dE += np.einsum("bkd,kl->bld", dc, params.v_filters)
+            if hp.l2:
+                g.v_filters += hp.l2 * params.v_filters
         item_sc = RowScatter(bt.prev, d)
         g.item_rows = item_sc.rows
         g.item_emb = item_sc.sum(dE.reshape(-1, d))
         item_sc.zero_padding_row(g.item_emb)
-    return g, (user_sc, item_sc, out_sc)
-
-
-def _batch_l2(g, scatters, params, hp, bt, ids, slot_mask) -> float:
-    """Touched-set L2: gradients in place, penalty (already /B) returned."""
-    user_sc, item_sc, out_sc = scatters
-    l2 = hp.l2
-    B = ids.shape[0]
-    mask = bt.comp_mask
-    sq = 0.0
-    if mask.h or mask.v:
-        prev_flat = bt.prev.ravel()
-        w = (prev_flat != 0).astype(float)
-        rows = params.item_emb[prev_flat]
-        item_sc.add(g.item_emb, (l2 / B) * rows * w[:, None])
-        sq += float((rows**2).sum(axis=1) @ w)
-        cols = _enabled_fc_cols(params, mask)
-        g.fc_w[:, cols] += l2 * params.fc_w[:, cols]
-        g.fc_b += l2 * params.fc_b
-        sq += B * (float(np.sum(params.fc_w[:, cols] ** 2)) + float(params.fc_b @ params.fc_b))
-    if mask.p:
-        rows = params.user_emb[bt.users]
-        user_sc.add(g.user_emb, (l2 / B) * rows)
-        sq += float(np.sum(rows**2))
-    ids_flat = ids.ravel()
-    wf = slot_mask.ravel()
-    out_rows = params.out_w[ids_flat]
-    out_sc.add(g.out_w, (l2 / B) * out_rows * wf[:, None])
-    out_sc.add(g.out_b, (l2 / B) * params.out_b[ids_flat] * wf)
-    sq += float((out_rows**2).sum(axis=1) @ wf) + float((params.out_b[ids_flat] ** 2) @ wf)
-    if mask.h:
-        for j, f in enumerate(params.h_filters):
-            g.h_filters[j] += l2 * f
-            sq += B * float(np.sum(f**2))
-    if mask.v:
-        g.v_filters += l2 * params.v_filters
-        sq += B * float(np.sum(params.v_filters**2))
-    return 0.5 * l2 * sq / B
+        if hp.l2:
+            w = (bt.prev.ravel() != 0).astype(float)
+            item_sc.add(g.item_emb, (hp.l2 / B) * bt.E.reshape(-1, d) * w[:, None])
+    return g

@@ -66,6 +66,12 @@ def _load_model(path: str, split, cfg: RunConfig | None = None):
     return params, hp
 
 
+def _train_kwargs(cfg: RunConfig) -> dict:
+    """train's keyword arguments from the run config: every subcommand that trains passes these."""
+    return dict(seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size, patience=cfg.patience,
+                exclude_history_negatives=cfg.exclude_history_negatives)
+
+
 def _print_config(cfg: RunConfig) -> None:
     print("# resolved config")
     for line in cfg.resolved_text().splitlines():
@@ -101,11 +107,7 @@ def cmd_train(args) -> int:
     _print_config(cfg)
     split = _resolve_split(args, cfg)
     hp = cfg.hyperparams()
-    result = train(
-        split, hp, seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size,
-        patience=cfg.patience, exclude_history_negatives=cfg.exclude_history_negatives,
-        progress=_epoch_printer if not args.quiet else None,
-    )
+    result = train(split, hp, **_train_kwargs(cfg), progress=_epoch_printer if not args.quiet else None)
     save_checkpoint(args.checkpoint, result.params, hp)
     Path(args.checkpoint + ".cfg").write_text(cfg.resolved_text(), encoding="utf-8")
     if args.log:
@@ -138,7 +140,7 @@ def cmd_recommend(args) -> int:
         raise ConfigError(f"--N must be >= 1, got {args.N}")
     cfg = _build_config(args)
     split = _resolve_split(args, cfg)
-    params, hp = _load_model(args.checkpoint, split)
+    params, hp = _load_model(args.checkpoint, split, cfg)
     try:
         user = split.user_ids.index(args.user)
     except ValueError:
@@ -181,9 +183,8 @@ def cmd_ablate(args) -> int:
     hp = cfg.hyperparams()
     masks = [m.strip() for m in args.masks.split(",") if m.strip()]
     rows = ablation.run_ablation(
-        split, hp, masks, seed=cfg.seed, epochs=cfg.epochs,
-        batch_size=cfg.batch_size, patience=cfg.patience,
-        cutoffs=cfg.eval_cutoffs(),
+        split, hp, masks, **_train_kwargs(cfg),
+        cutoffs=cfg.eval_cutoffs(), ap_mode=cfg.ap_mode, exclude_seen=cfg.exclude_seen,
     )
     csv_text = ablation.ablation_csv(rows)
     if args.out:
@@ -227,10 +228,7 @@ def _sweep_trial(payload):
     cfg = RunConfig.from_sources(None, cfg_pairs)
     split = load_split(split_path)
     hp = cfg.hyperparams()
-    result = train(
-        split, hp, seed=cfg.seed, epochs=cfg.epochs,
-        batch_size=cfg.batch_size, patience=cfg.patience,
-    )
+    result = train(split, hp, **_train_kwargs(cfg))
     combo = {k: cfg_pairs[k] for k in grid_keys}
     return combo, result.best_val_map, result.best_epoch
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError, open_input, utf8_lines
 
 ACTIVATIONS = ("identity", "sigmoid", "tanh", "relu")
+AP_MODES = ("standard", "paper_literal")
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,6 @@ class RunConfig:
             setattr(self, key, value)
             self.explicit.add(key)
         # fail on a bad value now, not inside or after training
-        from .evaluate import AP_MODES  # late import: evaluate imports this module
-
         if self.format not in ("tsv", "csv"):
             raise ConfigError(f"format must be tsv or csv, got {self.format!r}")
         if self.min_feedback < 1:

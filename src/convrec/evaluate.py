@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import batch_forward, forward
-from .config import HyperParams
+from .config import AP_MODES, HyperParams
 from .data import SplitDataset, history_for, pad_left
 from .model import FULL_MASK, ComponentMask, ModelParams
 
-AP_MODES = ("standard", "paper_literal")
 SCORE_CHUNK = 512  # users scored per batch_forward call
 # Ranking takes BLOCK_ELEMENTS // (item_count + 1) score rows at a time, at
 # least one: about 1 MB of scores, whatever the catalog size.

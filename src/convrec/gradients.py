@@ -3,7 +3,8 @@
 GradientSet holds the gradient of every model tensor, as
 batch.batch_loss_and_grads returns it; RowScatter builds its row-sparse
 tables. gradient_check compares that gradient, coordinate by coordinate,
-against central finite differences of the same function's loss.
+against central finite differences of batch.batch_loss, the loss that
+training reads from the same function.
 """
 from __future__ import annotations
 
@@ -158,11 +159,6 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def _pinned_coords(name: str, arr: np.ndarray) -> set[int]:
-    """Flat indices that are structurally zero and not free parameters."""
-    return set(range(arr[0].size)) if name in PADDED else set()  # row 0
-
-
 def _guard_signature(bt, hp: HyperParams) -> list[np.ndarray]:
     """Values of a BatchTrace whose flips would make finite differences invalid."""
     parts = []
@@ -215,7 +211,7 @@ def gradient_check(
     comp_mask: ComponentMask = FULL_MASK,
     tol: float = 1e-4,
 ) -> GradCheckReport:
-    """Compare batch_loss_and_grads' gradient against central finite differences.
+    """Compare batch_loss_and_grads' gradient against central finite differences of batch_loss.
 
     Runs the training kernel on one batch of ``num_instances`` >= 2 rows, so
     that its reductions over the batch are checked too; one row has a
@@ -224,7 +220,7 @@ def gradient_check(
     a max-pool argmax or a relu pre-activation sign in the BatchTrace are
     skipped (the loss is not differentiable across those boundaries).
     """
-    from .batch import batch_forward, batch_loss_and_grads  # late import: batch imports this module
+    from .batch import batch_forward, batch_loss, batch_loss_and_grads  # late import: batch imports this module
 
     if num_instances < 2:
         raise ValueError("num_instances must be >= 2")
@@ -239,33 +235,31 @@ def gradient_check(
     params.fc_b[:] = rng.normal(scale=0.1, size=params.fc_b.shape)
     params.out_b[1:] = rng.normal(scale=0.1, size=item_count)
     batch = _check_batch(hp, rng, user_count, item_count, num_instances)
+    prev, users, tgt, tgt_mask, neg, neg_mask = batch
+    ids = np.concatenate([tgt, neg], axis=1)
     dmask = dropout_mask_for(hp, rng, num_instances)
 
-    def loss_and_grads():
-        return batch_loss_and_grads(params, hp, *batch, comp_mask, dmask)
+    def probe():
+        """The loss and guard signature of one forward at the current parameters."""
+        bt = batch_forward(params, hp, prev, users, comp_mask, dmask, score_ids=ids)
+        return batch_loss(params, hp, bt, tgt_mask, neg_mask), _guard_signature(bt, hp)
 
-    def signature():
-        prev, users = batch[:2]
-        return _guard_signature(batch_forward(params, hp, prev, users, comp_mask, dmask), hp)
-
-    grads = loss_and_grads()[1]
-    base_sig = signature()
+    grads = batch_loss_and_grads(params, hp, *batch, comp_mask, dmask)[1]
+    base_sig = probe()[1]
     report = GradCheckReport(tol=tol, per_tensor={n: TensorCheck() for n, _ in params.tensors()})
     for (name, arr), (_, g_values, rows) in zip(params.tensors(), grads.by_layout(params.layout)):
         flat = arr.reshape(-1)
         g_full = np.zeros_like(arr)
         g_full[rows] = g_values  # a sparse table at full size, once per tensor
         g_flat = g_full.reshape(-1)
-        pinned = _pinned_coords(name, arr)
         tc = report.per_tensor[name]
-        for idx in range(flat.size):
-            if idx in pinned:
-                continue
+        # the padding row 0 of a PADDED table is structurally zero, not a free parameter
+        for idx in range(arr[0].size if name in PADDED else 0, flat.size):
             orig = flat[idx]
             flat[idx] = orig + step
-            lp, sig_plus = loss_and_grads()[0], signature()
+            lp, sig_plus = probe()
             flat[idx] = orig - step
-            lm, sig_minus = loss_and_grads()[0], signature()
+            lm, sig_minus = probe()
             flat[idx] = orig
             if not (_signatures_equal(base_sig, sig_plus) and _signatures_equal(base_sig, sig_minus)):
                 tc.skipped += 1

@@ -194,7 +194,9 @@ def train(
     checkpoint with the best validation MAP is returned (final params if the
     split has no validation data). ``progress`` takes each EpochLog.
     """
-    from .evaluate import evaluate  # late import: evaluate depends on model only
+    # Looked up at call time, not bound at import: the benchmark times the
+    # validation pass by patching convrec.evaluate.evaluate.
+    from .evaluate import evaluate
 
     instances = generate_instances(split, hp.order, hp.num_targets, "train")
     n_inst = len(instances)

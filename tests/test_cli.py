@@ -8,14 +8,16 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from convrec import rules
+from convrec.ablation import evaluate_pop
 from convrec.checkpoint import load_checkpoint, save_checkpoint
 from convrec.cli import SUBCOMMANDS, main
-from convrec.config import HyperParams, RunConfig
+from convrec.config import HyperParams, RunConfig, parse_override_args
 from convrec.data import load_split
-from convrec.evaluate import AP_MODES
-from convrec.model import init_params
+from convrec.evaluate import AP_MODES, evaluate
+from convrec.model import ComponentMask, init_params
 from convrec.rules import MiningConfig
 from convrec.synthetic import SyntheticSpec, generate_interactions
+from convrec.training import train
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +130,13 @@ def test_recommend_lists_items(prepared, checkpoint, capsys):
     float(score)
 
 
+def test_recommend_structural_mismatch_fails(prepared, checkpoint, capsys):
+    code = main(["recommend", "--data-dir", prepared, "--checkpoint", checkpoint,
+                 "--user", "u1", "--set", "latent_dim=32"])
+    assert code == 1
+    assert "shape mismatch" in capsys.readouterr().err
+
+
 def test_recommend_unknown_user(prepared, checkpoint, capsys):
     code = main(["recommend", "--data-dir", prepared, "--checkpoint", checkpoint,
                  "--user", "nobody", "--N", "3"])
@@ -165,6 +174,33 @@ def test_ablate_produces_table(prepared, tmp_path, capsys):
     lines = open(out_csv).read().strip().splitlines()
     assert lines[0] == "mask,MAP,Prec@1,epochs,seed"
     assert lines[1].startswith("pop,") and lines[2].startswith("p,")
+
+
+def _run_config(args) -> RunConfig:
+    """The RunConfig that a list of --set flags resolves to."""
+    return RunConfig.from_sources(None, parse_override_args(args[1::2]))
+
+
+@pytest.mark.parametrize("key, pop_kwargs", [("ap_mode=paper_literal", dict(ap_mode="paper_literal")),
+                                             ("exclude_seen=false", dict(exclude_seen=False))])
+def test_ablate_pop_row_follows_the_metric_keys(prepared, tmp_path, key, pop_kwargs):
+    out_csv = str(tmp_path / "ablation.csv")
+    assert main(["ablate", "--data-dir", prepared, "--masks", "pop", "--out", out_csv, "--set", key] + BASE) == 0
+    split = load_split(str(Path(prepared) / "split.json"))
+    want, default = evaluate_pop(split, **pop_kwargs), evaluate_pop(split)
+    assert want.mean_ap != default.mean_ap  # the key changes the metric on this corpus
+    assert open(out_csv).read().splitlines()[1] == f"pop,{want.mean_ap:.6f},{want.precision[1]:.6f},0,42"
+
+
+def test_ablate_trains_with_exclude_history_negatives(prepared, tmp_path):
+    out_csv = str(tmp_path / "ablation.csv")
+    flags = ["--set", "exclude_history_negatives=true"] + BASE
+    assert main(["ablate", "--data-dir", prepared, "--masks", "p", "--out", out_csv] + flags) == 0
+    cfg, split = _run_config(flags), load_split(str(Path(prepared) / "split.json"))
+    result = train(split, cfg.hyperparams(), seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size,
+                   patience=cfg.patience, comp_mask=ComponentMask.from_code("p"), exclude_history_negatives=True)
+    want = evaluate(result.params, cfg.hyperparams(), split, comp_mask=ComponentMask.from_code("p"))
+    assert open(out_csv).read().splitlines()[1].startswith(f"p,{want.mean_ap:.6f},{want.precision[1]:.6f},")
 
 
 def test_grad_check_command(capsys):
@@ -225,6 +261,17 @@ def test_sweep_thread_cap_env(prepared, capsys, monkeypatch):
     code = main(["sweep", "--data-dir", prepared, "--jobs", "8",
                  "--grid", "latent_dim=4"] + SWEEP_BASE)
     assert code == 0  # env cap forces the serial path
+
+
+def test_sweep_trial_trains_with_exclude_history_negatives(prepared, capsys):
+    assert main(["sweep", "--data-dir", prepared, "--grid", "exclude_history_negatives=true"] + SWEEP_BASE) == 0
+    out = capsys.readouterr().out.splitlines()
+    row = out[out.index("val_MAP,best_epoch,exclude_history_negatives") + 1]
+    cfg, split = _run_config(SWEEP_BASE), load_split(str(Path(prepared) / "split.json"))
+    runs = {flag: train(split, cfg.hyperparams(), seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size,
+                        patience=cfg.patience, exclude_history_negatives=flag) for flag in (False, True)}
+    assert runs[True].best_val_map != runs[False].best_val_map  # the key changes training on this corpus
+    assert row == f"{runs[True].best_val_map:.6f},{runs[True].best_epoch},true"
 
 
 def test_unknown_config_key_exits_2(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from convrec.batch import batch_loss_and_grads
+from convrec.batch import batch_forward, batch_loss, batch_loss_and_grads
 from convrec.config import HyperParams
 from convrec.gradients import TOY_HP, RowScatter, gradient_check
 from convrec.model import ComponentMask, dropout_mask_for, init_params
@@ -105,6 +105,29 @@ def test_loss_positive_off_saturation():
     p, _ = _setup(HP, seed=8)
     loss, _ = _one(p, HP, [2, 3, 4, 5], 2, (6,), (7, 8, 9))
     assert loss > 0.0
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("l2", [0.0, 1e-2])
+@pytest.mark.parametrize("code", ["pvh", "p", "pv", "vh", "ph"])
+def test_batch_loss_of_one_forward_is_the_training_loss(code, l2, dropout):
+    """gradient_check's probes read batch_loss of one batch_forward; training reads batch_loss_and_grads."""
+    hp = dataclasses.replace(HP, l2=l2, dropout=dropout)
+    p, rng = _setup(hp, seed=11)
+    mask = ComponentMask.from_code(code)
+    prev = np.array([[0, 0, 2, 3], [3, 3, 7, 1], [9, 8, 7, 6]])
+    users = np.array([1, 4, 4])
+    tgt = np.array([[10, 11], [12, 0], [10, 13]])
+    neg = np.array([[17, 18, 19, 20, 21, 22], [19, 23, 0, 0, 0, 0], [1, 2, 3, 4, 5, 6]])
+    tmask, nmask = (tgt != 0).astype(float), (neg != 0).astype(float)
+    dmask = dropout_mask_for(hp, rng, len(prev))
+    ids = np.concatenate([tgt, neg], axis=1)
+    bt = batch_forward(p, hp, prev, users, mask, dmask, score_ids=ids)
+    loss, _ = batch_loss_and_grads(p, hp, prev, users, tgt, tmask, neg, nmask, mask, dmask)
+    assert batch_loss(p, hp, bt, tmask, nmask).hex() == loss.hex()
+    # the trace holds the rows the forward gathered, for the penalty and the backward to reuse
+    assert np.array_equal(bt.score_ids, ids) and np.array_equal(bt.out_w_scored, p.out_w[ids])
+    assert np.array_equal(bt.E, p.item_emb[prev])
 
 
 # --------------------------------------------------------------------------
@@ -319,6 +342,20 @@ def test_gradient_check_fails_a_nan_gradient(monkeypatch):
     report = gradient_check(seed=1)
     assert math.isnan(report.per_tensor["fc_b"].max_rel_err)
     assert not report.passed() and "[FAIL]" in str(report)
+
+
+def test_gradient_check_runs_the_backward_once(monkeypatch):
+    """Each probe is one forward; only the analytic gradient runs the backward."""
+    batch = importlib.import_module("convrec.batch")
+    real, calls = batch._batch_backward, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(batch, "_batch_backward", counted)
+    report = gradient_check(seed=1)
+    assert report.passed() and len(calls) == 1
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
