@@ -86,7 +86,7 @@ def run_ablation(
 
     The special mask name "pop" evaluates the popularity baseline instead of
     training a model. The training keys go to train, the metric keys to
-    evaluate and evaluate_pop.
+    train's validation, evaluate and evaluate_pop.
     """
     rows: list[AblationRow] = []
     for code in masks:
@@ -98,7 +98,7 @@ def run_ablation(
             result: TrainResult = train(
                 split, hp, seed=seed, epochs=epochs, batch_size=batch_size,
                 patience=patience, comp_mask=mask, exclude_history_negatives=exclude_history_negatives,
-                progress=progress,
+                progress=progress, ap_mode=ap_mode, exclude_seen=exclude_seen,
             )
             report = evaluate(result.params, hp, split, cutoffs=cutoffs, ap_mode=ap_mode,
                               exclude_seen=exclude_seen, comp_mask=mask)

@@ -8,6 +8,7 @@ experiments can be reproduced from the log alone. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import os
 import sys
@@ -19,7 +20,7 @@ from .config import RunConfig, parse_override_args
 from .data import build_sequences, chronological_split, load_interactions, load_split, save_split
 from .errors import CheckpointError, ConfigError, ConvrecError
 from .evaluate import evaluate, recommend_top_n
-from .gradients import gradient_check
+from .gradients import TOY_HP, gradient_check
 from .model import SHAPE_KEYS
 from .training import train
 
@@ -69,7 +70,8 @@ def _load_model(path: str, split, cfg: RunConfig | None = None):
 def _train_kwargs(cfg: RunConfig) -> dict:
     """train's keyword arguments from the run config: every subcommand that trains passes these."""
     return dict(seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size, patience=cfg.patience,
-                exclude_history_negatives=cfg.exclude_history_negatives)
+                exclude_history_negatives=cfg.exclude_history_negatives, ap_mode=cfg.ap_mode,
+                exclude_seen=cfg.exclude_seen)
 
 
 def _print_config(cfg: RunConfig) -> None:
@@ -153,6 +155,13 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_mine_rules(args) -> int:
+    try:
+        mining_cfg = rules.MiningConfig(
+            max_order=args.max_order, max_skip=args.max_skip,
+            minsup=args.minsup, minconf=args.minconf,
+        )
+    except ValueError as exc:  # a flag out of its range
+        raise ConfigError(str(exc)) from None
     cfg = _build_config(args)
     split = _resolve_split(args, cfg)
     sequences = [
@@ -160,10 +169,6 @@ def cmd_mine_rules(args) -> int:
         for u in split.users()
         if split.train[u] or split.validation[u] or split.test[u]
     ]
-    mining_cfg = rules.MiningConfig(
-        max_order=args.max_order, max_skip=args.max_skip,
-        minsup=args.minsup, minconf=args.minconf,
-    )
     mined = rules.mine_rules(sequences, mining_cfg)
     csv_text = rules.rules_to_csv(mined, split.item_ids)
     if args.out:
@@ -182,10 +187,7 @@ def cmd_ablate(args) -> int:
     split = _resolve_split(args, cfg)
     hp = cfg.hyperparams()
     masks = [m.strip() for m in args.masks.split(",") if m.strip()]
-    rows = ablation.run_ablation(
-        split, hp, masks, **_train_kwargs(cfg),
-        cutoffs=cfg.eval_cutoffs(), ap_mode=cfg.ap_mode, exclude_seen=cfg.exclude_seen,
-    )
+    rows = ablation.run_ablation(split, hp, masks, **_train_kwargs(cfg), cutoffs=cfg.eval_cutoffs())
     csv_text = ablation.ablation_csv(rows)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
@@ -194,12 +196,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    hp = None
-    if args.dropout or args.l2:
-        from .gradients import TOY_HP
-        import dataclasses as _dc
-
-        hp = _dc.replace(TOY_HP, dropout=args.dropout, l2=args.l2)
+    hp = dataclasses.replace(TOY_HP, dropout=args.dropout, l2=args.l2)
     try:
         report = gradient_check(hp=hp, seed=args.seed, step=args.step)
     except ValueError as exc:  # a --step that is not finite and > 0
@@ -224,12 +221,8 @@ def cmd_inspect(args) -> int:
 
 
 def _sweep_trial(payload):
-    cfg_pairs, split_path, grid_keys = payload
-    cfg = RunConfig.from_sources(None, cfg_pairs)
-    split = load_split(split_path)
-    hp = cfg.hyperparams()
-    result = train(split, hp, **_train_kwargs(cfg))
-    combo = {k: cfg_pairs[k] for k in grid_keys}
+    cfg, hp, split_path, combo = payload
+    result = train(load_split(split_path), hp, **_train_kwargs(cfg))
     return combo, result.best_val_map, result.best_epoch
 
 
@@ -257,10 +250,10 @@ def cmd_sweep(args) -> int:
     keys = sorted(grid)
     combos = list(itertools.product(*(grid[k] for k in keys)))
     payloads = []
-    for combo in combos:
-        pairs = dict(base_pairs)
-        pairs.update({k: v for k, v in zip(keys, combo)})
-        payloads.append((pairs, split_path, keys))
+    for values in combos:  # every trial's config is checked before the first trial trains
+        combo = dict(zip(keys, values))
+        trial_cfg = RunConfig.from_sources(None, {**base_pairs, **combo})
+        payloads.append((trial_cfg, trial_cfg.hyperparams(), split_path, combo))
 
     jobs = max(1, args.jobs)
     cap = os.environ.get("CASER_THREADS")

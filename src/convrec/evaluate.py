@@ -29,7 +29,6 @@ LONG_ROW = 1024
 
 @dataclass
 class RankedList:
-    user_index: int
     items: np.ndarray  # highest score first
     scores: np.ndarray  # aligned with items
 
@@ -40,7 +39,6 @@ class EvalReport:
     recall: dict[int, float]
     mean_ap: float
     users_evaluated: int
-    ap_mode: str = "standard"
     per_user: list[tuple[int, float, int]] | None = None  # (user, AP, hits@maxN)
 
     def to_csv(self) -> str:
@@ -81,25 +79,24 @@ def recommend_top_n(
     user_index: int,
     n: int,
     exclude_seen: bool = True,
-    comp_mask: ComponentMask = FULL_MASK,
 ) -> RankedList:
     """Rank all eligible items from the user's last L actions, keep the top n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not len(history):
         raise ValueError("history must be nonempty")
-    scores = forward(params, hp, pad_left(list(history), hp.order), user_index, comp_mask)
+    scores = forward(params, hp, pad_left(list(history), hp.order), user_index)
     if exclude_seen:
         scores[np.asarray(list(history), dtype=np.int64)] = -np.inf
     n = min(n, int(np.isfinite(scores).sum()))
     if n == 0:
-        return RankedList(user_index, np.empty(0, dtype=np.int64), np.empty(0))
+        return RankedList(np.empty(0, dtype=np.int64), np.empty(0))
     # Select instead of sorting the catalog: every item scoring at least the
     # n-th largest score, boundary ties included, then rank only those.
     nth = -np.partition(-scores, n - 1)[n - 1]
     candidates = np.flatnonzero(scores >= nth)
     top = candidates[ranked_order(scores[candidates])[:n]]
-    return RankedList(user_index, top, scores[top])
+    return RankedList(top, scores[top])
 
 
 def score_matrix(
@@ -269,7 +266,6 @@ def evaluate_scores(
         recall={n: _in_order_total(recall[i]) / count for i, n in enumerate(cutoffs)},
         mean_ap=_in_order_total(ap) / count,
         users_evaluated=count,
-        ap_mode=ap_mode,
         per_user=per_user,
     )
 

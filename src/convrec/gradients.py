@@ -129,6 +129,7 @@ TOY_HP = HyperParams(
     dropout=0.0,
     l2=0.0,
 )
+CHECK_USERS, CHECK_ITEMS = 10, 50  # the table sizes of the gradient check
 
 
 @dataclass
@@ -202,10 +203,8 @@ def _check_batch(hp: HyperParams, rng: np.random.Generator, user_count: int, ite
 
 
 def gradient_check(
-    hp: HyperParams | None = None,
+    hp: HyperParams = TOY_HP,
     seed: int = 0,
-    user_count: int = 10,
-    item_count: int = 50,
     num_instances: int = 2,
     step: float = 1e-5,
     comp_mask: ComponentMask = FULL_MASK,
@@ -227,14 +226,12 @@ def gradient_check(
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be a finite number > 0, got {step}")
     start = time.monotonic()
-    if hp is None:
-        hp = TOY_HP
     rng = np.random.default_rng(seed)
-    params = init_params(hp, user_count, item_count, rng)
+    params = init_params(hp, CHECK_USERS, CHECK_ITEMS, rng)
     # randomize biases so their gradients are exercised away from zero
     params.fc_b[:] = rng.normal(scale=0.1, size=params.fc_b.shape)
-    params.out_b[1:] = rng.normal(scale=0.1, size=item_count)
-    batch = _check_batch(hp, rng, user_count, item_count, num_instances)
+    params.out_b[1:] = rng.normal(scale=0.1, size=CHECK_ITEMS)
+    batch = _check_batch(hp, rng, CHECK_USERS, CHECK_ITEMS, num_instances)
     prev, users, tgt, tgt_mask, neg, neg_mask = batch
     ids = np.concatenate([tgt, neg], axis=1)
     dmask = dropout_mask_for(hp, rng, num_instances)

@@ -163,10 +163,6 @@ class ModelParams:
     def item_count(self) -> int:
         return self.item_emb.shape[0] - 1
 
-    @property
-    def heights(self) -> tuple[int, ...]:
-        return tuple(f.shape[1] for f in self.h_filters)
-
     def tensors(self):
         """Stable (name, array) iteration used by Adam, checkpoints, and L2."""
         return iter(self._views)

@@ -143,12 +143,12 @@ def _to_rules(ids, antecedents, pat, cons, skip, support, conf) -> list[Rule]:
     ]
 
 
-def sequential_intensity(sequences, cfg: MiningConfig = MiningConfig()) -> float:
-    """Mined-rule count divided by the number of sequences (users); by default with the paper's setting."""
+def sequential_intensity(sequences) -> float:
+    """Mined-rule count divided by the number of sequences (users), with the paper's setting."""
     seqs = list(sequences)
     if not seqs:
         raise ValueError("user count must be >= 1")
-    return len(mine_rules(seqs, cfg)) / len(seqs)
+    return len(mine_rules(seqs, MiningConfig())) / len(seqs)
 
 
 def rules_to_csv(rules: list[Rule], item_ids: list[str] | None = None) -> str:

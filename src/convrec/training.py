@@ -111,32 +111,6 @@ class TrainResult:
                 fh.write(row.csv_row() + "\n")
 
 
-def _check_some_item_eligible(targets, neg_mask, item_count: int, history) -> None:
-    """Raise SamplingError if a row with a negative slot excludes items 1..item_count."""
-    longest = max((h.size for h in history), default=0) if history is not None else 0
-    if targets.shape[1] + longest < item_count:  # no row can exclude that many items
-        return
-    for b in np.flatnonzero(neg_mask.any(axis=1)):
-        excluded = np.unique(_excluded_items(targets, history, b))
-        if np.count_nonzero((excluded >= 1) & (excluded <= item_count)) == item_count:
-            raise SamplingError(f"row {b} of the batch excludes every item; no negative can be drawn")
-
-
-def _excluded_items(targets, history, b: int) -> np.ndarray:
-    return targets[b] if history is None else np.concatenate([targets[b], history[b]])
-
-
-def _excluded_draws(neg, targets, neg_mask, history) -> np.ndarray:
-    """True at each negative slot whose draw is a target (or history item) of its row."""
-    bad = (neg[:, :, None] == targets[:, None, :]).any(axis=2)
-    if history is not None:
-        for b in range(neg.shape[0]):
-            if history[b].size:
-                bad[b] |= np.isin(neg[b], history[b])
-    bad &= neg_mask > 0
-    return bad
-
-
 def sample_negative_batch(
     rng: np.random.Generator,
     targets: np.ndarray,
@@ -160,20 +134,32 @@ def sample_negative_batch(
     else:
         slots = count * n_t
         neg_mask = np.repeat(target_mask, count, axis=1)
-    _check_some_item_eligible(targets, neg_mask, item_count, history)
+    live = neg_mask > 0
+    # Row b may not draw excluded[b]: its targets, then its history, padded
+    # with item 0, which is never drawn.
+    excluded = targets
+    if history is not None:
+        sizes = np.array([h.size for h in history])
+        block = np.zeros((n_batch, sizes.max(initial=0)), dtype=np.int64)
+        block[np.arange(block.shape[1]) < sizes[:, None]] = np.concatenate(history)
+        excluded = np.concatenate([targets, block], axis=1)
+    if excluded.shape[1] >= item_count:  # a narrower row cannot exclude every item
+        ordered = np.sort(excluded, axis=1)
+        distinct = np.count_nonzero(np.diff(ordered, axis=1, prepend=0), axis=1)
+        full = np.flatnonzero((distinct >= item_count) & live.any(axis=1))
+        if full.size:
+            raise SamplingError(f"row {full[0]} of the batch excludes every item; no negative can be drawn")
     neg = rng.integers(1, item_count + 1, size=(n_batch, slots))
-    for _ in range(200):
-        bad = _excluded_draws(neg, targets, neg_mask, history)
-        if not bad.any():
+    for rounds_left in range(200, -1, -1):
+        bad = (neg[:, :, None] == excluded[:, None, :]).any(axis=2) & live
+        if not rounds_left or not bad.any():
             break
         where = np.nonzero(bad)
         neg[where] = rng.integers(1, item_count + 1, size=where[0].size)
-    else:
-        bad = _excluded_draws(neg, targets, neg_mask, history)
-        for b in np.flatnonzero(bad.any(axis=1)):
-            eligible = np.setdiff1d(np.arange(1, item_count + 1), _excluded_items(targets, history, b))
-            neg[b, bad[b]] = eligible[rng.integers(0, eligible.size, size=np.count_nonzero(bad[b]))]
-    neg[neg_mask == 0] = 0
+    for b in np.flatnonzero(bad.any(axis=1)):  # the rows that 200 rounds left with excluded draws
+        eligible = np.setdiff1d(np.arange(1, item_count + 1), excluded[b])
+        neg[b, bad[b]] = eligible[rng.integers(0, eligible.size, size=np.count_nonzero(bad[b]))]
+    neg[~live] = 0
     return neg, neg_mask
 
 
@@ -187,12 +173,15 @@ def train(
     comp_mask: ComponentMask = FULL_MASK,
     exclude_history_negatives: bool = False,
     progress=None,
+    ap_mode: str = "standard",
+    exclude_seen: bool = True,
 ) -> TrainResult:
     """Train on the split's training part, tracking validation MAP per epoch.
 
     Instances are reshuffled and negatives resampled every epoch; the
     checkpoint with the best validation MAP is returned (final params if the
-    split has no validation data). ``progress`` takes each EpochLog.
+    split has no validation data). The validation MAP is measured with
+    ``ap_mode`` and ``exclude_seen``. ``progress`` takes each EpochLog.
     """
     # Looked up at call time, not bound at import: the benchmark times the
     # validation pass by patching convrec.evaluate.evaluate.
@@ -205,9 +194,8 @@ def train(
     prev, users, tgt, tgt_mask = instances.prev, instances.users, instances.targets, instances.target_mask
 
     history = None
-    if exclude_history_negatives:
-        per_user = [np.asarray(sorted(set(split.train[u])), dtype=np.int64) for u in range(split.user_count + 1)]
-        history = per_user
+    if exclude_history_negatives:  # each user's distinct training items, indexed by user
+        history = [np.asarray(sorted(set(items)), dtype=np.int64) for items in split.train]
 
     rng_init = np.random.default_rng([seed, 1])
     params = init_params(hp, split.user_count, split.item_count, rng_init)
@@ -248,9 +236,8 @@ def train(
 
         val_map = val_p1 = float("nan")
         if have_validation:
-            report = evaluate(
-                params, hp, split, cutoffs=(1,), part="validation", comp_mask=comp_mask
-            )
+            report = evaluate(params, hp, split, cutoffs=(1,), ap_mode=ap_mode, exclude_seen=exclude_seen,
+                              part="validation", comp_mask=comp_mask)
             val_map, val_p1 = report.mean_ap, report.precision[1]
 
         row = EpochLog(epoch, total / n_inst, val_map, val_p1, (time.monotonic() - t0) * 1e3)

@@ -216,6 +216,13 @@ def test_grad_check_bad_step_exits_2(capsys, step):
     assert capsys.readouterr().err.startswith("config error: step must be")
 
 
+@pytest.mark.parametrize("flag, value", [("--minsup", "0"), ("--minconf", "1.5"), ("--max-order", "0"),
+                                         ("--max-skip", "-1")])
+def test_mine_rules_bad_flag_exits_2(prepared, capsys, flag, value):
+    assert main(["mine-rules", "--data-dir", prepared, flag, value]) == 2
+    assert _one_error_line(capsys).startswith("config error: ")
+
+
 def test_inspect_filters_exact_roundtrip(checkpoint, capsys):
     code = main(["inspect", "--checkpoint", checkpoint, "--filters"])
     assert code == 0
@@ -261,6 +268,27 @@ def test_sweep_thread_cap_env(prepared, capsys, monkeypatch):
     code = main(["sweep", "--data-dir", prepared, "--jobs", "8",
                  "--grid", "latent_dim=4"] + SWEEP_BASE)
     assert code == 0  # env cap forces the serial path
+
+
+def test_sweep_checks_every_trial_config_before_the_first_trial(prepared, capsys, monkeypatch):
+    calls = []
+    real_train = train
+    monkeypatch.setattr("convrec.cli.train", lambda *args, **kwargs: calls.append(1) or real_train(*args, **kwargs))
+    assert main(["sweep", "--data-dir", prepared, "--grid", "latent_dim=8,0"] + SWEEP_BASE) == 2
+    assert calls == []
+    assert "latent_dim" in _one_error_line(capsys)
+
+
+def test_sweep_ranks_trials_by_the_metric_keys(prepared, capsys):
+    assert main(["sweep", "--data-dir", prepared, "--grid", "ap_mode=standard,paper_literal"] + SWEEP_BASE) == 0
+    out = capsys.readouterr().out.splitlines()
+    header = out.index("val_MAP,best_epoch,ap_mode")
+    cfg, split = _run_config(SWEEP_BASE), load_split(str(Path(prepared) / "split.json"))
+    want = [train(split, cfg.hyperparams(), seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size,
+                  patience=cfg.patience, ap_mode=mode) for mode in ("standard", "paper_literal")]
+    assert want[0].best_val_map != want[1].best_val_map
+    assert out[header + 1 : header + 3] == [f"{want[0].best_val_map:.6f},{want[0].best_epoch},standard",
+                                            f"{want[1].best_val_map:.6f},{want[1].best_epoch},paper_literal"]
 
 
 def test_sweep_trial_trains_with_exclude_history_negatives(prepared, capsys):

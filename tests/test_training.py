@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from convrec.config import HyperParams
 from convrec.data import chronological_split, build_sequences
+from convrec.evaluate import evaluate
 from convrec.errors import NonFiniteGradientError, NonFiniteLossError, SamplingError
 from convrec.gradients import GradientSet
 from convrec.model import init_params
@@ -187,6 +189,15 @@ def test_negative_batch_sampling_error_when_every_item_excluded(history):
     assert rng.bit_generator.state == before  # raised before the first draw, no rounds spent
 
 
+def test_negative_batch_history_with_repeats_leaves_an_item_free():
+    # the row is as wide as the catalog, but its repeats leave item 5 eligible
+    tgt = np.array([[1]], dtype=np.int64)
+    hist = [np.array([2, 2, 3, 4])]
+    neg, _ = sample_negative_batch(np.random.default_rng(0), tgt, np.ones((1, 1)), item_count=5, count=4,
+                                   history=hist)
+    assert (neg == 5).all()
+
+
 def test_negative_batch_ignores_exclusions_of_rows_without_negative_slots():
     tgt = np.array([[1, 2, 3], [1, 0, 0]], dtype=np.int64)
     tmask = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])  # row 0 draws no negatives
@@ -215,6 +226,40 @@ def test_negative_batch_eligible_set_draws_cover_every_eligible_item():
         for seed in range(30)
     ])
     assert set(drawn.tolist()) == {500, 1000}
+
+
+def _draw_digest():
+    """sha256 over the draws, the masks, the rng state after each call and each SamplingError message."""
+    digest = hashlib.sha256()
+    gen = np.random.default_rng(2024)
+    for case in range(60):
+        item_count = int(gen.integers(5, 61))
+        n_batch, n_t = int(gen.integers(1, 9)), int(gen.integers(1, 4))
+        targets = gen.integers(1, item_count + 1, size=(n_batch, n_t))
+        target_mask = (gen.random((n_batch, n_t)) < 0.8).astype(float)
+        targets[target_mask == 0] = 0
+        history = None
+        if case % 2:
+            history = [gen.integers(1, item_count + 1, size=int(gen.integers(1, 40))) for _ in range(n_batch)]
+        calls = [(item_count, targets, target_mask, int(gen.integers(1, 4)), case % 3 == 0, history)]
+        if case < 4:  # one row eligible for only item 1000: the rounds run out and the fallback draws
+            calls.append((1000, np.array([[1]]), np.ones((1, 1)), 3, case % 2 == 1, [np.arange(2, 1000)]))
+        for item_count, targets, target_mask, count, per_instance, history in calls:
+            rng = np.random.default_rng(case)
+            try:
+                neg, neg_mask = sample_negative_batch(rng, targets, target_mask, item_count, count,
+                                                      per_instance=per_instance, history=history)
+            except SamplingError as err:
+                digest.update(str(err).encode())
+                continue
+            digest.update(neg.tobytes() + neg_mask.tobytes() + rng.integers(0, 2**62, size=2).tobytes())
+    return digest.hexdigest()
+
+
+def test_negative_batch_draws_are_pinned():
+    # draws per target and per instance, with histories of 1-39 items, rows
+    # that raise and rows that reach the fallback
+    assert _draw_digest() == "2795570b9af6cec859fca3481932f198dd3b9445e0ec1a69420ab81f8d5a1024"
 
 
 def test_negative_batch_frequencies_uniform():
@@ -317,6 +362,15 @@ def test_best_validation_checkpoint_returned():
     result = train(split, HP, seed=2, epochs=4, batch_size=32, patience=10)
     best = max(result.log, key=lambda r: r.val_map)
     assert result.best_epoch == best.epoch
+
+
+@pytest.mark.parametrize("metric_keys", [dict(ap_mode="paper_literal"), dict(exclude_seen=False)])
+def test_validation_map_follows_the_metric_keys(metric_keys):
+    split = _micro_split()
+    result = train(split, HP, seed=2, epochs=2, batch_size=32, patience=10, **metric_keys)
+    want = evaluate(result.params, HP, split, part="validation", **metric_keys).mean_ap
+    assert result.best_val_map == want
+    assert want != evaluate(result.params, HP, split, part="validation").mean_ap  # the keys change the metric
 
 
 def test_log_csv_format(tmp_path):
