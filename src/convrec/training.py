@@ -135,8 +135,7 @@ def sample_negative_batch(
         slots = count * n_t
         neg_mask = np.repeat(target_mask, count, axis=1)
     live = neg_mask > 0
-    # Row b may not draw excluded[b]: its targets, then its history, padded
-    # with item 0, which is never drawn.
+    # row b may not draw excluded[b]: its targets, then its history, padded with item 0
     excluded = targets
     if history is not None:
         sizes = np.array([h.size for h in history])
@@ -152,13 +151,15 @@ def sample_negative_batch(
     neg = rng.integers(1, item_count + 1, size=(n_batch, slots))
     for rounds_left in range(200, -1, -1):
         bad = (neg[:, :, None] == excluded[:, None, :]).any(axis=2) & live
-        if not rounds_left or not bad.any():
+        if not bad.any():
             break
-        where = np.nonzero(bad)
-        neg[where] = rng.integers(1, item_count + 1, size=where[0].size)
-    for b in np.flatnonzero(bad.any(axis=1)):  # the rows that 200 rounds left with excluded draws
-        eligible = np.setdiff1d(np.arange(1, item_count + 1), excluded[b])
-        neg[b, bad[b]] = eligible[rng.integers(0, eligible.size, size=np.count_nonzero(bad[b]))]
+        if rounds_left:
+            where = np.nonzero(bad)
+            neg[where] = rng.integers(1, item_count + 1, size=where[0].size)
+            continue
+        for b in np.flatnonzero(bad.any(axis=1)):  # 200 rounds left these rows with excluded draws
+            eligible = np.setdiff1d(np.arange(1, item_count + 1), excluded[b])
+            neg[b, bad[b]] = eligible[rng.integers(0, eligible.size, size=np.count_nonzero(bad[b]))]
     neg[~live] = 0
     return neg, neg_mask
 
@@ -193,9 +194,8 @@ def train(
         raise EmptyDatasetError("no training instances")
     prev, users, tgt, tgt_mask = instances.prev, instances.users, instances.targets, instances.target_mask
 
-    history = None
-    if exclude_history_negatives:  # each user's distinct training items, indexed by user
-        history = [np.asarray(sorted(set(items)), dtype=np.int64) for items in split.train]
+    history = ([np.asarray(sorted(set(items)), dtype=np.int64) for items in split.train]  # by user
+               if exclude_history_negatives else None)
 
     rng_init = np.random.default_rng([seed, 1])
     params = init_params(hp, split.user_count, split.item_count, rng_init)
