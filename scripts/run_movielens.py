@@ -38,7 +38,8 @@ def main() -> int:
     data = build_sequences(interactions, min_feedback=5)
     print(f"{data.user_count} users, {data.item_count} items after filtering")
     if not args.skip_intensity:
-        si = sequential_intensity([s.items for s in data.sequences])
+        flat, bounds = data.items.tolist(), data.offsets.tolist()
+        si = sequential_intensity(flat[a:b] for a, b in zip(bounds, bounds[1:]))
         print(f"sequential intensity: {si:.4f}")
     split = chronological_split(data)
 

@@ -27,7 +27,7 @@ def main() -> int:
     args = ap.parse_args()
 
     spec = SyntheticSpec(num_users=args.users)
-    split = chronological_split(build_sequences(generate_interactions(spec), 1))
+    split = chronological_split(build_sequences(zip(*generate_interactions(spec)), 1))
     print(f"corpus: {split.user_count} users, {split.item_count} items")
 
     hp = HyperParams(latent_dim=32, order=5, num_targets=2, heights=(1, 2, 3, 4, 5),

@@ -9,10 +9,9 @@ ranking metrics, component ablations, and a sequential-rule miner.
 
 from .config import HyperParams, RunConfig
 from .data import (
-    Interaction,
+    Interactions,
     SplitDataset,
     TrainingInstances,
-    UserSequence,
     build_sequences,
     chronological_split,
     generate_instances,
@@ -32,8 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "HyperParams",
     "RunConfig",
-    "Interaction",
-    "UserSequence",
+    "Interactions",
     "SplitDataset",
     "TrainingInstances",
     "load_interactions",

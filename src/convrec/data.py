@@ -10,32 +10,29 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, EmptyDatasetError, ParseError, open_input, utf8_lines
+from .errors import DataError, EmptyDatasetError, ParseError, open_input
 
 PADDING_INDEX = 0
 
 
-@dataclass(frozen=True)
-class Interaction:
-    user: str
-    item: str
-    timestamp: float
+class Interactions(NamedTuple):
+    """A parsed log as three aligned columns, one entry per row in file order."""
 
-
-@dataclass
-class UserSequence:
-    user_index: int
-    items: list[int]
+    users: list[str]
+    items: list[str]
+    timestamps: np.ndarray  # float64
 
 
 @dataclass
 class SequenceData:
-    """Filtered, densely indexed per-user sequences plus the id maps."""
+    """Filtered, densely indexed sequences: user u's items, oldest first, are items[offsets[u-1]:offsets[u]]."""
 
-    sequences: list[UserSequence]  # position u-1 holds user_index u
+    items: np.ndarray  # int64 item indices, user by user
+    offsets: np.ndarray  # (user_count + 1,) int64
     user_ids: list[str]  # index -> original id; slot 0 unused
     item_ids: list[str]
 
@@ -77,102 +74,104 @@ class TrainingInstances:
         return self.users.size
 
 
-def load_interactions(path: str, fmt: str = "tsv") -> list[Interaction]:
+def load_interactions(path: str, fmt: str = "tsv") -> Interactions:
     """Parse a UTF-8 interaction log.
 
     Rows are ``user item timestamp`` or ``user item rating timestamp``; the
     rating, when present, is discarded (all feedback is treated as implicit).
-    Lines starting with '#' are skipped. Raises DataError if the file cannot
-    be opened or is not UTF-8, ParseError with the offending line number
-    (also for a timestamp that is not finite), EmptyDatasetError if nothing
-    was parsed.
+    Lines starting with '#' are skipped. Only \\n, \\r\\n and \\r end a line.
+    Raises DataError if the file cannot be opened or is not UTF-8, ParseError
+    with the offending line number (also for a timestamp that is not finite),
+    EmptyDatasetError if nothing was parsed.
     """
     if fmt not in ("tsv", "csv"):
         raise ValueError(f"format must be tsv or csv, got {fmt!r}")
-    out: list[Interaction] = []
     with open_input(path, DataError) as fh:
-        for line_no, line in enumerate(utf8_lines(fh, path, DataError), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            cols = [c.strip() for c in stripped.split(",")] if fmt == "csv" else stripped.split()
-            if len(cols) < 3:
-                raise ParseError(line_no, f"expected >=3 columns, got {len(cols)}")
-            if len(cols) > 4:
-                raise ParseError(line_no, f"expected <=4 columns, got {len(cols)}")
-            # 4-column rows carry a rating in third position; it is dropped.
-            ts_text = cols[2] if len(cols) == 3 else cols[3]
-            try:
-                ts = float(ts_text)
-            except ValueError:
-                raise ParseError(line_no, f"bad timestamp {ts_text!r}") from None
-            if not math.isfinite(ts):  # NaN would defeat deduplication and sort arbitrarily
-                raise ParseError(line_no, f"timestamp {ts_text!r} is not finite")
-            out.append(Interaction(cols[0], cols[1], ts))
-    if not out:
+        try:
+            # text mode turns \r\n and \r into \n, as iterating the file would; str.splitlines() would
+            # also break at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    users, items, stamps = [], [], []
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        cols = [c.strip() for c in stripped.split(",")] if fmt == "csv" else stripped.split()
+        if len(cols) < 3:
+            raise ParseError(line_no, f"expected >=3 columns, got {len(cols)}")
+        if len(cols) > 4:
+            raise ParseError(line_no, f"expected <=4 columns, got {len(cols)}")
+        # 4-column rows carry a rating in third position; it is dropped.
+        ts_text = cols[2] if len(cols) == 3 else cols[3]
+        try:
+            ts = float(ts_text)
+        except ValueError:
+            raise ParseError(line_no, f"bad timestamp {ts_text!r}") from None
+        if not math.isfinite(ts):  # NaN would defeat deduplication and sort arbitrarily
+            raise ParseError(line_no, f"timestamp {ts_text!r} is not finite")
+        users.append(cols[0])
+        items.append(cols[1])
+        stamps.append(ts)
+    if not stamps:
         raise EmptyDatasetError(f"{path}: no interactions parsed")
-    return out
+    return Interactions(users, items, np.fromiter(stamps, np.float64, len(stamps)))
 
 
-def build_sequences(interactions: list[Interaction], min_feedback: int) -> SequenceData:
+def _renumber(codes: np.ndarray, names) -> tuple[np.ndarray, list[str]]:
+    """Code -> index from 1 in order of first appearance in ``codes``, and index -> name with slot 0 unused."""
+    present, first = np.unique(codes, return_index=True)
+    present = present[np.argsort(first)]
+    index = np.zeros(len(names), np.int64)
+    index[present] = np.arange(1, present.size + 1)
+    return index, ["", *map(names.__getitem__, present.tolist())]
+
+
+def _distinct_rows(pair: np.ndarray, ts: np.ndarray, by_time: np.ndarray) -> np.ndarray:
+    """The first of each set of rows equal in (user, item) code pair and timestamp, in input order."""
+    order = by_time[np.argsort(pair[by_time], kind="stable")]  # equal rows side by side, in input order
+    pair, ts = pair[order], ts[order]
+    first = np.ones(order.size, bool)
+    first[1:] = (pair[1:] != pair[:-1]) | (ts[1:] != ts[:-1])
+    return np.sort(order[first])
+
+
+def build_sequences(interactions, min_feedback: int) -> SequenceData:
     """Deduplicate, filter cold-start users/items to fixpoint, and index densely.
 
-    Users and items with fewer than ``min_feedback`` interactions are removed
-    repeatedly until no removal changes anything, so the threshold is
-    guaranteed to hold in the output. Surviving ids are numbered from 1 in
-    order of first appearance; 0 stays reserved for padding.
+    ``interactions`` is the three columns of ``Interactions`` or any three aligned sequences, such as
+    ``zip(*rows)``. Rows equal in user, item and timestamp count once. Users and items with fewer than
+    ``min_feedback`` rows are removed until a pass removes nothing, so the threshold holds in the output.
+    Survivors are numbered from 1 (0 is padding) in order of first appearance; each user's items are
+    ordered by timestamp, ties in input order.
     """
     if min_feedback < 1:
         raise ValueError("min_feedback must be >= 1")
-
-    seen: set[tuple[str, str, float]] = set()
-    rows: list[Interaction] = []
-    for it in interactions:
-        key = (it.user, it.item, it.timestamp)
-        if key not in seen:
-            seen.add(key)
-            rows.append(it)
-
+    users, items, timestamps = interactions
+    n = len(users)
+    # a row's user (item) code is the first row that holds the same user (item)
+    user, item = (np.fromiter(map({}.setdefault, names, range(n)), np.int64, n) for names in (users, items))
+    # + 0.0 turns -0.0 into 0.0, so the sorts and comparisons below see one zero
+    ts = np.asarray(timestamps, dtype=np.float64) + 0.0
+    by_time = np.argsort(ts, kind="stable")  # ties keep input order
+    rows = _distinct_rows(user * n + item, ts, by_time)
     while True:
-        user_counts: dict[str, int] = {}
-        item_counts: dict[str, int] = {}
-        for it in rows:
-            user_counts[it.user] = user_counts.get(it.user, 0) + 1
-            item_counts[it.item] = item_counts.get(it.item, 0) + 1
-        bad_users = {u for u, c in user_counts.items() if c < min_feedback}
-        bad_items = {i for i, c in item_counts.items() if c < min_feedback}
-        if not bad_users and not bad_items:
+        u, i = user[rows], item[rows]
+        keep = (np.bincount(u, minlength=n)[u] >= min_feedback) & (np.bincount(i, minlength=n)[i] >= min_feedback)
+        if keep.all():
             break
-        rows = [it for it in rows if it.user not in bad_users and it.item not in bad_items]
-        if not rows:
+        rows = rows[keep]
+        if not rows.size:
             raise EmptyDatasetError("cold-start filtering removed every interaction")
 
-    user_ids: list[str] = [""]
-    item_ids: list[str] = [""]
-    user_map: dict[str, int] = {}
-    item_map: dict[str, int] = {}
-    per_user: dict[int, list[tuple[float, int, int]]] = {}
-    for pos, it in enumerate(rows):
-        if it.user not in user_map:
-            user_map[it.user] = len(user_ids)
-            user_ids.append(it.user)
-        if it.item not in item_map:
-            item_map[it.item] = len(item_ids)
-            item_ids.append(it.item)
-        u = user_map[it.user]
-        per_user.setdefault(u, []).append((it.timestamp, pos, item_map[it.item]))
-
-    sequences = []
-    for u in range(1, len(user_ids)):
-        entries = sorted(per_user[u])  # timestamp, then input order for ties
-        sequences.append(UserSequence(u, [e[2] for e in entries]))
-    return SequenceData(sequences, user_ids, item_ids)
-
-
-def _prefix_len(ratio: float, n: int) -> int:
-    # ceil with a small epsilon so float noise at exact boundaries (e.g.
-    # 0.8 * 5 evaluating to 4.0000000000000002) cannot shift the split
-    return math.ceil(ratio * n - 1e-9)
+    user_index, user_ids = _renumber(user[rows], users)
+    item_index, item_ids = _renumber(item[rows], items)
+    timeline = by_time[np.bincount(rows, minlength=n)[by_time] > 0]  # the survivors by timestamp
+    owner = user_index[user[timeline]]
+    order = timeline[np.argsort(owner, kind="stable")]  # by user, then timestamp, then input order
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(user_ids))[1:])])
+    return SequenceData(item_index[item[order]], offsets, user_ids, item_ids)
 
 
 def chronological_split(
@@ -183,23 +182,16 @@ def chronological_split(
         raise ValueError("split ratios must sum to 1")
     if any(r < 0 for r in ratios):
         raise ValueError("split ratios must be non-negative")
-    n_users = seqdata.user_count
-    train: list[list[int]] = [[] for _ in range(n_users + 1)]
-    val: list[list[int]] = [[] for _ in range(n_users + 1)]
-    test: list[list[int]] = [[] for _ in range(n_users + 1)]
-    for seq in seqdata.sequences:
-        items = seq.items
-        n = len(items)
-        c1 = _prefix_len(ratios[0], n)
-        c2 = _prefix_len(ratios[0] + ratios[1], n)
-        if c1 == 0:
-            continue  # user without any training action is dropped
-        train[seq.user_index] = items[:c1]
-        val[seq.user_index] = items[c1:c2]
-        test[seq.user_index] = items[c2:]
-    return SplitDataset(
-        train, val, test, n_users, seqdata.item_count, seqdata.user_ids, seqdata.item_ids
-    )
+    flat, bounds = seqdata.items.tolist(), seqdata.offsets.tolist()
+    parts: tuple[list[list[int]], ...] = ([[]], [[]], [[]])
+    for start, end in zip(bounds, bounds[1:]):
+        # ceil with a small epsilon so float noise at exact boundaries (e.g.
+        # 0.8 * 5 evaluating to 4.0000000000000002) cannot shift the split
+        c1, c2 = (start + math.ceil(r * (end - start) - 1e-9) for r in (ratios[0], ratios[0] + ratios[1]))
+        cuts = (start, c1, c2, end) if c1 > start else (start,) * 4  # a user without training actions is dropped
+        for part, a, b in zip(parts, cuts, cuts[1:]):
+            part.append(flat[a:b])
+    return SplitDataset(*parts, seqdata.user_count, seqdata.item_count, seqdata.user_ids, seqdata.item_ids)
 
 
 def pad_left(items: list[int] | tuple[int, ...], length: int) -> tuple[int, ...]:

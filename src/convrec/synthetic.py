@@ -15,10 +15,17 @@ convolutional paths are needed to pick up the transition structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import Interaction
+
+class Interaction(NamedTuple):
+    """One generated log row; ``build_sequences(zip(*rows), n)`` reads a list of them."""
+
+    user: str
+    item: str
+    timestamp: float
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ def tiny_split() -> SplitDataset:
         SyntheticSpec(num_users=80, num_items=120, seq_len=20, num_genres=10,
                       num_clusters=5, genres_per_cluster=2, num_special_pairs=8, seed=97)
     )
-    return chronological_split(build_sequences(rows, 1))
+    return chronological_split(build_sequences(zip(*rows), 1))
 
 
 @pytest.fixture

@@ -91,10 +91,8 @@ def test_pop_ranking_by_count():
     for _ in range(3):
         rows.append(("u2", "b"))
     rows += [("u1", "c"), ("u2", "c"), ("u1", "b")]
-    from convrec.data import Interaction
-
-    interactions = [Interaction(u, i, float(k)) for k, (u, i) in enumerate(rows)]
-    split = chronological_split(build_sequences(interactions, 1))
+    users, items = zip(*rows)
+    split = chronological_split(build_sequences((users, items, range(len(rows))), 1))
     order = _pop_order(split)
     names = [split.item_ids[i] for i in order]
     counts = {n: 0 for n in names}
@@ -130,7 +128,7 @@ def _micro_split():
         SyntheticSpec(num_users=24, num_items=40, seq_len=12, num_genres=4,
                       num_clusters=2, genres_per_cluster=2, num_special_pairs=2, seed=31)
     )
-    return chronological_split(build_sequences(rows, 1))
+    return chronological_split(build_sequences(zip(*rows), 1))
 
 
 HP = HyperParams(latent_dim=5, order=3, num_targets=1, heights=(1, 2, 3),

@@ -187,7 +187,7 @@ GATE_SEEDS = (1, 2, 3, 4, 5)
 @pytest.fixture(scope="module")
 def planted_runs():
     rows = generate_interactions(SyntheticSpec())  # 2000 users, 500 items, len 30
-    split = chronological_split(build_sequences(rows, 1))
+    split = chronological_split(build_sequences(zip(*rows), 1))
     pop_map = evaluate_pop(split).mean_ap
     start = time.monotonic()
     runs = []

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import hypothesis.strategies as st
 
 import convrec
 from convrec.data import (
-    Interaction,
+    Interactions,
     build_sequences,
     chronological_split,
     generate_instances,
@@ -19,17 +21,23 @@ from convrec.data import (
     save_split,
     SplitDataset,
 )
-from convrec.errors import ConvrecError, DataError, EmptyDatasetError, ParseError
-from convrec.synthetic import SyntheticSpec, generate_interactions
+from convrec.errors import ConvrecError, DataError, EmptyDatasetError, ParseError, open_input, utf8_lines
+from convrec.synthetic import Interaction, SyntheticSpec, generate_interactions
 
 
 # --------------------------------------------------------------------------
 # parsing
 
+def _load_rows(*args, **kwargs) -> list[Interaction]:
+    """load_interactions' columns as one row per parsed line."""
+    users, items, timestamps = load_interactions(*args, **kwargs)
+    return [Interaction(*row) for row in zip(users, items, timestamps.tolist())]
+
+
 def test_load_three_column_tsv(tmp_path):
     path = tmp_path / "log.tsv"
     path.write_text("u1 i1 5\nu1 i2 9\nu2 i1 7\n")
-    rows = load_interactions(str(path))
+    rows = _load_rows(str(path))
     assert len(rows) == 3
     assert rows[0] == Interaction("u1", "i1", 5.0)
     assert rows[2].timestamp == 7.0
@@ -38,7 +46,7 @@ def test_load_three_column_tsv(tmp_path):
 def test_rating_column_is_discarded(tmp_path):
     path = tmp_path / "log.tsv"
     path.write_text("u1 i1 4.5 99\n")
-    rows = load_interactions(str(path))
+    rows = _load_rows(str(path))
     assert rows == [Interaction("u1", "i1", 99.0)]
 
 
@@ -53,13 +61,13 @@ def test_short_row_raises_with_line_number(tmp_path):
 def test_comments_and_blank_lines_skipped(tmp_path):
     path = tmp_path / "log.tsv"
     path.write_text("# header\n\nu1 i1 1\n")
-    assert len(load_interactions(str(path))) == 1
+    assert len(_load_rows(str(path))) == 1
 
 
 def test_csv_format(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text("u1, i1, 3\nu1, i2, 4\n")
-    rows = load_interactions(str(path), fmt="csv")
+    rows = _load_rows(str(path), fmt="csv")
     assert [r.item for r in rows] == ["i1", "i2"]
 
 
@@ -90,8 +98,20 @@ def test_non_finite_timestamp_raises_with_line_number(tmp_path, stamp):
 # --------------------------------------------------------------------------
 # sequence building
 
+def _columns(rows) -> Interactions:
+    """(user, item, timestamp) rows as load_interactions' columns."""
+    users, items, timestamps = zip(*rows)
+    return Interactions(list(users), list(items), np.array(timestamps, dtype=np.float64))
+
+
 def _rows(pairs, start_ts=0):
-    return [Interaction(u, i, float(start_ts + k)) for k, (u, i) in enumerate(pairs)]
+    return _columns((u, i, float(start_ts + k)) for k, (u, i) in enumerate(pairs))
+
+
+def _sequences(data):
+    """(user index, item indices oldest first) for each user of a SequenceData."""
+    flat, bounds = data.items.tolist(), data.offsets.tolist()
+    return [(u, flat[a:b]) for u, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1)]
 
 
 def test_threshold_removes_small_user():
@@ -109,20 +129,20 @@ def test_min_feedback_one_keeps_everything():
     data = build_sequences(_rows(pairs), min_feedback=1)
     assert data.user_count == 2
     assert data.item_count == 3
-    seq = {data.user_ids[s.user_index]: [data.item_ids[i] for i in s.items] for s in data.sequences}
+    seq = {data.user_ids[u]: [data.item_ids[i] for i in items] for u, items in _sequences(data)}
     assert seq == {"u1": ["a", "c"], "u2": ["b"]}
 
 
 def test_duplicates_removed():
-    rows = _rows([("u1", "a"), ("u1", "b")]) + [Interaction("u1", "a", 0.0)]
+    rows = _columns([("u1", "a", 0.0), ("u1", "b", 1.0), ("u1", "a", 0.0)])
     data = build_sequences(rows, 1)
-    assert len(data.sequences[0].items) == 2
+    assert len(_sequences(data)[0][1]) == 2
 
 
 def test_timestamp_ties_keep_input_order():
-    rows = [Interaction("u1", "b", 5.0), Interaction("u1", "a", 5.0), Interaction("u1", "c", 1.0)]
+    rows = _columns([("u1", "b", 5.0), ("u1", "a", 5.0), ("u1", "c", 1.0)])
     data = build_sequences(rows, 1)
-    names = [data.item_ids[i] for i in data.sequences[0].items]
+    names = [data.item_ids[i] for i in _sequences(data)[0][1]]
     assert names == ["c", "b", "a"]
 
 
@@ -172,16 +192,16 @@ def _brute_force_filter(pairs, n):
 def test_fixpoint_filtering_matches_brute_force(pairs, n):
     named = [(f"u{u}", f"i{i}") for u, i in pairs]
     expected = _brute_force_filter(named, n)
-    rows = [Interaction(u, i, float(k)) for k, (u, i) in enumerate(named)]
+    rows = _rows(named)
     if not expected:
         with pytest.raises(EmptyDatasetError):
             build_sequences(rows, n)
         return
     data = build_sequences(rows, n)
     got = []
-    for seq in data.sequences:
-        for item in seq.items:
-            got.append((data.user_ids[seq.user_index], data.item_ids[item]))
+    for user, seq in _sequences(data):
+        for item in seq:
+            got.append((data.user_ids[user], data.item_ids[item]))
     assert sorted(got) == sorted(expected)
     # every survivor meets the threshold
     from collections import Counter
@@ -193,10 +213,132 @@ def test_fixpoint_filtering_matches_brute_force(pairs, n):
 
 
 # --------------------------------------------------------------------------
+# the whole ingestion contract, against a row-wise reference implementation
+
+def _reference_load(path, fmt):
+    """Row-wise parser: one (user, item, timestamp) tuple per row, reading lines by iterating the file."""
+    rows = []
+    with open_input(path, DataError) as fh:
+        for line_no, line in enumerate(utf8_lines(fh, path, DataError), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            cols = [c.strip() for c in stripped.split(",")] if fmt == "csv" else stripped.split()
+            if len(cols) < 3:
+                raise ParseError(line_no, f"expected >=3 columns, got {len(cols)}")
+            if len(cols) > 4:
+                raise ParseError(line_no, f"expected <=4 columns, got {len(cols)}")
+            ts_text = cols[2] if len(cols) == 3 else cols[3]
+            try:
+                ts = float(ts_text)
+            except ValueError:
+                raise ParseError(line_no, f"bad timestamp {ts_text!r}") from None
+            if not math.isfinite(ts):
+                raise ParseError(line_no, f"timestamp {ts_text!r} is not finite")
+            rows.append((cols[0], cols[1], ts))
+    if not rows:
+        raise EmptyDatasetError(f"{path}: no interactions parsed")
+    return rows
+
+
+def _reference_split(rows, min_feedback):
+    """Row-wise dedup, fixpoint filter, first-appearance ids, time order and 70/10/20 prefix split."""
+    seen, kept = set(), []
+    for row in rows:  # 0.0 == -0.0 and both hash alike, so they are one timestamp
+        if row not in seen:
+            seen.add(row)
+            kept.append(row)
+    while True:
+        users, items = Counter(r[0] for r in kept), Counter(r[1] for r in kept)
+        survivors = [r for r in kept if users[r[0]] >= min_feedback and items[r[1]] >= min_feedback]
+        if survivors == kept:
+            break
+        kept = survivors
+        if not kept:
+            raise EmptyDatasetError("cold-start filtering removed every interaction")
+    user_map, item_map, per_user = {}, {}, {}
+    for pos, (user, item, ts) in enumerate(kept):
+        u = user_map.setdefault(user, len(user_map) + 1)
+        per_user.setdefault(u, []).append((ts, pos, item_map.setdefault(item, len(item_map) + 1)))
+    parts = [[[] for _ in range(len(user_map) + 1)] for _ in range(3)]
+    for u, entries in per_user.items():
+        seq = [e[2] for e in sorted(entries)]  # timestamp, then input order
+        c1, c2 = (math.ceil(r * len(seq) - 1e-9) for r in (0.7, 0.7 + 0.1))
+        if c1:
+            parts[0][u], parts[1][u], parts[2][u] = seq[:c1], seq[c1:c2], seq[c2:]
+    return SplitDataset(*parts, len(user_map), len(item_map), ["", *user_map], ["", *item_map])
+
+
+LOG_STAMPS = st.sampled_from(["0", "0.0", "-0.0", "-0", "1", "1.0", "2", "2.5", "1e1", "-3", "+7"])
+LOG_LINE_KINDS = st.sampled_from(["row"] * 8 + ["duplicate"] * 3 + ["comment", "blank", "bad"])
+LOG_BAD_LINES = st.sampled_from(["u1 i1", "u1,i1", "a b c d e", "u1,i1,4,2,3", "u1 i1 nan", "u1 i1 x", "u1, i1, -inf"])
+
+
+@st.composite
+def _log_texts(draw):
+    """(format, text) of a log with duplicates, timestamp ties, 3 and 4 columns, comments and mixed line ends."""
+    fmt = draw(st.sampled_from(["tsv", "csv"]))
+    sep = ", " if fmt == "csv" else draw(st.sampled_from(["\t", " "]))
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(LOG_LINE_KINDS)
+        if kind == "duplicate" and lines:
+            lines.append(draw(st.sampled_from(lines)))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["# user item timestamp", "  #x"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x0c", "\u2028"])))
+        elif kind == "bad":
+            lines.append(draw(LOG_BAD_LINES))
+        else:
+            cols = [draw(st.sampled_from(["u1", "u2", "u3", "u4"])), draw(st.sampled_from(["a", "b", "c", "d", "e"]))]
+            cols += [draw(st.sampled_from(["4", "2.5"]))] if draw(st.booleans()) else []
+            lines.append(sep.join(cols + [draw(LOG_STAMPS)]))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    return fmt, "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ConvrecError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(log=_log_texts(), min_feedback=st.integers(1, 4))
+def test_ingestion_matches_the_row_wise_reference(input_file, log, min_feedback):
+    fmt, text = log
+    input_file.write_bytes(text.encode("utf-8"))
+    path = str(input_file)
+    expected = _outcome(lambda: _reference_split(_reference_load(path, fmt), min_feedback))
+    got = _outcome(lambda: chronological_split(build_sequences(load_interactions(path, fmt), min_feedback)))
+    assert got == expected
+
+
+def test_ids_are_numbered_by_first_appearance_after_filtering():
+    # the first rows of u1 and of item b are filtered out, so u2 and item a come first
+    rows = [("u9", "b", 0.0), ("u1", "x", 0.0), ("u2", "a", 1.0), ("u2", "b", 2.0), ("u1", "a", 3.0), ("u1", "b", 4.0)]
+    data = build_sequences(_columns(rows), min_feedback=2)
+    assert data.user_ids == ["", "u2", "u1"] and data.item_ids == ["", "a", "b"]
+    assert chronological_split(data) == _reference_split(rows, 2)
+
+
+def test_only_newline_carriage_return_and_crlf_end_a_line(tmp_path):
+    # str.splitlines() also breaks at \x0c, \x1c, \x85 and \u2028: it would count 9 lines, not 5, and
+    # read the end of the comment line as a row of one column
+    path = tmp_path / "log.tsv"
+    path.write_bytes("u1\ti1\t1\x0c\nu1\ti2\t2\x1c\r\n# note\x85more\ru1\ti3\t3\u2028\nu1\ti4\tlater\n".encode())
+    with pytest.raises(ParseError, match="bad timestamp 'later'") as exc:
+        load_interactions(str(path))
+    assert exc.value.line_no == 5
+
+
+# --------------------------------------------------------------------------
 # splitting
 
 def _split_of_length(n):
-    rows = [Interaction("u", f"i{k}", float(k)) for k in range(n)]
+    rows = _rows(("u", f"i{k}") for k in range(n))
     data = build_sequences(rows, 1)
     return chronological_split(data)
 
@@ -449,7 +591,7 @@ BENCH_CORPORA = {  # the benchmark's corpora; ablate-gate trains on the planted-
 
 @pytest.mark.parametrize("spec", BENCH_CORPORA.values(), ids=BENCH_CORPORA.keys())
 def test_bench_corpus_split_roundtrip(tmp_path, spec):
-    split = chronological_split(build_sequences(generate_interactions(spec), 1))
+    split = chronological_split(build_sequences(zip(*generate_interactions(spec)), 1))
     path = str(tmp_path / "split.json")
     save_split(path, split)
     assert load_split(path) == split
@@ -486,7 +628,7 @@ SPLIT_LIKE = st.dictionaries(
 def test_load_interactions_on_random_bytes_raises_only_convrec_errors(input_file, raw, fmt):
     input_file.write_bytes(raw)
     try:
-        load_interactions(str(input_file), fmt)
+        chronological_split(build_sequences(load_interactions(str(input_file), fmt), 1))
     except ConvrecError:
         pass
 

@@ -291,7 +291,7 @@ def _micro_split(seed=5, users=30):
         SyntheticSpec(num_users=users, num_items=60, seq_len=14, num_genres=6,
                       num_clusters=3, genres_per_cluster=2, num_special_pairs=4, seed=seed)
     )
-    return chronological_split(build_sequences(rows, 1))
+    return chronological_split(build_sequences(zip(*rows), 1))
 
 
 def test_training_is_bitwise_deterministic():
