@@ -10,19 +10,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import os
 import sys
 from pathlib import Path
 
 from . import ablation, rules
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, parse_override_args
+from .config import RunConfig, parse_override_args, thread_budget
 from .data import build_sequences, chronological_split, load_interactions, load_split, save_split
 from .errors import CheckpointError, ConfigError, ConvrecError
 from .evaluate import evaluate, recommend_top_n
 from .gradients import TOY_HP, gradient_check
 from .model import SHAPE_KEYS
-from .training import train
+from .training import map_trials, train
 
 # Binary despite the name: the benchmark (perfbench/harness.py) writes a split under this name.
 SPLIT_FILE = "split.json"
@@ -255,21 +254,7 @@ def cmd_sweep(args) -> int:
         trial_cfg = RunConfig.from_sources(None, {**base_pairs, **combo})
         payloads.append((trial_cfg, trial_cfg.hyperparams(), split_path, combo))
 
-    jobs = max(1, args.jobs)
-    cap = os.environ.get("CASER_THREADS")
-    if cap:
-        try:
-            jobs = min(jobs, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(f"CASER_THREADS must be an integer, got {cap!r}") from None
-
-    if jobs == 1:
-        results = [_sweep_trial(p) for p in payloads]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_trial, payloads))
+    results = map_trials(_sweep_trial, payloads, thread_budget(args.jobs))
 
     print("val_MAP,best_epoch," + ",".join(keys))
     best = None

@@ -7,6 +7,7 @@ an experiment config never pass silently.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, open_input, utf8_lines
@@ -205,6 +206,24 @@ class RunConfig:
 
     def resolved_text(self) -> str:
         return "\n".join(f"{k} = {v}" for k, v in self.to_pairs().items()) + "\n"
+
+
+def thread_budget(wanted: int | None = None) -> int:
+    """How many threads or processes to run: ``wanted`` (by default one per CPU
+    this process may run on), capped by the CASER_THREADS environment variable
+    when it is set, and at least 1.
+
+    Raises ConfigError when CASER_THREADS is set to something other than an integer.
+    """
+    if wanted is None:
+        wanted = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cap = os.environ.get("CASER_THREADS")
+    if cap:
+        try:
+            wanted = min(wanted, int(cap))
+        except ValueError:
+            raise ConfigError(f"CASER_THREADS must be an integer, got {cap!r}") from None
+    return max(1, wanted)
 
 
 def parse_config_file(path: str) -> dict[str, str]:

@@ -6,13 +6,16 @@ epoch), and batches are reduced in a fixed order.
 """
 from __future__ import annotations
 
+import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .batch import batch_loss_and_grads
-from .config import HyperParams
+from .config import HyperParams, thread_budget
 from .data import SplitDataset, generate_instances
 from .errors import EmptyDatasetError, NonFiniteGradientError, NonFiniteLossError, SamplingError
 from .gradients import GradientSet
@@ -20,25 +23,116 @@ from .model import FULL_MASK, ComponentMask, ModelParams, dropout_mask_for, init
 
 
 ADAM_BLOCK = 65536  # elements per block of the parameter update
+# Fewest elements in one thread's part of the update. On a 2-vCPU VM a split
+# costs about 1 ms a step (a 50-70 us handoff, and the second part's Python,
+# which holds the GIL): two parts lost to the serial update at 106k elements
+# (1.74 against 1.41 ms) and won at 273k (3.19 against 4.90 ms) and at 3.47M
+# (17.5 against 31.8 ms). A part of at least 2**18 elements keeps that cost
+# well under the time it saves.
+ADAM_MIN_PART = 1 << 18
+
+
+def _part_bounds(layout, parts: int) -> list[tuple[int, int]]:
+    """(start, stop) of ``parts`` near-equal parts of a layout's flat buffer, each cut at a row start of its tensor."""
+    sizes = [math.prod(shape) for _, shape in layout]
+    starts = np.cumsum([0] + sizes[:-1])
+    total = sum(sizes)
+    cuts = [0]
+    for k in range(1, parts):
+        target = total * k // parts
+        t = int(np.searchsorted(starts, target, side="right")) - 1
+        width = sizes[t] // layout[t][1][0]
+        cuts.append(int(starts[t]) + (target - int(starts[t])) // width * width)
+    return list(zip(cuts, cuts[1:] + [total]))
 
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count, and the threads that share its dense update.
+
+    The update runs over ``parts`` of the flat buffer. With ``pool`` set,
+    the calling thread takes the first part and the pool one thread per
+    other part; without it, the calling thread runs every part. ``close``
+    (or leaving a ``with`` block) shuts the pool down.
+    """
+
     m: ModelParams  # first moments, in the parameters' layout
     v: ModelParams  # second moments
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    # block-sized scratch for the parameter update
-    scratch: tuple[np.ndarray, np.ndarray] = field(
-        default_factory=lambda: (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)), repr=False
-    )
+    parts: list[tuple[int, int]] = field(default_factory=list)  # empty: the whole buffer as one part
+    pool: ThreadPoolExecutor | None = field(default=None, repr=False)
+    # block-sized scratch for the parameter update, one pair per part
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.parts = self.parts or [(0, self.m.buffer.size)]
+        self.scratch = [(np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)) for _ in self.parts]
 
     @classmethod
-    def for_params(cls, params: ModelParams) -> "AdamState":
+    def for_params(cls, params: ModelParams, workers: int = 1) -> "AdamState":
+        """Zero moments, and the update split over up to ``workers`` threads, each part at least ADAM_MIN_PART elements."""
+        parts = _part_bounds(params.layout, max(1, min(workers, params.buffer.size // ADAM_MIN_PART)))
         return cls(m=ModelParams(params.layout, np.zeros_like(params.buffer)),
-                   v=ModelParams(params.layout, np.zeros_like(params.buffer)))
+                   v=ModelParams(params.layout, np.zeros_like(params.buffer)),
+                   parts=parts, pool=ThreadPoolExecutor(len(parts) - 1) if len(parts) > 1 else None)
+
+    def close(self) -> None:
+        """Stop the update's threads; adam_step then runs every part in the calling thread."""
+        if self.pool is not None:
+            self.pool.shutdown()
+            self.pool = None
+
+    def __enter__(self) -> "AdamState":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _adam_part(params: ModelParams, by_tensor, state: AdamState, lr: float, part: int) -> None:
+    """Adam on the elements [start, stop) of ``state.parts[part]``: decay, gradient terms, update.
+
+    Each element goes through the operations of the whole-buffer update in
+    the same order, so any split of the buffer gives the same bits.
+    """
+    start, stop = state.parts[part]
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1**state.step
+    c2 = 1.0 - b2**state.step
+    p, m, v = params.buffer, state.m.buffer, state.v.buffer
+    m[start:stop] *= b1
+    v[start:stop] *= b2
+    offset = 0
+    for (_, mt), (_, vt), (_, g, rows) in zip(state.m.tensors(), state.v.tensors(), by_tensor):
+        width = mt.size // len(mt)
+        lo, hi = max(start - offset, 0) // width, max(min(stop - offset, mt.size), 0) // width
+        offset += mt.size
+        if lo >= hi:
+            continue
+        if isinstance(rows, slice):  # dense: every row
+            rows, g = slice(lo, hi), g[lo:hi]
+        else:  # sorted row ids with their values
+            a, b = np.searchsorted(rows, (lo, hi))
+            rows, g = rows[a:b], g[a:b]
+        mt[rows] += (1.0 - b1) * g
+        sq = (1.0 - b2) * g
+        sq *= g
+        vt[rows] += sq
+    buf_a, buf_b = state.scratch[part]
+    for lo in range(start, stop, ADAM_BLOCK):  # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        hi = min(lo + ADAM_BLOCK, stop)
+        step = buf_a[: hi - lo]
+        denom = buf_b[: hi - lo]
+        np.divide(m[lo:hi], c1, out=step)
+        step *= lr
+        np.divide(v[lo:hi], c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p[lo:hi] -= step
 
 
 def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, lr: float) -> None:
@@ -50,35 +144,25 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, lr: flo
     only, from the values, since every other row's gradient is exactly zero
     and adding it would change no bit. The conv and FC gradients are dense.
     The parameter update runs in place over blocks of ADAM_BLOCK elements.
+    The update is elementwise, so with a pool each part of the buffer runs
+    on its own thread (numpy releases the GIL in these loops) and the bits
+    are those of the serial update. A non-finite gradient raises before any
+    element changes.
     """
     by_tensor = list(grads.by_layout(params.layout))
     for name, g, _ in by_tensor:
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient in {name} at step {state.step + 1}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**state.step
-    c2 = 1.0 - b2**state.step
-    state.m.buffer *= b1
-    state.v.buffer *= b2
-    for (_, m), (_, v), (_, g, rows) in zip(state.m.tensors(), state.v.tensors(), by_tensor):
-        m[rows] += (1.0 - b1) * g
-        sq = (1.0 - b2) * g
-        sq *= g
-        v[rows] += sq
-    p, m, v = params.buffer, state.m.buffer, state.v.buffer
-    buf_a, buf_b = state.scratch
-    for start in range(0, p.size, ADAM_BLOCK):  # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-        stop = min(start + ADAM_BLOCK, p.size)
-        step = buf_a[: stop - start]
-        denom = buf_b[: stop - start]
-        np.divide(m[start:stop], c1, out=step)
-        step *= lr
-        np.divide(v[start:stop], c2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        step /= denom
-        p[start:stop] -= step
+    if state.pool is None:
+        for part in range(len(state.parts)):
+            _adam_part(params, by_tensor, state, lr, part)
+    else:
+        others = [state.pool.submit(_adam_part, params, by_tensor, state, lr, part)
+                  for part in range(1, len(state.parts))]
+        _adam_part(params, by_tensor, state, lr, 0)
+        for future in others:
+            future.result()
     params.pin_rows()
 
 
@@ -118,14 +202,16 @@ def sample_negative_batch(
     item_count: int,
     count: int,
     per_instance: bool = False,
-    history: list[np.ndarray] | None = None,
+    history: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform negatives for a batch, rejecting targets (and history if given).
 
-    Raises SamplingError before the first draw when some row with a
-    negative slot excludes every item. Slots that still hit excluded items
-    after 200 rejection rounds (a row with only a few eligible items) are
-    drawn uniformly from their row's eligible items, with the same rng.
+    ``history`` holds one row per batch row: the items that row excludes
+    beyond its targets, padded with item 0. Raises SamplingError before
+    the first draw when some row with a negative slot excludes every item.
+    Slots that still hit excluded items after 200 rejection rounds (a row
+    with only a few eligible items) are drawn uniformly from their row's
+    eligible items, with the same rng.
     """
     n_batch, n_t = targets.shape
     if per_instance:
@@ -136,12 +222,7 @@ def sample_negative_batch(
         neg_mask = np.repeat(target_mask, count, axis=1)
     live = neg_mask > 0
     # row b may not draw excluded[b]: its targets, then its history, padded with item 0
-    excluded = targets
-    if history is not None:
-        sizes = np.array([h.size for h in history])
-        block = np.zeros((n_batch, sizes.max(initial=0)), dtype=np.int64)
-        block[np.arange(block.shape[1]) < sizes[:, None]] = np.concatenate(history)
-        excluded = np.concatenate([targets, block], axis=1)
+    excluded = targets if history is None else np.concatenate([targets, history], axis=1)
     if excluded.shape[1] >= item_count:  # a narrower row cannot exclude every item
         ordered = np.sort(excluded, axis=1)
         distinct = np.count_nonzero(np.diff(ordered, axis=1, prepend=0), axis=1)
@@ -188,18 +269,21 @@ def train(
     # validation pass by patching convrec.evaluate.evaluate.
     from .evaluate import evaluate
 
+    workers = thread_budget()  # a bad CASER_THREADS fails before any work
     instances = generate_instances(split, hp.order, hp.num_targets, "train")
     n_inst = len(instances)
     if not n_inst:
         raise EmptyDatasetError("no training instances")
     prev, users, tgt, tgt_mask = instances.prev, instances.users, instances.targets, instances.target_mask
 
-    history = ([np.asarray(sorted(set(items)), dtype=np.int64) for items in split.train]  # by user
-               if exclude_history_negatives else None)
+    if exclude_history_negatives:  # by user: the sorted distinct training items, padded with item 0
+        distinct = [np.unique(np.asarray(items, dtype=np.int64)) for items in split.train]
+        history_len = np.array([h.size for h in distinct])
+        history = np.zeros((len(distinct), history_len.max(initial=0)), dtype=np.int64)
+        history[np.arange(history.shape[1]) < history_len[:, None]] = np.concatenate(distinct)
 
     rng_init = np.random.default_rng([seed, 1])
     params = init_params(hp, split.user_count, split.item_count, rng_init)
-    state = AdamState.for_params(params)
 
     have_validation = any(split.validation[u] for u in split.users())
 
@@ -208,53 +292,58 @@ def train(
     best_map = -np.inf
     stale = 0
 
-    for epoch in range(1, epochs + 1):
-        t0 = time.monotonic()
-        erng = np.random.default_rng([seed, 1000 + epoch])
-        perm = erng.permutation(n_inst)
-        total = 0.0
-        for start in range(0, n_inst, batch_size):
-            rows = perm[start : start + batch_size]
-            neg, neg_mask = sample_negative_batch(
-                erng,
-                tgt[rows],
-                tgt_mask[rows],
-                split.item_count,
-                hp.num_negatives,
-                hp.negatives_per_instance,
-                [history[u] for u in users[rows]] if history is not None else None,
-            )
-            dmask = dropout_mask_for(hp, erng, len(rows))
-            loss, grads = batch_loss_and_grads(
-                params, hp, prev[rows], users[rows], tgt[rows], tgt_mask[rows],
-                neg, neg_mask, comp_mask, dmask,
-            )
-            if not np.isfinite(loss):
-                raise NonFiniteLossError(f"non-finite loss {loss} at step {state.step + 1} (epoch {epoch})")
-            adam_step(params, grads, state, hp.lr)
-            total += loss * len(rows)
+    with AdamState.for_params(params, workers) as state:  # no update thread outlives the run
+        for epoch in range(1, epochs + 1):
+            t0 = time.monotonic()
+            erng = np.random.default_rng([seed, 1000 + epoch])
+            perm = erng.permutation(n_inst)
+            total = 0.0
+            for start in range(0, n_inst, batch_size):
+                rows = perm[start : start + batch_size]
+                batch_history = None
+                if exclude_history_negatives:
+                    u = users[rows]
+                    batch_history = history[u, : history_len[u].max()]
+                neg, neg_mask = sample_negative_batch(
+                    erng,
+                    tgt[rows],
+                    tgt_mask[rows],
+                    split.item_count,
+                    hp.num_negatives,
+                    hp.negatives_per_instance,
+                    batch_history,
+                )
+                dmask = dropout_mask_for(hp, erng, len(rows))
+                loss, grads = batch_loss_and_grads(
+                    params, hp, prev[rows], users[rows], tgt[rows], tgt_mask[rows],
+                    neg, neg_mask, comp_mask, dmask,
+                )
+                if not np.isfinite(loss):
+                    raise NonFiniteLossError(f"non-finite loss {loss} at step {state.step + 1} (epoch {epoch})")
+                adam_step(params, grads, state, hp.lr)
+                total += loss * len(rows)
 
-        val_map = val_p1 = float("nan")
-        if have_validation:
-            report = evaluate(params, hp, split, cutoffs=(1,), ap_mode=ap_mode, exclude_seen=exclude_seen,
-                              part="validation", comp_mask=comp_mask)
-            val_map, val_p1 = report.mean_ap, report.precision[1]
+            val_map = val_p1 = float("nan")
+            if have_validation:
+                report = evaluate(params, hp, split, cutoffs=(1,), ap_mode=ap_mode, exclude_seen=exclude_seen,
+                                  part="validation", comp_mask=comp_mask)
+                val_map, val_p1 = report.mean_ap, report.precision[1]
 
-        row = EpochLog(epoch, total / n_inst, val_map, val_p1, (time.monotonic() - t0) * 1e3)
-        result.log.append(row)
-        if progress is not None:
-            progress(row)
+            row = EpochLog(epoch, total / n_inst, val_map, val_p1, (time.monotonic() - t0) * 1e3)
+            result.log.append(row)
+            if progress is not None:
+                progress(row)
 
-        if have_validation:
-            if val_map > best_map:
-                best_map = val_map
-                best_params = params.copy()
-                result.best_epoch = epoch
-                stale = 0
-            else:
-                stale += 1
-                if stale >= patience:
-                    break
+            if have_validation:
+                if val_map > best_map:
+                    best_map = val_map
+                    best_params = params.copy()
+                    result.best_epoch = epoch
+                    stale = 0
+                else:
+                    stale += 1
+                    if stale >= patience:
+                        break
 
     if best_params is not None:
         result.params = best_params
@@ -263,3 +352,21 @@ def train(
         result.params = params
         result.best_epoch = len(result.log)
     return result
+
+
+def _one_adam_thread() -> None:
+    os.environ["CASER_THREADS"] = "1"
+
+
+def map_trials(trial, payloads: list, jobs: int) -> list:
+    """``[trial(p) for p in payloads]``, over ``jobs`` worker processes when jobs > 1.
+
+    Each worker process runs Adam on one thread, since the trials already
+    fill the cores. ``trial`` and the payloads are pickled to the workers.
+    """
+    if jobs <= 1:
+        return [trial(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing (~10 ms), which only pools need
+
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_adam_thread) as pool:
+        return list(pool.map(trial, payloads))

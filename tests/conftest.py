@@ -36,6 +36,25 @@ def tiny_split() -> SplitDataset:
     return chronological_split(build_sequences(zip(*rows), 1))
 
 
+# 150 users on the 50000-item generator see 2,891 items: with latent_dim 64
+# the Adam buffer holds more than two parts of training.ADAM_MIN_PART
+LARGE_HP = HyperParams(latent_dim=64, order=3, num_targets=1, heights=(1, 2, 3), num_h_filters=2,
+                       num_v_filters=1, dropout=0.3, l2=1e-6, lr=1e-3)
+
+
+@pytest.fixture(scope="session")
+def large_split() -> SplitDataset:
+    rows = generate_interactions(SyntheticSpec(num_users=150, num_items=50000, seq_len=20, seed=3))
+    return chronological_split(build_sequences(zip(*rows), 1))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs for this process, whatever the machine has; CASER_THREADS unset."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("CASER_THREADS", raising=False)
+
+
 @pytest.fixture
 def tiny_params(tiny_hp, tiny_split):
     rng = np.random.default_rng(123)

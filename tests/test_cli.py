@@ -1,5 +1,7 @@
+import importlib
 import json
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,9 @@ from convrec.model import ComponentMask, init_params
 from convrec.rules import MiningConfig
 from convrec.synthetic import SyntheticSpec, generate_interactions
 from convrec.training import train
+from tests.conftest import LARGE_HP
+
+training = importlib.import_module("convrec.training")
 
 
 @pytest.fixture(scope="module")
@@ -597,6 +602,29 @@ def test_help_outputs_are_unchanged(capsys, monkeypatch):
     for name, text in expected.items():
         assert main(([] if name == "convrec" else [name]) + ["--help"]) == 0
         assert capsys.readouterr().out == text, name
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_non_integer_thread_cap_exits_2_before_training(prepared, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("CASER_THREADS", "2.5")
+    ck = tmp_path / "m.ckpt"
+    extra = ["--checkpoint", str(ck)] if command == "train" else ["--masks", "p"]
+    assert main([command, "--data-dir", prepared] + extra + BASE) == 2
+    assert "CASER_THREADS" in _one_error_line(capsys)
+    assert not ck.exists()
+
+
+def test_sweep_jobs_after_a_threaded_training_finishes(prepared, large_split, two_cpus, capsys, monkeypatch):
+    # the training's Adam threads are gone before sweep forks its workers
+    threads = []
+    real_part = training._adam_part
+    monkeypatch.setattr(training, "_adam_part", lambda *args: threads.append(threading.get_ident()) or real_part(*args))
+    before = threading.active_count()
+    train(large_split, LARGE_HP, seed=1, epochs=1, batch_size=200, patience=1)
+    assert len(set(threads)) == 2 and threading.active_count() == before
+    code = main(["sweep", "--data-dir", prepared, "--jobs", "2", "--grid", "latent_dim=4,6"] + SWEEP_BASE)
+    assert code == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1].startswith("best: ")
 
 
 def test_non_integer_thread_cap_exits_2_before_any_trial(prepared, capsys, monkeypatch):

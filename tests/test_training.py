@@ -1,18 +1,22 @@
 import dataclasses
 import hashlib
 import importlib
+import math
+import threading
 
 import numpy as np
 import pytest
 
-from convrec.config import HyperParams
+from convrec.config import HyperParams, thread_budget
 from convrec.data import chronological_split, build_sequences
 from convrec.evaluate import evaluate
 from convrec.errors import NonFiniteGradientError, NonFiniteLossError, SamplingError
 from convrec.gradients import GradientSet
 from convrec.model import init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
-from convrec.training import ADAM_BLOCK, AdamState, adam_step, sample_negative_batch, train
+from convrec.training import (ADAM_BLOCK, ADAM_MIN_PART, AdamState, adam_step, map_trials, sample_negative_batch,
+                              train)
+from tests.conftest import LARGE_HP
 
 training = importlib.import_module("convrec.training")
 
@@ -93,31 +97,47 @@ def _dense_adam(params, dense_grads, state, lr):
     params.pin_rows()
 
 
-def _row_sparse_grads(p, rng, step):
-    """A (rows, values) gradient set and the same gradient as full-size tables."""
+def _row_sparse_grads(p, rng, step, cuts=()):
+    """A (rows, values) gradient set and the same gradient as full-size tables.
+
+    ``cuts`` are offsets into the flat buffer: the rows on either side of
+    each one that falls in a table are touched too.
+    """
     g = GradientSet.zeros_like(p)
     for arr in g.h_filters + [g.v_filters, g.fc_w, g.fc_b]:
         arr[:] = rng.normal(size=arr.shape)
+    offsets = dict(zip([name for name, _ in p.layout], np.cumsum([0] + [math.prod(s) for _, s in p.layout])))
     full = {"user": np.zeros_like(p.user_emb), "item": np.zeros_like(p.item_emb),
             "out": np.zeros_like(p.out_w), "out_b": np.zeros_like(p.out_b)}
     ids = {}
-    for name in ("user", "item", "out"):
+    for name, tensor in (("user", "user_emb"), ("item", "item_emb"), ("out", "out_w")):
         table = full[name]
         # duplicates, row 0, the last row and the rows on either side of each
-        # block boundary, scattered into a full table
+        # block boundary and each cut, scattered into a full table
         edges = np.arange(ADAM_BLOCK, table.size, ADAM_BLOCK) // table[0].size
-        hit = np.concatenate([[0, 0, len(table) - 1], edges - 1, edges, rng.integers(0, len(table), size=40)])
+        inside = [(c - offsets[tensor]) // table[0].size for c in cuts if 0 < c - offsets[tensor] < table.size]
+        hit = np.concatenate([[0, 0, len(table) - 1], edges - 1, edges, np.subtract(inside, 1), inside,
+                              rng.integers(0, len(table), size=40)]).astype(np.int64)
         np.add.at(table, hit, rng.normal(size=(hit.size,) + table.shape[1:]))
         if name == "out":
             np.add.at(full["out_b"], hit, rng.normal(size=hit.size))
         rows = np.unique(hit)
         table[rows[1 + step % (len(rows) - 1)]] = 0.0  # touched, gradient exactly 0
         ids[name] = rows
+    out_b_cuts = [c - offsets["out_b"] for c in cuts if 0 < c - offsets["out_b"] < p.out_b.size]
+    ids["out"] = np.union1d(ids["out"], np.concatenate([np.subtract(out_b_cuts, 1), out_b_cuts]).astype(np.int64))
     g.user_rows, g.item_rows, g.out_rows = ids["user"], ids["item"], ids["out"]
     g.user_emb, g.item_emb = full["user"][g.user_rows], full["item"][g.item_rows]
     g.out_w, g.out_b = full["out"][g.out_rows], full["out_b"][g.out_rows]
     dense = [full["user"], full["item"], *g.h_filters, g.v_filters, g.fc_w, g.fc_b, full["out"], full["out_b"]]
     return g, dense
+
+
+def _assert_same_bits(p, state, want, want_state):
+    assert state.step == want_state.step
+    for got, arr in [(p, want), (state.m, want_state.m), (state.v, want_state.v)]:
+        for (name, a), (_, b) in zip(got.tensors(), arr.tensors()):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
 
 
 def test_adam_matches_dense_oracle_bitwise():
@@ -131,13 +151,7 @@ def test_adam_matches_dense_oracle_bitwise():
         g, dense = _row_sparse_grads(p, rng, step)
         adam_step(p, g, state, lr=0.01)
         _dense_adam(want, dense, want_state, lr=0.01)
-        assert state.step == want_state.step
-        m, want_m = dict(state.m.tensors()), dict(want_state.m.tensors())
-        v, want_v = dict(state.v.tensors()), dict(want_state.v.tensors())
-        for (name, got), (_, arr) in zip(p.tensors(), want.tensors()):
-            assert np.array_equal(got.view(np.uint64), arr.view(np.uint64)), name
-            assert np.array_equal(m[name].view(np.uint64), want_m[name].view(np.uint64)), name
-            assert np.array_equal(v[name].view(np.uint64), want_v[name].view(np.uint64)), name
+        _assert_same_bits(p, state, want, want_state)
 
 
 def test_adam_rejects_non_finite_touched_row():
@@ -152,6 +166,76 @@ def test_adam_rejects_non_finite_touched_row():
     assert state.step == 0
     for (_, a), (_, b) in zip(p.tensors(), before.tensors()):
         assert np.array_equal(a, b)
+
+
+def _three_part_params():
+    p = _params(users=9, items=45000, seed=4)
+    assert p.buffer.size >= 3 * ADAM_MIN_PART
+    return p
+
+
+def test_split_adam_matches_dense_oracle_bitwise():
+    p = _three_part_params()
+    want = p.copy()
+    want_state = AdamState.for_params(want)
+    rng = np.random.default_rng(6)
+    with AdamState.for_params(p, workers=3) as state:
+        assert len(state.parts) == 3 and state.pool is not None
+        starts = [start for start, _ in state.parts]
+        # every part boundary, and every block edge inside a part
+        cuts = sorted({c for start, stop in state.parts for c in range(start, stop, ADAM_BLOCK)} - {0})
+        assert set(starts[1:]) <= set(cuts)
+        for step in range(5):
+            g, dense = _row_sparse_grads(p, rng, step, cuts)
+            adam_step(p, g, state, lr=0.01)
+            _dense_adam(want, dense, want_state, lr=0.01)
+            _assert_same_bits(p, state, want, want_state)
+
+
+def test_split_adam_runs_every_part_on_its_own_thread(monkeypatch):
+    p = _three_part_params()
+    ran = []
+    real_part = training._adam_part
+
+    def recording(params, by_tensor, state, lr, part):
+        ran.append((part, threading.get_ident()))
+        real_part(params, by_tensor, state, lr, part)
+
+    monkeypatch.setattr(training, "_adam_part", recording)
+    with AdamState.for_params(p, workers=3) as state:
+        adam_step(p, GradientSet.zeros_like(p), state, lr=0.01)
+    assert sorted(part for part, _ in ran) == [0, 1, 2]
+    assert len({ident for _, ident in ran}) == 3
+    assert dict(ran)[0] == threading.get_ident()  # the caller takes the first part
+
+
+def test_split_adam_non_finite_gradient_leaves_params_and_moments():
+    p = _three_part_params()
+    g, _ = _row_sparse_grads(p, np.random.default_rng(7), 0)
+    with AdamState.for_params(p, workers=3) as state:
+        adam_step(p, g, state, lr=0.01)
+        before = p.copy(), state.m.copy(), state.v.copy()
+        g.out_b[-1] = np.nan  # a row in the last part
+        with pytest.raises(NonFiniteGradientError, match="out_b at step 2"):
+            adam_step(p, g, state, lr=0.01)
+        assert state.step == 1
+        for got, want in zip((p, state.m, state.v), before):
+            assert np.array_equal(got.buffer, want.buffer)
+
+
+def test_part_bounds_cut_at_row_starts():
+    p = _three_part_params()
+    for workers in range(1, 4):
+        parts = AdamState.for_params(p, workers).parts
+        assert parts[0][0] == 0 and parts[-1][1] == p.buffer.size
+        assert all(stop == start for (_, stop), (start, _) in zip(parts, parts[1:]))
+        offset = 0
+        for name, arr in p.tensors():  # a cut inside a table falls on a row start
+            for start, _ in parts:
+                if offset < start < offset + arr.size:
+                    assert (start - offset) % (arr.size // len(arr)) == 0, name
+            offset += arr.size
+    assert len(AdamState.for_params(_params(), workers=8).parts) == 1  # below ADAM_MIN_PART a part
 
 
 # --------------------------------------------------------------------------
@@ -172,12 +256,12 @@ def test_negative_batch_history_exclusion():
     rng = np.random.default_rng(1)
     tgt = np.array([[2]], dtype=np.int64)
     tmask = np.ones((1, 1))
-    hist = [np.array([1, 3, 4, 5, 6, 7, 8])]
+    hist = np.array([[1, 3, 4, 5, 6, 7, 8]])
     neg, _ = sample_negative_batch(rng, tgt, tmask, item_count=10, count=50, history=hist)
     assert set(np.unique(neg)) <= {9, 10}
 
 
-@pytest.mark.parametrize("history", [None, [np.array([2, 4]), np.array([1, 3])]], ids=["targets", "history"])
+@pytest.mark.parametrize("history", [None, np.array([[2, 4], [1, 3]])], ids=["targets", "history"])
 def test_negative_batch_sampling_error_when_every_item_excluded(history):
     # row 1 excludes every item: by its targets alone, or by targets plus history
     tgt = np.array([[1, 0, 0], [1, 2, 3]] if history is None else [[1, 0, 0], [2, 4, 0]], dtype=np.int64)
@@ -185,14 +269,15 @@ def test_negative_batch_sampling_error_when_every_item_excluded(history):
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     with pytest.raises(SamplingError, match="row 1"):
-        sample_negative_batch(rng, tgt, tmask, item_count=4 if history else 3, count=1, history=history)
+        sample_negative_batch(rng, tgt, tmask, item_count=3 if history is None else 4, count=1,
+                              history=history)
     assert rng.bit_generator.state == before  # raised before the first draw, no rounds spent
 
 
 def test_negative_batch_history_with_repeats_leaves_an_item_free():
     # the row is as wide as the catalog, but its repeats leave item 5 eligible
     tgt = np.array([[1]], dtype=np.int64)
-    hist = [np.array([2, 2, 3, 4])]
+    hist = np.array([[2, 2, 3, 4]])
     neg, _ = sample_negative_batch(np.random.default_rng(0), tgt, np.ones((1, 1)), item_count=5, count=4,
                                    history=hist)
     assert (neg == 5).all()
@@ -210,7 +295,7 @@ def test_negative_batch_few_eligible_items_never_raises():
     # only item 1000 is eligible; 200 rejection rounds miss it for most seeds,
     # and the slots left are drawn from the eligible set instead of raising
     tgt = np.array([[1]], dtype=np.int64)
-    hist = [np.arange(2, 1000)]
+    hist = np.arange(2, 1000)[None, :]
     for seed in range(50):
         neg, _ = sample_negative_batch(np.random.default_rng(seed), tgt, np.ones((1, 1)), item_count=1000,
                                        count=3, history=hist)
@@ -219,13 +304,21 @@ def test_negative_batch_few_eligible_items_never_raises():
 
 def test_negative_batch_eligible_set_draws_cover_every_eligible_item():
     tgt = np.array([[1]], dtype=np.int64)
-    hist = [np.setdiff1d(np.arange(2, 1000), [500])]  # items 500 and 1000 stay eligible
+    hist = np.setdiff1d(np.arange(2, 1000), [500])[None, :]  # items 500 and 1000 stay eligible
     drawn = np.concatenate([
         sample_negative_batch(np.random.default_rng(seed), tgt, np.ones((1, 1)), item_count=1000, count=4,
                               history=hist)[0].ravel()
         for seed in range(30)
     ])
     assert set(drawn.tolist()) == {500, 1000}
+
+
+def _padded(rows):
+    """The rows left-aligned in one matrix, padded with item 0."""
+    sizes = np.array([r.size for r in rows])
+    block = np.zeros((len(rows), sizes.max()), dtype=np.int64)
+    block[np.arange(block.shape[1]) < sizes[:, None]] = np.concatenate(rows)
+    return block
 
 
 def _draw_digest():
@@ -240,10 +333,11 @@ def _draw_digest():
         targets[target_mask == 0] = 0
         history = None
         if case % 2:
-            history = [gen.integers(1, item_count + 1, size=int(gen.integers(1, 40))) for _ in range(n_batch)]
+            history = _padded([gen.integers(1, item_count + 1, size=int(gen.integers(1, 40)))
+                               for _ in range(n_batch)])
         calls = [(item_count, targets, target_mask, int(gen.integers(1, 4)), case % 3 == 0, history)]
         if case < 4:  # one row eligible for only item 1000: the rounds run out and the fallback draws
-            calls.append((1000, np.array([[1]]), np.ones((1, 1)), 3, case % 2 == 1, [np.arange(2, 1000)]))
+            calls.append((1000, np.array([[1]]), np.ones((1, 1)), 3, case % 2 == 1, np.arange(2, 1000)[None, :]))
         for item_count, targets, target_mask, count, per_instance, history in calls:
             rng = np.random.default_rng(case)
             try:
@@ -371,6 +465,32 @@ def test_validation_map_follows_the_metric_keys(metric_keys):
     want = evaluate(result.params, HP, split, part="validation", **metric_keys).mean_ap
     assert result.best_val_map == want
     assert want != evaluate(result.params, HP, split, part="validation").mean_ap  # the keys change the metric
+
+
+def test_large_buffer_trains_the_same_bits_on_one_thread_and_two(large_split, two_cpus, monkeypatch):
+    threads = []
+    real_part = training._adam_part
+
+    def recording(params, by_tensor, state, lr, part):
+        threads.append(threading.get_ident())
+        real_part(params, by_tensor, state, lr, part)
+
+    monkeypatch.setattr(training, "_adam_part", recording)
+    before = threading.active_count()
+    split_run = train(large_split, LARGE_HP, seed=3, epochs=2, batch_size=100, patience=2)
+    assert len(set(threads)) == 2
+    assert threading.active_count() == before  # train() shut its threads down
+    threads.clear()
+    monkeypatch.setenv("CASER_THREADS", "1")
+    serial_run = train(large_split, LARGE_HP, seed=3, epochs=2, batch_size=100, patience=2)
+    assert set(threads) == {threading.get_ident()}
+    assert split_run.params.buffer.tobytes() == serial_run.params.buffer.tobytes()
+    assert [r.train_loss.hex() for r in split_run.log] == [r.train_loss.hex() for r in serial_run.log]
+
+
+def test_trial_processes_run_adam_on_one_thread(two_cpus):
+    assert map_trials(thread_budget, [None, None], jobs=2) == [1, 1]  # the trials already fill the cores
+    assert map_trials(thread_budget, [None], jobs=1) == [2]
 
 
 def test_log_csv_format(tmp_path):
