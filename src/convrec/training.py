@@ -24,11 +24,11 @@ from .model import FULL_MASK, ComponentMask, ModelParams, dropout_mask_for, init
 
 ADAM_BLOCK = 65536  # elements per block of the parameter update
 # Fewest elements in one thread's part of the update. On a 2-vCPU VM a split
-# costs about 1 ms a step (a 50-70 us handoff, and the second part's Python,
-# which holds the GIL): two parts lost to the serial update at 106k elements
-# (1.74 against 1.41 ms) and won at 273k (3.19 against 4.90 ms) and at 3.47M
-# (17.5 against 31.8 ms). A part of at least 2**18 elements keeps that cost
-# well under the time it saves.
+# costs about 0.7 ms a step (a 50-70 us handoff, and the second part's
+# Python, which holds the GIL): two parts lost to the serial update at 106k
+# elements (1.31-1.36 against 1.04-1.23 ms) and won from 167k (1.59-1.61
+# against 1.83-1.88 ms); at 3.47M they took 16.8 against 30.6 ms. A part of
+# at least 2**18 elements keeps that cost well under the time it saves.
 ADAM_MIN_PART = 1 << 18
 
 
@@ -105,18 +105,19 @@ def _adam_part(params: ModelParams, by_tensor, state: AdamState, lr: float, part
     p, m, v = params.buffer, state.m.buffer, state.v.buffer
     m[start:stop] *= b1
     v[start:stop] *= b2
-    offset = 0
+    stop_t = 0
     for (_, mt), (_, vt), (_, g, rows) in zip(state.m.tensors(), state.v.tensors(), by_tensor):
-        width = mt.size // len(mt)
-        lo, hi = max(start - offset, 0) // width, max(min(stop - offset, mt.size), 0) // width
-        offset += mt.size
-        if lo >= hi:
+        start_t, stop_t = stop_t, stop_t + mt.size  # the tensor's elements in the buffer
+        if stop_t <= start or start_t >= stop:
             continue
-        if isinstance(rows, slice):  # dense: every row
-            rows, g = slice(lo, hi), g[lo:hi]
-        else:  # sorted row ids with their values
-            a, b = np.searchsorted(rows, (lo, hi))
-            rows, g = rows[a:b], g[a:b]
+        if start_t < start or stop_t > stop:  # the part holds only rows lo..hi-1 of the tensor
+            width = mt.size // len(mt)
+            lo, hi = (max(start, start_t) - start_t) // width, (min(stop, stop_t) - start_t) // width
+            if isinstance(rows, slice):  # dense: every row
+                rows, g = slice(lo, hi), g[lo:hi]
+            else:  # sorted row ids with their values
+                a, b = np.searchsorted(rows, (lo, hi))
+                rows, g = rows[a:b], g[a:b]
         mt[rows] += (1.0 - b1) * g
         sq = (1.0 - b2) * g
         sq *= g

@@ -12,7 +12,7 @@ from convrec.data import chronological_split, build_sequences
 from convrec.evaluate import evaluate
 from convrec.errors import NonFiniteGradientError, NonFiniteLossError, SamplingError
 from convrec.gradients import GradientSet
-from convrec.model import init_params
+from convrec.model import ModelParams, init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
 from convrec.training import (ADAM_BLOCK, ADAM_MIN_PART, AdamState, adam_step, map_trials, sample_negative_batch,
                               train)
@@ -192,7 +192,28 @@ def test_split_adam_matches_dense_oracle_bitwise():
             _assert_same_bits(p, state, want, want_state)
 
 
-def test_split_adam_runs_every_part_on_its_own_thread(monkeypatch):
+def test_adam_parts_cut_inside_every_tensor_match_the_dense_oracle():
+    # one cut at the middle row of every tensor with two rows or more, dense ones too
+    p = _params(users=9, items=300, seed=8)
+    cuts, offset = [], 0
+    for _, arr in p.tensors():
+        if len(arr) > 1:
+            cuts.append(offset + len(arr) // 2 * (arr.size // len(arr)))
+        offset += arr.size
+    parts = list(zip([0] + cuts, cuts + [p.buffer.size]))
+    state = AdamState(m=ModelParams(p.layout, np.zeros_like(p.buffer)),
+                      v=ModelParams(p.layout, np.zeros_like(p.buffer)), parts=parts)
+    want = p.copy()
+    want_state = AdamState.for_params(want)
+    rng = np.random.default_rng(9)
+    for step in range(4):
+        g, dense = _row_sparse_grads(p, rng, step, cuts)
+        adam_step(p, g, state, lr=0.01)
+        _dense_adam(want, dense, want_state, lr=0.01)
+        _assert_same_bits(p, state, want, want_state)
+
+
+def test_split_adam_runs_the_second_part_on_a_second_thread(monkeypatch):
     p = _three_part_params()
     ran = []
     real_part = training._adam_part
@@ -202,11 +223,11 @@ def test_split_adam_runs_every_part_on_its_own_thread(monkeypatch):
         real_part(params, by_tensor, state, lr, part)
 
     monkeypatch.setattr(training, "_adam_part", recording)
-    with AdamState.for_params(p, workers=3) as state:
+    with AdamState.for_params(p, workers=2) as state:
         adam_step(p, GradientSet.zeros_like(p), state, lr=0.01)
-    assert sorted(part for part, _ in ran) == [0, 1, 2]
-    assert len({ident for _, ident in ran}) == 3
+    assert sorted(part for part, _ in ran) == [0, 1]
     assert dict(ran)[0] == threading.get_ident()  # the caller takes the first part
+    assert dict(ran)[1] != threading.get_ident()  # and the pool's thread the second
 
 
 def test_split_adam_non_finite_gradient_leaves_params_and_moments():
@@ -354,6 +375,22 @@ def test_negative_batch_draws_are_pinned():
     # draws per target and per instance, with histories of 1-39 items, rows
     # that raise and rows that reach the fallback
     assert _draw_digest() == "2795570b9af6cec859fca3481932f198dd3b9445e0ec1a69420ab81f8d5a1024"
+
+
+def test_exclude_history_training_draws_are_pinned(monkeypatch):
+    # every negative that a training with exclude_history_negatives draws:
+    # the per-user history rows it gathers exclude what the per-batch lists did
+    digest = hashlib.sha256()
+    real_sample = training.sample_negative_batch
+
+    def recording(*args, **kwargs):
+        neg, mask = real_sample(*args, **kwargs)
+        digest.update(neg.tobytes() + mask.tobytes())
+        return neg, mask
+
+    monkeypatch.setattr(training, "sample_negative_batch", recording)
+    train(_micro_split(), HP, seed=4, epochs=2, batch_size=8, patience=2, exclude_history_negatives=True)
+    assert digest.hexdigest() == "10dca074f2b24f7064b7f33a95543ae346221c9998eaa0827f11ff366b059f0a"
 
 
 def test_negative_batch_frequencies_uniform():
