@@ -16,11 +16,12 @@ reads each probe's loss from batch_loss of one batch_forward.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import HyperParams
+from .config import HyperParams, run_parts
 from .gradients import GradientSet, RowScatter
 from .model import (
     FULL_MASK,
@@ -47,6 +48,41 @@ def _enabled_fc_cols(params: ModelParams, mask: ComponentMask) -> np.ndarray:
     if mask.v:
         cols[n:] = True
     return cols
+
+
+# A full-catalog product is split into ranges of item columns, cut at
+# multiples of SCORE_COLUMN_ALIGN, only where every range is bitwise safe and
+# worth a handoff. On OpenBLAS 0.3.31 (2 vCPUs), with 1, 2 and 4 BLAS threads
+# and 2-4 ranges over every row count 1-512, the ranges gave the whole
+# product's bits from 700 columns each; ranges of up to 525 columns changed
+# some scores under threaded BLAS, and so did a split row (gemv). At one
+# BLAS thread two ranges lost to one at 8-13M multiply-adds each in some
+# shapes and won in every shape from 16M.
+SCORE_COLUMN_ALIGN = 64
+SCORE_MIN_COLUMNS = 1024  # per range
+SCORE_MIN_PART = 1 << 24  # rows x columns x 2d per range
+
+
+def score_column_ranges(rows: int, columns: int, k: int, workers: int) -> list[tuple[int, int]]:
+    """(start, stop) of near-equal ranges of the columns of a (rows, k) x (k, columns) product.
+
+    At most ``workers`` ranges, each of at least SCORE_MIN_COLUMNS columns and
+    SCORE_MIN_PART multiply-adds (about), each cut at a multiple of
+    SCORE_COLUMN_ALIGN; one row is never split.
+    """
+    parts = min(workers, columns // SCORE_MIN_COLUMNS, rows * columns * k // SCORE_MIN_PART)
+    if rows < 2 or parts < 2:
+        return [(0, columns)]
+    half = SCORE_COLUMN_ALIGN // 2
+    cuts = [(columns * i // parts + half) // SCORE_COLUMN_ALIGN * SCORE_COLUMN_ALIGN for i in range(parts)]
+    return list(zip(cuts, cuts[1:] + [columns]))
+
+
+def _score_columns(params: ModelParams, xo: np.ndarray, scores: np.ndarray, start: int, stop: int) -> None:
+    """Columns [start, stop) of the full-catalog scores: ``xo @ out_w.T + out_b``."""
+    block = scores[:, start:stop]
+    np.matmul(xo, params.out_w[start:stop].T, out=block)
+    block += params.out_b[start:stop]
 
 
 @dataclass
@@ -77,10 +113,15 @@ def batch_forward(
     dropout_mask: np.ndarray | None = None,
     score_ids: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    pool: ThreadPoolExecutor | None = None,
+    workers: int = 1,
 ) -> BatchTrace:
     """Forward a batch; scores only the given item ids when provided.
 
-    Scores over all items are written into ``out`` when it is given.
+    Scores over all items are written into ``out`` when it is given. Their
+    product is cut into up to ``workers`` ranges of item columns (see
+    score_column_ranges); with more than one, the calling thread scores the
+    first and ``pool`` (``workers - 1`` threads) the others.
     """
     B = prev.shape[0]
     d = params.latent_dim
@@ -114,8 +155,9 @@ def batch_forward(
     xo = np.concatenate([z, p_u], axis=1)
     out_w_scored = None
     if score_ids is None:
-        scores = np.matmul(xo, params.out_w.T, out=out)
-        scores += params.out_b
+        scores = np.empty((B, params.item_count + 1)) if out is None else out
+        ranges = score_column_ranges(B, scores.shape[1], xo.shape[1], workers)
+        run_parts(lambda part: _score_columns(params, xo, scores, *ranges[part]), len(ranges), pool)
         scores[:, 0] = -np.inf
     else:
         out_w_scored = params.out_w[score_ids]

@@ -118,6 +118,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    thread_budget()  # a bad CASER_THREADS fails before the split and checkpoint load
     cfg = _build_config(args)
     split = _resolve_split(args, cfg)
     params, hp = _load_model(args.checkpoint, split, cfg)
@@ -319,11 +320,27 @@ SUBCOMMANDS = {  # name: (help, handler, options as (flag, add_argument keywords
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Every subcommand is listed, but only ``command`` declares its options: each option costs a help formatter."""
-    parser = argparse.ArgumentParser(prog="convrec", description=__doc__)
+class _UsageError(Exception):
+    """A usage error met by the parser that lists one subcommand; the message must list them all."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def build_parser(command: str | None = None, every: bool = True) -> argparse.ArgumentParser:
+    """The parser with every subcommand listed, or with ``every`` off only ``command``.
+
+    Only ``command`` declares its options: each subcommand and option costs a
+    help formatter. The parser of ``command`` alone raises _UsageError where
+    a usage error would be printed.
+    """
+    parser = (argparse.ArgumentParser if every else _OneCommandParser)(prog="convrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, options) in SUBCOMMANDS.items():
+        if not every and name != command:
+            continue
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in options if name == command else []:
             p.add_argument(flag, **kwargs)
@@ -334,9 +351,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the top level takes no option with a value, so the first subcommand name is the subcommand
-    parser = build_parser(next((arg for arg in argv if arg in SUBCOMMANDS), None))
+    command = next((arg for arg in argv if arg in SUBCOMMANDS), None)
     try:
-        args = parser.parse_args(argv)
+        # Named first, the subcommand takes every later argument, its --help
+        # too: only a usage error, which lists every subcommand, needs the rest.
+        try:
+            args = build_parser(command, every=argv[:1] != [command]).parse_args(argv)
+        except _UsageError:
+            args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, open_input, utf8_lines
@@ -224,6 +225,27 @@ def thread_budget(wanted: int | None = None) -> int:
         except ValueError:
             raise ConfigError(f"CASER_THREADS must be an integer, got {cap!r}") from None
     return max(1, wanted)
+
+
+def run_parts(run, parts: int, pool: ThreadPoolExecutor | None = None) -> None:
+    """``run(0)``, ..., ``run(parts - 1)``, returning once every call has.
+
+    With a pool, ``run(0)`` runs on the calling thread and each other part on
+    a pool thread, so the pool needs ``parts - 1`` threads; without one, the
+    calling thread runs every part in order. The first error is raised only
+    after every part has stopped.
+    """
+    if pool is None or parts == 1:
+        for part in range(parts):
+            run(part)
+        return
+    others = [pool.submit(run, part) for part in range(1, parts)]
+    try:
+        run(0)
+    finally:
+        wait(others)
+    for future in others:
+        future.result()
 
 
 def parse_config_file(path: str) -> dict[str, str]:

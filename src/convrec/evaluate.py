@@ -7,13 +7,15 @@ candidate set before ranking; a flag disables that.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import batch_forward, forward
-from .config import AP_MODES, HyperParams
+from .batch import batch_forward, forward, score_column_ranges
+from .config import AP_MODES, HyperParams, thread_budget
 from .data import SplitDataset, history_for, pad_left
 from .model import FULL_MASK, ComponentMask, ModelParams
 
@@ -106,10 +108,14 @@ def score_matrix(
     users: list[int],
     comp_mask: ComponentMask = FULL_MASK,
     out: np.ndarray | None = None,
+    pool: ThreadPoolExecutor | None = None,
+    workers: int = 1,
 ) -> np.ndarray:
     """Inference scores over all items for many users, SCORE_CHUNK per batch.
 
     The scores go into ``out`` when it is given, shape (len(users), item_count + 1).
+    Each batch's product is shared by up to ``workers`` threads, the caller
+    and ``pool``'s (see batch_forward).
     """
     prev = np.asarray([pad_left(h, hp.order) for h in histories], dtype=np.int64)
     users_arr = np.asarray(users, dtype=np.int64)
@@ -117,7 +123,8 @@ def score_matrix(
         out = np.empty((len(users), params.item_count + 1))
     for lo in range(0, len(users), SCORE_CHUNK):
         hi = min(lo + SCORE_CHUNK, len(users))
-        batch_forward(params, hp, prev[lo:hi], users_arr[lo:hi], comp_mask, out=out[lo:hi])
+        batch_forward(params, hp, prev[lo:hi], users_arr[lo:hi], comp_mask, out=out[lo:hi], pool=pool,
+                      workers=workers)
     return out
 
 
@@ -139,11 +146,11 @@ def eligible_and_ranks(scores: np.ndarray, rows: np.ndarray, items: np.ndarray):
     at a smaller index, its 1-based position in ``ranked_order(row)``. NaN
     compares false, so it is never ahead."""
     values = scores[rows, items]
+    eligible = _row_counts(np.isfinite(scores))
     if scores.shape[1] > LONG_ROW:
         # On long rows comparing against a scalar, several times faster than a
         # broadcast comparison, outweighs making two calls per pair. An equal
         # score before item i is ahead of it, one after it is not.
-        eligible = np.array([np.count_nonzero(np.isfinite(row)) for row in scores], dtype=np.int64)
         ahead = np.array(
             [
                 np.count_nonzero(scores[r, :i] >= v) + np.count_nonzero(scores[r, i:] > v)
@@ -152,7 +159,6 @@ def eligible_and_ranks(scores: np.ndarray, rows: np.ndarray, items: np.ndarray):
             dtype=np.int64,
         )
         return eligible, ahead + 1
-    eligible = _row_counts(np.isfinite(scores))
     pair_rows = scores[rows]
     ahead = pair_rows > values[:, None]
     ahead |= (pair_rows == values[:, None]) & (np.arange(scores.shape[1]) < items[:, None])
@@ -281,15 +287,25 @@ def evaluate(
     comp_mask: ComponentMask = FULL_MASK,
     collect_per_user: bool = False,
 ) -> EvalReport:
-    """The model's metrics against the held-out part (see evaluate_scores)."""
+    """The model's metrics against the held-out part (see evaluate_scores).
 
+    Each chunk's product is split into ranges of item columns, one per CPU
+    (thread_budget) where the ranges are large enough; the calling thread
+    scores the first range and a pool that lives as long as this call the
+    others. Ranking stays on the calling thread.
+    """
     # One chunk's buffer for every chunk: fresh chunk-sized arrays above
     # malloc's mmap threshold fault in new pages on each call.
     buffer = np.empty((SCORE_CHUNK, params.item_count + 1))
+    # as many threads as a full chunk has ranges: a catalog too small to split has no pool
+    workers = len(score_column_ranges(SCORE_CHUNK, buffer.shape[1], params.out_w.shape[1], thread_budget()))
 
-    def score_rows(users, histories):
-        return score_matrix(params, hp, histories, users, comp_mask, out=buffer[: len(users)])
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
 
-    return evaluate_scores(
-        split, score_rows, cutoffs, ap_mode, exclude_seen, part, collect_per_user
-    )
+        def score_rows(users, histories):
+            return score_matrix(params, hp, histories, users, comp_mask, out=buffer[: len(users)], pool=pool,
+                                workers=workers)
+
+        return evaluate_scores(
+            split, score_rows, cutoffs, ap_mode, exclude_seen, part, collect_per_user
+        )

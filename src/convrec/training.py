@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batch import batch_loss_and_grads
-from .config import HyperParams, thread_budget
+from .config import HyperParams, run_parts, thread_budget
 from .data import SplitDataset, generate_instances
 from .errors import EmptyDatasetError, NonFiniteGradientError, NonFiniteLossError, SamplingError
 from .gradients import GradientSet
@@ -155,15 +155,7 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, lr: flo
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient in {name} at step {state.step + 1}")
     state.step += 1
-    if state.pool is None:
-        for part in range(len(state.parts)):
-            _adam_part(params, by_tensor, state, lr, part)
-    else:
-        others = [state.pool.submit(_adam_part, params, by_tensor, state, lr, part)
-                  for part in range(1, len(state.parts))]
-        _adam_part(params, by_tensor, state, lr, 0)
-        for future in others:
-            future.result()
+    run_parts(lambda part: _adam_part(params, by_tensor, state, lr, part), len(state.parts), state.pool)
     params.pin_rows()
 
 

@@ -604,11 +604,11 @@ def test_help_outputs_are_unchanged(capsys, monkeypatch):
         assert capsys.readouterr().out == text, name
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("command", ["train", "ablate", "evaluate"])
 def test_non_integer_thread_cap_exits_2_before_training(prepared, tmp_path, capsys, monkeypatch, command):
     monkeypatch.setenv("CASER_THREADS", "2.5")
-    ck = tmp_path / "m.ckpt"
-    extra = ["--checkpoint", str(ck)] if command == "train" else ["--masks", "p"]
+    ck = tmp_path / "m.ckpt"  # evaluate would exit 1 on loading this missing checkpoint
+    extra = ["--masks", "p"] if command == "ablate" else ["--checkpoint", str(ck)]
     assert main([command, "--data-dir", prepared] + extra + BASE) == 2
     assert "CASER_THREADS" in _one_error_line(capsys)
     assert not ck.exists()

@@ -1,5 +1,8 @@
 import dataclasses
 import importlib
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,21 +10,25 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from convrec.ablation import evaluate_pop, popularity_counts
+from convrec.config import HyperParams, run_parts, thread_budget
 from convrec.data import SplitDataset, history_for
 from convrec.evaluate import (
     AP_MODES,
     LONG_ROW,
+    SCORE_CHUNK,
     evaluate,
     metrics_for_ranking,
     ranked_order,
     recommend_top_n,
     score_matrix,
 )
-from convrec.batch import forward
+from convrec.batch import forward, score_column_ranges
 from convrec.model import init_params
+from tests.conftest import LARGE_HP
 
 # the module, which the package's evaluate function shadows as an attribute
 evaluation = importlib.import_module("convrec.evaluate")
+batch_module = importlib.import_module("convrec.batch")
 
 
 # --------------------------------------------------------------------------
@@ -271,9 +278,9 @@ def test_evaluate_holds_one_chunk_and_one_block(tiny_params, tiny_hp, tiny_split
     chunks, blocks = [], []
     real_score, real_metrics = evaluation.score_matrix, evaluation.metrics_for_ranking
 
-    def scoring(params, hp, histories, users, comp_mask, out):
+    def scoring(params, hp, histories, users, comp_mask, out, **threads):
         chunks.append(out)
-        return real_score(params, hp, histories, users, comp_mask, out=out)
+        return real_score(params, hp, histories, users, comp_mask, out=out, **threads)
 
     def ranking(scores, relevant, cutoffs, ap_mode):
         blocks.append(scores.shape)
@@ -484,3 +491,115 @@ def test_score_matrix_matches_forward(tiny_params, tiny_hp):
         want = forward(tiny_params, tiny_hp, pad_left(h, tiny_hp.order), u)
         fin = np.isfinite(want)
         assert np.allclose(mat[row][fin], want[fin], atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# the full-catalog product, split by item columns across threads
+
+def test_column_ranges_cover_the_columns_at_multiples_of_64():
+    for rows, columns, k, workers in [(512, 22482, 100, 2), (488, 22482, 64, 3), (150, 2892, 128, 4), (512, 4096, 100, 8)]:
+        ranges = score_column_ranges(rows, columns, k, workers)
+        assert 2 <= len(ranges) <= workers
+        assert ranges[0][0] == 0 and ranges[-1][1] == columns
+        assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
+        assert all(start % 64 == 0 and stop - start >= 1024 for start, stop in ranges)
+        assert max(b - a for a, b in ranges) - min(b - a for a, b in ranges) <= 64
+    assert score_column_ranges(1, 10**6, 100, 2) == [(0, 10**6)]  # one row is scored by gemv, never split
+    assert score_column_ranges(512, 2047, 100, 2) == [(0, 2047)]  # a range would hold fewer than 1024 columns
+
+
+@pytest.mark.parametrize("k", [64, 100])
+@pytest.mark.parametrize("items", [501, 22481])  # the bench catalogs
+def test_split_product_has_the_bits_of_the_whole_product(items, k):
+    # every chunk size that the rule splits, under the BLAS threading the suite runs
+    rng = np.random.default_rng([items, k])
+    params = init_params(HyperParams(latent_dim=k // 2), 1, items, rng)
+    params.out_b[1:] = rng.normal(scale=0.2, size=items)
+    xo = rng.normal(size=(SCORE_CHUNK, k))
+    workers = max(2, thread_budget())
+    whole, split = np.empty((2, SCORE_CHUNK, items + 1))
+    split_rows = []
+    with ThreadPoolExecutor(workers - 1) as pool:
+        for rows in range(1, SCORE_CHUNK + 1):
+            ranges = score_column_ranges(rows, items + 1, k, workers)
+            if len(ranges) == 1:
+                continue
+            split_rows.append(rows)
+            batch_module._score_columns(params, xo[:rows], whole[:rows], 0, items + 1)
+            run_parts(lambda part: batch_module._score_columns(params, xo[:rows], split[:rows], *ranges[part]),
+                      len(ranges), pool)
+            assert np.array_equal(whole[:rows].view(np.uint64), split[:rows].view(np.uint64)), rows
+    if items == 501:
+        assert not split_rows  # a small catalog is always scored on one thread
+    else:
+        assert split_rows == list(range(split_rows[0], SCORE_CHUNK + 1)) and split_rows[0] <= 30
+
+
+def test_run_parts_raises_only_after_every_part_has_stopped():
+    # no part may still write into a shared buffer once the error reaches the caller
+    finished = []
+
+    def run(part):
+        if part == 0:
+            raise ValueError("part 0 failed")
+        time.sleep(0.05)
+        finished.append(part)
+
+    with ThreadPoolExecutor(2) as pool:
+        with pytest.raises(ValueError, match="part 0 failed"):
+            run_parts(run, 3, pool)
+        assert sorted(finished) == [1, 2]
+
+
+def _recording_columns(monkeypatch):
+    threads = []
+    real = batch_module._score_columns
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        real(*args)
+
+    monkeypatch.setattr(batch_module, "_score_columns", recording)
+    return threads
+
+
+def test_evaluate_on_two_cpus_has_the_bits_of_one_thread(large_split, two_cpus, monkeypatch):
+    params = init_params(LARGE_HP, large_split.user_count, large_split.item_count, np.random.default_rng(21))
+    threads = _recording_columns(monkeypatch)
+    before = threading.active_count()
+    split_report = evaluate(params, LARGE_HP, large_split, collect_per_user=True)
+    assert len(set(threads)) == 2  # the product ran on two threads
+    assert threading.active_count() == before  # and evaluate shut its thread down
+    threads.clear()
+    monkeypatch.setenv("CASER_THREADS", "1")
+    serial_report = evaluate(params, LARGE_HP, large_split, collect_per_user=True)
+    assert set(threads) == {threading.get_ident()}
+    assert _report_bits(split_report) == _report_bits(serial_report)
+
+
+def test_evaluate_stops_its_thread_when_it_raises(large_split, two_cpus, monkeypatch):
+    params = init_params(LARGE_HP, large_split.user_count, large_split.item_count, np.random.default_rng(22))
+    threads = _recording_columns(monkeypatch)
+
+    def failing(*args):
+        raise RuntimeError("ranking failed")
+
+    monkeypatch.setattr(evaluation, "metrics_for_ranking", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="ranking failed"):
+        evaluate(params, LARGE_HP, large_split)
+    assert len(set(threads)) == 2  # the first chunk was scored on two threads before ranking raised
+    assert threading.active_count() == before
+
+
+def test_small_catalog_evaluates_without_a_thread(tiny_params, tiny_hp, tiny_split, two_cpus, monkeypatch):
+    threads = _recording_columns(monkeypatch)
+    counts = []
+    real_metrics = evaluation.metrics_for_ranking
+    monkeypatch.setattr(evaluation, "metrics_for_ranking",
+                        lambda *args: counts.append(threading.active_count()) or real_metrics(*args))
+    before = threading.active_count()
+    evaluate(tiny_params, tiny_hp, tiny_split)
+    assert set(threads) == {threading.get_ident()} and set(counts) == {before}
+    # the 501-item bench catalogs (K = 100 and 64) are never split, whatever the CPU count
+    assert all(len(score_column_ranges(rows, 502, k, 64)) == 1 for rows in range(1, SCORE_CHUNK + 1) for k in (64, 100))
