@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import re
@@ -602,6 +603,36 @@ def test_help_outputs_are_unchanged(capsys, monkeypatch):
     for name, text in expected.items():
         assert main(([] if name == "convrec" else [name]) + ["--help"]) == 0
         assert capsys.readouterr().out == text, name
+
+
+_TOP_USAGE = ("usage: convrec [-h]\n"
+              "               {prepare,train,evaluate,recommend,mine-rules,ablate,grad-check,inspect,sweep}\n"
+              "               ...\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'prepare', 'train', 'evaluate', "
+                "'recommend', 'mine-rules', 'ablate', 'grad-check', 'inspect', 'sweep')"),
+    (["evaluate", "--checkpoint", "x", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_top_level_usage_errors_list_every_subcommand(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == _TOP_USAGE + f"convrec: error: {message}\n"
+
+
+def test_a_call_named_by_its_subcommand_builds_only_that_parser(tmp_path, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    assert main(["inspect", "--checkpoint", str(tmp_path / "missing.ckpt")]) == 1
+    assert built == ["convrec", "convrec inspect"]
 
 
 @pytest.mark.parametrize("command", ["train", "ablate", "evaluate"])
