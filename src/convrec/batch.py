@@ -155,12 +155,13 @@ def batch_forward(
     xo = np.concatenate([z, p_u], axis=1)
     out_w_scored = None
     if score_ids is None:
-        scores = np.empty((B, params.item_count + 1)) if out is None else out
         if workers > 1:
+            scores = np.empty((B, params.item_count + 1)) if out is None else out
             ranges = score_column_ranges(B, scores.shape[1], xo.shape[1], workers)
             run_parts(lambda part: _score_columns(params, xo, scores, *ranges[part]), len(ranges), pool)
-        else:  # one thread, as for recommend's single row: no ranges to work out or hand out
-            _score_columns(params, xo, scores, 0, scores.shape[1])
+        else:  # one thread, as for recommend's single row: the whole product, with no views to cut
+            scores = np.matmul(xo, params.out_w.T, out=out)
+            scores += params.out_b
         scores[:, 0] = -np.inf
     else:
         out_w_scored = params.out_w[score_ids]
