@@ -7,6 +7,7 @@ latent-factor form out_w[:, d:] @ p_u + out_b, exactly.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,9 +15,10 @@ import numpy as np
 from .batch import forward
 from .config import HyperParams
 from .data import PADDING_INDEX, SplitDataset, pad_left
-# metrics_for_ranking and ranked_order are unused here, but perfbench hooks them under this module's name
+# metrics_for_ranking is unused here, but perfbench hooks it under this module's name
 from .evaluate import (  # noqa: F401
     EvalReport,
+    SharedRow,
     eligible_and_ranks,
     evaluate,
     evaluate_scores,
@@ -36,8 +38,8 @@ __all__ = [
 
 
 def popularity_counts(split: SplitDataset) -> np.ndarray:
-    train = [item for u in split.users() for item in split.train[u]]
-    return np.bincount(np.asarray(train, dtype=np.int64), minlength=split.item_count + 1)
+    train = np.fromiter(itertools.chain.from_iterable(map(split.train.__getitem__, split.users())), np.int64)
+    return np.bincount(train, minlength=split.item_count + 1)
 
 
 def evaluate_pop(
@@ -47,13 +49,11 @@ def evaluate_pop(
     exclude_seen: bool = True,
     part: str = "test",
 ) -> EvalReport:
-    """POP baseline metrics: every user gets the training-count score row."""
+    """POP baseline metrics: every user gets the training-count score row,
+    ranked by one sort of it (see evaluate_scores)."""
     row = popularity_counts(split).astype(float)
     row[0] = -np.inf
-    return evaluate_scores(
-        split, lambda users, _: np.broadcast_to(row, (len(users), row.size)),
-        cutoffs, ap_mode, exclude_seen, part,
-    )
+    return evaluate_scores(split, SharedRow(row, ranked_order(row)), cutoffs, ap_mode, exclude_seen, part)
 
 
 @dataclass
@@ -86,8 +86,10 @@ def run_ablation(
 
     The special mask name "pop" evaluates the popularity baseline instead of
     training a model. The training keys go to train, the metric keys to
-    train's validation, evaluate and evaluate_pop.
+    train's validation, evaluate and evaluate_pop. Cutoff 1 is always
+    evaluated, for the Prec@1 column.
     """
+    cutoffs = (1, *cutoffs)  # evaluate_scores reports a repeated cutoff once
     rows: list[AblationRow] = []
     for code in masks:
         if code.strip().lower() == "pop":

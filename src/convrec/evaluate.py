@@ -35,6 +35,14 @@ class RankedList:
     scores: np.ndarray  # aligned with items
 
 
+@dataclass(frozen=True)
+class SharedRow:
+    """One score row that every user gets, -inf at index 0, and its ranked_order."""
+
+    scores: np.ndarray
+    order: np.ndarray
+
+
 @dataclass
 class EvalReport:
     precision: dict[int, float]
@@ -172,21 +180,66 @@ def eligible_and_ranks(scores: np.ndarray, rows: np.ndarray, items: np.ndarray):
 
 
 def metrics_for_ranking(scores: np.ndarray, relevant, cutoffs, ap_mode: str):
-    """Metrics for a block of masked score rows (used by model and baseline paths).
+    """Metrics for a block of masked score rows (the model's path).
 
     ``relevant[i]`` is row i's set of held-out items. Each relevant item's
     rank is counted by eligible_and_ranks, not read off a sort of the whole
-    row. Items at -inf (padding, excluded history) or NaN never rank. Returns
-    the precision and recall at each cutoff, shape ``(len(cutoffs), rows)``,
-    and the AP of each row.
+    row. Returns what ranked_metrics returns.
     """
-    n_rows = scores.shape[0]
     rows, items = _flat_pairs(relevant)
-    sizes = np.bincount(rows, minlength=n_rows)
-    values = scores[rows, items]
     eligible, ranks = eligible_and_ranks(scores, rows, items)
-    # items at -inf or NaN never rank; +inf scores rank first without being
-    # eligible, and the ranking holds `eligible` items
+    return ranked_metrics(rows, scores[rows, items], ranks, eligible, cutoffs, ap_mode)
+
+
+def shared_row_ranks(row: np.ndarray, order: np.ndarray, rows: np.ndarray, items: np.ndarray,
+                     seen: tuple[np.ndarray, np.ndarray], n_rows: int):
+    """What eligible_and_ranks would count on ``n_rows`` copies of one score row
+    with each copy's seen items set to -inf, from one sort of the row.
+
+    ``order`` is ranked_order(row); an item's position in it is the number of
+    items ahead of it in the unmasked row. ``seen`` holds the (row, item)
+    pairs to mask, repeats allowed. Masking a seen item ahead of a finite or
+    +inf item moves it behind, so a pair's rank is its position + 1 less the
+    row's distinct seen items ahead of it; a row's eligible count is the
+    finite count less its finite distinct seen items. Returns each pair's
+    masked value, the eligible count of each row and each pair's rank; a rank
+    is exact where the masked value is above -inf, and the others never rank.
+    NaN sorts last, so it is never ahead. Costs O(pairs + seen) after the sort.
+    """
+    width = row.size
+    pos = np.empty(width, dtype=np.int64)
+    pos[order] = np.arange(width)
+    finite = np.isfinite(row)
+    # each row's distinct seen items as row * width + position: sorted, a row's
+    # keys are its seen items in ranked order. np.unique took 25x as long as
+    # this sort on 48k keys.
+    keys = np.sort(seen[0] * width + pos[seen[1]])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    eligible = np.count_nonzero(finite) - np.bincount(keys[finite[order[keys % width]]] // width,
+                                                      minlength=n_rows)
+    pair_keys = rows * width + pos[items]
+    ahead = np.searchsorted(keys, pair_keys)
+    ranks = pos[items] + 1 - (ahead - np.searchsorted(keys, rows * width))
+    values = row[items]
+    masked = ahead < keys.size
+    masked[masked] = keys[ahead[masked]] == pair_keys[masked]
+    values[masked] = -np.inf
+    return values, eligible, ranks
+
+
+def ranked_metrics(rows: np.ndarray, values: np.ndarray, ranks: np.ndarray, eligible: np.ndarray, cutoffs,
+                   ap_mode: str):
+    """Precision, recall and AP from each (row, relevant item) pair's masked
+    score and rank and each row's eligible count, as eligible_and_ranks or
+    shared_row_ranks count them.
+
+    Items at -inf (padding, excluded history) or NaN never rank; +inf scores
+    rank first without being eligible, and the ranking holds ``eligible``
+    items. Returns the precision and recall at each cutoff, shape
+    ``(len(cutoffs), rows)``, and the AP of each row.
+    """
+    n_rows = eligible.size
+    sizes = np.bincount(rows, minlength=n_rows)
     hit = (values > -np.inf) & (ranks <= eligible[rows])
     rows, ranks = rows[hit], ranks[hit]
     order = np.lexsort((ranks, rows))
@@ -226,15 +279,18 @@ def evaluate_scores(
 ) -> EvalReport:
     """Average per-user metrics against the held-out part of the split.
 
-    ``score_rows(users, histories)`` returns an array with one score row per
-    user, with -inf at index 0 and at any item that must never rank; a
-    read-only array (POP's one count row, broadcast) is copied before it is
-    masked. The model and the POP baseline are both evaluated here. Users
-    whose held-out part is empty are excluded from all averages.
-
+    ``score_rows(users, histories)`` returns a writable array with one score
+    row per user, with -inf at index 0 and at any item that must never rank.
     Users are scored SCORE_CHUNK at a time and ranked a block of rows at a
     time, BLOCK_ELEMENTS // (item_count + 1) rows, at least one; no users x
     items matrix is held.
+
+    ``score_rows`` may instead be a SharedRow, one row that every user gets
+    (the POP baseline): its ranks are counted from its one sort by
+    shared_row_ranks, with no score block at all.
+
+    The model and the POP baseline are both evaluated here. Users whose
+    held-out part is empty are excluded from all averages.
     """
     if ap_mode not in AP_MODES:
         raise ValueError(f"ap_mode must be one of {AP_MODES}")
@@ -247,24 +303,29 @@ def evaluate_scores(
     histories = [history_for(split, u, part) for u in users]
     relevant = [set(held[u]) for u in users]
     cutoffs = tuple(dict.fromkeys(cutoffs))  # a repeated cutoff is reported once
-    block_rows = max(1, BLOCK_ELEMENTS // (split.item_count + 1))
 
-    precision, recall, ap = [], [], []
-    for lo in range(0, len(users), SCORE_CHUNK):
-        hi = min(lo + SCORE_CHUNK, len(users))
-        scores = score_rows(users[lo:hi], histories[lo:hi])
-        for b in range(lo, hi, block_rows):
-            e = min(b + block_rows, hi)
-            block = scores[b - lo : e - lo]
-            if exclude_seen:
-                if not block.flags.writeable:
-                    block = block.copy()
-                block[_flat_pairs(histories[b:e])] = -np.inf
-            p, r, a = metrics_for_ranking(block, relevant[b:e], cutoffs, ap_mode)
-            precision.append(p)
-            recall.append(r)
-            ap.append(a)
-    precision, recall, ap = (np.concatenate(m, axis=-1) for m in (precision, recall, ap))
+    if isinstance(score_rows, SharedRow):
+        rows, items = _flat_pairs(relevant)
+        seen = _flat_pairs(histories if exclude_seen else [])
+        values, eligible, ranks = shared_row_ranks(score_rows.scores, score_rows.order, rows, items, seen,
+                                                   len(users))
+        precision, recall, ap = ranked_metrics(rows, values, ranks, eligible, cutoffs, ap_mode)
+    else:
+        block_rows = max(1, BLOCK_ELEMENTS // (split.item_count + 1))
+        precision, recall, ap = [], [], []
+        for lo in range(0, len(users), SCORE_CHUNK):
+            hi = min(lo + SCORE_CHUNK, len(users))
+            scores = score_rows(users[lo:hi], histories[lo:hi])
+            for b in range(lo, hi, block_rows):
+                e = min(b + block_rows, hi)
+                block = scores[b - lo : e - lo]
+                if exclude_seen:
+                    block[_flat_pairs(histories[b:e])] = -np.inf
+                p, r, a = metrics_for_ranking(block, relevant[b:e], cutoffs, ap_mode)
+                precision.append(p)
+                recall.append(r)
+                ap.append(a)
+        precision, recall, ap = (np.concatenate(m, axis=-1) for m in (precision, recall, ap))
 
     per_user = None
     if collect_per_user:

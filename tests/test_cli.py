@@ -188,13 +188,15 @@ def _run_config(args) -> RunConfig:
 
 
 @pytest.mark.parametrize("key, pop_kwargs", [("ap_mode=paper_literal", dict(ap_mode="paper_literal")),
-                                             ("exclude_seen=false", dict(exclude_seen=False))])
+                                             ("exclude_seen=false", dict(exclude_seen=False)),
+                                             ("eval_n=5,10", {})])
 def test_ablate_pop_row_follows_the_metric_keys(prepared, tmp_path, key, pop_kwargs):
     out_csv = str(tmp_path / "ablation.csv")
     assert main(["ablate", "--data-dir", prepared, "--masks", "pop", "--out", out_csv, "--set", key] + BASE) == 0
     split = load_split(str(Path(prepared) / "split.json"))
     want, default = evaluate_pop(split, **pop_kwargs), evaluate_pop(split)
-    assert want.mean_ap != default.mean_ap  # the key changes the metric on this corpus
+    # ap_mode and exclude_seen change the metric on this corpus; cutoffs without 1 still report Prec@1
+    assert (want.mean_ap != default.mean_ap) == bool(pop_kwargs)
     assert open(out_csv).read().splitlines()[1] == f"pop,{want.mean_ap:.6f},{want.precision[1]:.6f},0,42"
 
 

@@ -16,11 +16,14 @@ from convrec.evaluate import (
     AP_MODES,
     LONG_ROW,
     SCORE_CHUNK,
+    eligible_and_ranks,
     evaluate,
     metrics_for_ranking,
+    ranked_metrics,
     ranked_order,
     recommend_top_n,
     score_matrix,
+    shared_row_ranks,
 )
 from convrec.batch import forward, score_column_ranges
 from convrec.model import init_params
@@ -245,6 +248,64 @@ def test_evaluate_matches_per_user_loop_bitwise(tiny_params, tiny_hp, tiny_split
         pop = evaluate_pop(tiny_split, cutoffs=cutoffs, ap_mode=ap_mode, exclude_seen=exclude_seen, part=part)
         want = _per_user_report(tiny_split, pop_rows, cutoffs, ap_mode, exclude_seen, part)
         assert _report_bits(dataclasses.replace(pop, per_user=[])) == want[:4] + ([],)
+
+
+@pytest.mark.parametrize("part", ["test", "validation"])
+@pytest.mark.parametrize("exclude_seen", [True, False])
+@pytest.mark.parametrize("ap_mode", AP_MODES)
+def test_pop_matches_per_user_loop_bitwise_on_long_rows(large_split, ap_mode, exclude_seen, part):
+    # the same check as POP's half above, where each per-user row is counted past LONG_ROW
+    assert large_split.item_count + 1 > LONG_ROW
+    cutoffs = (3, 1, 10)
+    counts = popularity_counts(large_split).astype(float)
+    counts[0] = -np.inf
+
+    def pop_rows(users, histories):
+        return [counts] * len(users)
+
+    pop = evaluate_pop(large_split, cutoffs=cutoffs, ap_mode=ap_mode, exclude_seen=exclude_seen, part=part)
+    want = _per_user_report(large_split, pop_rows, cutoffs, ap_mode, exclude_seen, part)
+    assert _report_bits(dataclasses.replace(pop, per_user=[])) == want[:4] + ([],)
+
+
+@st.composite
+def shared_rows(draw):
+    """One row of small integer counts (many exact ties, now and then +inf or
+    NaN), short or past LONG_ROW, and 1-20 users, each with a history that
+    repeats items and a relevant set that may overlap it."""
+    m = draw(st.integers(1, 40) | st.integers(LONG_ROW + 1, LONG_ROW + 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row = rng.integers(0, 4, size=m + 1).astype(float)
+    if draw(st.booleans()):
+        row[rng.integers(1, m + 1, size=2)] = [np.inf, np.nan]
+    row[0] = -np.inf
+    n_rows = draw(st.integers(1, 20))
+    histories = [rng.integers(1, m + 1, size=rng.integers(0, 2 * m + 1)).tolist() for _ in range(n_rows)]
+    relevant = [set(rng.choice(np.arange(1, m + 1), size=rng.integers(1, min(m, 20) + 1), replace=False).tolist())
+                for _ in range(n_rows)]
+    return row, histories, relevant
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_rows(), st.booleans())
+def test_shared_row_ranks_match_the_masked_block(case, exclude_seen):
+    row, histories, relevant = case
+    block = np.tile(row, (len(histories), 1))
+    seen = evaluation._flat_pairs(histories if exclude_seen else [])
+    block[seen] = -np.inf
+    rows, items = evaluation._flat_pairs(relevant)
+    want_eligible, want_ranks = eligible_and_ranks(block, rows, items)
+
+    values, eligible, ranks = shared_row_ranks(row, ranked_order(row), rows, items, seen, len(histories))
+    assert np.array_equal(values, block[rows, items], equal_nan=True)
+    assert eligible.tolist() == want_eligible.tolist()
+    # a held-out item in the history is at -inf and never ranks
+    ranked = values > -np.inf
+    assert ranks[ranked].tolist() == want_ranks[ranked].tolist()
+    cutoffs = (1, 3, 10)
+    got = ranked_metrics(rows, values, ranks, eligible, cutoffs, "standard")
+    want = metrics_for_ranking(block, relevant, cutoffs, "standard")
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_unknown_part_is_refused(tiny_params, tiny_hp, tiny_split):
