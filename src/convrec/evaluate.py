@@ -215,11 +215,12 @@ def shared_row_ranks(row: np.ndarray, order: np.ndarray, rows: np.ndarray, items
     # this sort on 48k keys.
     keys = np.sort(seen[0] * width + pos[seen[1]])
     keys = keys[np.diff(keys, prepend=-1) != 0]
-    eligible = np.count_nonzero(finite) - np.bincount(keys[finite[order[keys % width]]] // width,
-                                                      minlength=n_rows)
-    pair_keys = rows * width + pos[items]
+    seen_finite = keys[finite[order[keys % width]]] // width
+    eligible = np.count_nonzero(finite) - np.bincount(seen_finite, minlength=n_rows)
+    at = pos[items]
+    pair_keys = rows * width + at
     ahead = np.searchsorted(keys, pair_keys)
-    ranks = pos[items] + 1 - (ahead - np.searchsorted(keys, rows * width))
+    ranks = at + 1 - (ahead - np.searchsorted(keys, rows * width))
     values = row[items]
     masked = ahead < keys.size
     masked[masked] = keys[ahead[masked]] == pair_keys[masked]
