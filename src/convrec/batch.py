@@ -16,7 +16,6 @@ reads each probe's loss from batch_loss of one batch_forward.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,15 +112,14 @@ def batch_forward(
     dropout_mask: np.ndarray | None = None,
     score_ids: np.ndarray | None = None,
     out: np.ndarray | None = None,
-    pool: ThreadPoolExecutor | None = None,
     workers: int = 1,
 ) -> BatchTrace:
     """Forward a batch; scores only the given item ids when provided.
 
     Scores over all items are written into ``out`` when it is given. Their
     product is cut into up to ``workers`` ranges of item columns (see
-    score_column_ranges); with more than one, the calling thread scores the
-    first and ``pool`` (``workers - 1`` threads) the others.
+    score_column_ranges); the calling thread scores the first and a thread
+    of its own each other range (see config.run_parts).
     """
     B = prev.shape[0]
     d = params.latent_dim
@@ -158,7 +156,7 @@ def batch_forward(
         if workers > 1:
             scores = np.empty((B, params.item_count + 1)) if out is None else out
             ranges = score_column_ranges(B, scores.shape[1], xo.shape[1], workers)
-            run_parts(lambda part: _score_columns(params, xo, scores, *ranges[part]), len(ranges), pool)
+            run_parts(lambda part: _score_columns(params, xo, scores, *ranges[part]), len(ranges))
         else:  # one thread, as for recommend's single row: the whole product, with no views to cut
             scores = np.matmul(xo, params.out_w.T, out=out)
             scores += params.out_b

@@ -144,7 +144,7 @@ def cmd_recommend(args) -> int:
     split = _resolve_split(args, cfg)
     params, hp = _load_model(args.checkpoint, split, cfg)
     try:
-        user = split.user_ids.index(args.user)
+        user = split.user_ids.index(args.user, 1)  # slot 0 is the padding entry
     except ValueError:
         raise ConvrecError(f"unknown user id {args.user!r}") from None
     history = split.train[user] + split.validation[user] + split.test[user]

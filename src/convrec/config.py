@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import threading
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, open_input, utf8_lines
@@ -227,25 +227,35 @@ def thread_budget(wanted: int | None = None) -> int:
     return max(1, wanted)
 
 
-def run_parts(run, parts: int, pool: ThreadPoolExecutor | None = None) -> None:
+def run_parts(run, parts: int) -> None:
     """``run(0)``, ..., ``run(parts - 1)``, returning once every call has.
 
-    With a pool, ``run(0)`` runs on the calling thread and each other part on
-    a pool thread, so the pool needs ``parts - 1`` threads; without one, the
-    calling thread runs every part in order. The first error is raised only
-    after every part has stopped.
+    ``run(0)`` runs on the calling thread and each other part on a thread of
+    its own, started and joined here, so no thread outlives the call; one
+    part starts no thread. The first error, by part, is raised only after
+    every part has stopped.
     """
-    if pool is None or parts == 1:
-        for part in range(parts):
+    errors = [None] * parts
+
+    def other(part):
+        try:
             run(part)
-        return
-    others = [pool.submit(run, part) for part in range(1, parts)]
+        except BaseException as exc:  # raised again on the calling thread
+            errors[part] = exc
+
+    threads = []
     try:
+        for part in range(1, parts):
+            thread = threading.Thread(target=other, args=(part,))
+            thread.start()
+            threads.append(thread)
         run(0)
     finally:
-        wait(others)
-    for future in others:
-        future.result()
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def parse_config_file(path: str) -> dict[str, str]:

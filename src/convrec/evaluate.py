@@ -7,16 +7,15 @@ candidate set before ranking; a flag disables that.
 """
 from __future__ import annotations
 
-import contextlib
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import batch_forward, forward, score_column_ranges
+from .batch import batch_forward, forward
 from .config import AP_MODES, HyperParams, thread_budget
 from .data import SplitDataset, history_for, pad_left
+from .errors import EmptyDatasetError
 from .model import FULL_MASK, ComponentMask, ModelParams
 
 SCORE_CHUNK = 512  # users scored per batch_forward call
@@ -116,23 +115,21 @@ def score_matrix(
     users: list[int],
     comp_mask: ComponentMask = FULL_MASK,
     out: np.ndarray | None = None,
-    pool: ThreadPoolExecutor | None = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Inference scores over all items for many users, SCORE_CHUNK per batch.
 
     The scores go into ``out`` when it is given, shape (len(users), item_count + 1).
-    Each batch's product is shared by up to ``workers`` threads, the caller
-    and ``pool``'s (see batch_forward).
+    Each batch's product is split over up to one thread per CPU
+    (thread_budget) where its ranges are large enough (see batch_forward).
     """
+    workers = thread_budget()
     prev = np.asarray([pad_left(h, hp.order) for h in histories], dtype=np.int64)
     users_arr = np.asarray(users, dtype=np.int64)
     if out is None:
         out = np.empty((len(users), params.item_count + 1))
     for lo in range(0, len(users), SCORE_CHUNK):
         hi = min(lo + SCORE_CHUNK, len(users))
-        batch_forward(params, hp, prev[lo:hi], users_arr[lo:hi], comp_mask, out=out[lo:hi], pool=pool,
-                      workers=workers)
+        batch_forward(params, hp, prev[lo:hi], users_arr[lo:hi], comp_mask, out=out[lo:hi], workers=workers)
     return out
 
 
@@ -300,7 +297,7 @@ def evaluate_scores(
     held = split.test if part == "test" else split.validation
     users = [u for u in split.users() if held[u]]
     if not users:
-        raise ValueError(f"no users with a nonempty {part} part")
+        raise EmptyDatasetError(f"no users with a nonempty {part} part")
     histories = [history_for(split, u, part) for u in users]
     relevant = [set(held[u]) for u in users]
     cutoffs = tuple(dict.fromkeys(cutoffs))  # a repeated cutoff is reported once
@@ -359,21 +356,14 @@ def evaluate(
 
     Each chunk's product is split into ranges of item columns, one per CPU
     (thread_budget) where the ranges are large enough; the calling thread
-    scores the first range and a pool that lives as long as this call the
-    others. Ranking stays on the calling thread.
+    scores the first range and a thread started for the chunk each other
+    range. Ranking stays on the calling thread.
     """
     # One chunk's buffer for every chunk: fresh chunk-sized arrays above
     # malloc's mmap threshold fault in new pages on each call.
     buffer = np.empty((SCORE_CHUNK, params.item_count + 1))
-    # as many threads as a full chunk has ranges: a catalog too small to split has no pool
-    workers = len(score_column_ranges(SCORE_CHUNK, buffer.shape[1], params.out_w.shape[1], thread_budget()))
 
-    with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
+    def score_rows(users, histories):
+        return score_matrix(params, hp, histories, users, comp_mask, out=buffer[: len(users)])
 
-        def score_rows(users, histories):
-            return score_matrix(params, hp, histories, users, comp_mask, out=buffer[: len(users)], pool=pool,
-                                workers=workers)
-
-        return evaluate_scores(
-            split, score_rows, cutoffs, ap_mode, exclude_seen, part, collect_per_user
-        )
+    return evaluate_scores(split, score_rows, cutoffs, ap_mode, exclude_seen, part, collect_per_user)

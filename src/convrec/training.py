@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,12 +47,10 @@ def _part_bounds(layout, parts: int) -> list[tuple[int, int]]:
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count, and the threads that share its dense update.
+    """Adam's moments and step count, and the parts of the flat buffer that its dense update splits.
 
-    The update runs over ``parts`` of the flat buffer. With ``pool`` set,
-    the calling thread takes the first part and the pool one thread per
-    other part; without it, the calling thread runs every part. ``close``
-    (or leaving a ``with`` block) shuts the pool down.
+    adam_step runs the first part on the calling thread and each other part
+    on a thread that lives as long as the step (see config.run_parts).
     """
 
     m: ModelParams  # first moments, in the parameters' layout
@@ -63,7 +60,6 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     parts: list[tuple[int, int]] = field(default_factory=list)  # empty: the whole buffer as one part
-    pool: ThreadPoolExecutor | None = field(default=None, repr=False)
     # block-sized scratch for the parameter update, one pair per part
     scratch: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
@@ -76,20 +72,7 @@ class AdamState:
         """Zero moments, and the update split over up to ``workers`` threads, each part at least ADAM_MIN_PART elements."""
         parts = _part_bounds(params.layout, max(1, min(workers, params.buffer.size // ADAM_MIN_PART)))
         return cls(m=ModelParams(params.layout, np.zeros_like(params.buffer)),
-                   v=ModelParams(params.layout, np.zeros_like(params.buffer)),
-                   parts=parts, pool=ThreadPoolExecutor(len(parts) - 1) if len(parts) > 1 else None)
-
-    def close(self) -> None:
-        """Stop the update's threads; adam_step then runs every part in the calling thread."""
-        if self.pool is not None:
-            self.pool.shutdown()
-            self.pool = None
-
-    def __enter__(self) -> "AdamState":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+                   v=ModelParams(params.layout, np.zeros_like(params.buffer)), parts=parts)
 
 
 def _adam_part(params: ModelParams, by_tensor, state: AdamState, lr: float, part: int) -> None:
@@ -145,17 +128,17 @@ def adam_step(params: ModelParams, grads: GradientSet, state: AdamState, lr: flo
     only, from the values, since every other row's gradient is exactly zero
     and adding it would change no bit. The conv and FC gradients are dense.
     The parameter update runs in place over blocks of ADAM_BLOCK elements.
-    The update is elementwise, so with a pool each part of the buffer runs
-    on its own thread (numpy releases the GIL in these loops) and the bits
-    are those of the serial update. A non-finite gradient raises before any
-    element changes.
+    The update is elementwise, so each part of the buffer runs on its own
+    thread (numpy releases the GIL in these loops) and the bits are those of
+    the serial update. A non-finite gradient raises before any element
+    changes.
     """
     by_tensor = list(grads.by_layout(params.layout))
     for name, g, _ in by_tensor:
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient in {name} at step {state.step + 1}")
     state.step += 1
-    run_parts(lambda part: _adam_part(params, by_tensor, state, lr, part), len(state.parts), state.pool)
+    run_parts(lambda part: _adam_part(params, by_tensor, state, lr, part), len(state.parts))
     params.pin_rows()
 
 
@@ -285,58 +268,58 @@ def train(
     best_map = -np.inf
     stale = 0
 
-    with AdamState.for_params(params, workers) as state:  # no update thread outlives the run
-        for epoch in range(1, epochs + 1):
-            t0 = time.monotonic()
-            erng = np.random.default_rng([seed, 1000 + epoch])
-            perm = erng.permutation(n_inst)
-            total = 0.0
-            for start in range(0, n_inst, batch_size):
-                rows = perm[start : start + batch_size]
-                batch_history = None
-                if exclude_history_negatives:
-                    u = users[rows]
-                    batch_history = history[u, : history_len[u].max()]
-                neg, neg_mask = sample_negative_batch(
-                    erng,
-                    tgt[rows],
-                    tgt_mask[rows],
-                    split.item_count,
-                    hp.num_negatives,
-                    hp.negatives_per_instance,
-                    batch_history,
-                )
-                dmask = dropout_mask_for(hp, erng, len(rows))
-                loss, grads = batch_loss_and_grads(
-                    params, hp, prev[rows], users[rows], tgt[rows], tgt_mask[rows],
-                    neg, neg_mask, comp_mask, dmask,
-                )
-                if not np.isfinite(loss):
-                    raise NonFiniteLossError(f"non-finite loss {loss} at step {state.step + 1} (epoch {epoch})")
-                adam_step(params, grads, state, hp.lr)
-                total += loss * len(rows)
+    state = AdamState.for_params(params, workers)
+    for epoch in range(1, epochs + 1):
+        t0 = time.monotonic()
+        erng = np.random.default_rng([seed, 1000 + epoch])
+        perm = erng.permutation(n_inst)
+        total = 0.0
+        for start in range(0, n_inst, batch_size):
+            rows = perm[start : start + batch_size]
+            batch_history = None
+            if exclude_history_negatives:
+                u = users[rows]
+                batch_history = history[u, : history_len[u].max()]
+            neg, neg_mask = sample_negative_batch(
+                erng,
+                tgt[rows],
+                tgt_mask[rows],
+                split.item_count,
+                hp.num_negatives,
+                hp.negatives_per_instance,
+                batch_history,
+            )
+            dmask = dropout_mask_for(hp, erng, len(rows))
+            loss, grads = batch_loss_and_grads(
+                params, hp, prev[rows], users[rows], tgt[rows], tgt_mask[rows],
+                neg, neg_mask, comp_mask, dmask,
+            )
+            if not np.isfinite(loss):
+                raise NonFiniteLossError(f"non-finite loss {loss} at step {state.step + 1} (epoch {epoch})")
+            adam_step(params, grads, state, hp.lr)
+            total += loss * len(rows)
 
-            val_map = val_p1 = float("nan")
-            if have_validation:
-                report = evaluate(params, hp, split, cutoffs=(1,), ap_mode=ap_mode, exclude_seen=exclude_seen,
-                                  part="validation", comp_mask=comp_mask)
-                val_map, val_p1 = report.mean_ap, report.precision[1]
+        val_map = val_p1 = float("nan")
+        if have_validation:
+            report = evaluate(params, hp, split, cutoffs=(1,), ap_mode=ap_mode, exclude_seen=exclude_seen,
+                              part="validation", comp_mask=comp_mask)
+            val_map, val_p1 = report.mean_ap, report.precision[1]
 
-            row = EpochLog(epoch, total / n_inst, val_map, val_p1, (time.monotonic() - t0) * 1e3)
-            result.log.append(row)
-            if progress is not None:
-                progress(row)
+        row = EpochLog(epoch, total / n_inst, val_map, val_p1, (time.monotonic() - t0) * 1e3)
+        result.log.append(row)
+        if progress is not None:
+            progress(row)
 
-            if have_validation:
-                if val_map > best_map:
-                    best_map = val_map
-                    best_params = params.copy()
-                    result.best_epoch = epoch
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= patience:
-                        break
+        if have_validation:
+            if val_map > best_map:
+                best_map = val_map
+                best_params = params.copy()
+                result.best_epoch = epoch
+                stale = 0
+            else:
+                stale += 1
+                if stale >= patience:
+                    break
 
     if best_params is not None:
         result.params = best_params

@@ -150,6 +150,46 @@ def test_recommend_unknown_user(prepared, checkpoint, capsys):
     assert "unknown user" in capsys.readouterr().err
 
 
+def test_recommend_padding_slot_names_no_user(prepared, checkpoint, capsys):
+    # slot 0 of the user ids is the unused padding entry ""
+    code = main(["recommend", "--data-dir", prepared, "--checkpoint", checkpoint, "--user", ""])
+    assert code == 1
+    assert _one_error_line(capsys) == "error: unknown user id ''"
+
+
+def test_recommend_finds_a_real_empty_user_id(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("".join(f"{user},i{(n + k) % 12},{k}\n" for n, user in enumerate(["", "a", "b"]) for k in range(8)))
+    data, ck = str(tmp_path / "data"), str(tmp_path / "m.ckpt")
+    assert main(["prepare", "--data", str(log), "--set", "format=csv", "--set", "min_feedback=1", "--out", data]) == 0
+    assert main(["train", "--data-dir", data, "--checkpoint", ck, "--quiet"] + BASE) == 0
+    capsys.readouterr()
+    assert main(["recommend", "--data-dir", data, "--checkpoint", ck, "--user", "", "--N", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+@pytest.fixture(scope="module")
+def train_only(tmp_path_factory):
+    """20 users of 3 items each: with min_feedback=1 every user splits to its training part only."""
+    out = tmp_path_factory.mktemp("train_only")
+    (out / "log.tsv").write_text("".join(f"u{u}\ti{(u + k) % 7}\t{k}\n" for u in range(20) for k in range(3)))
+    assert main(["prepare", "--data", str(out / "log.tsv"), "--set", "min_feedback=1", "--out", str(out)]) == 0
+    return str(out)
+
+
+def test_evaluate_with_no_held_out_items_exits_1(train_only, tmp_path, capsys):
+    ck = str(tmp_path / "m.ckpt")
+    assert main(["train", "--data-dir", train_only, "--checkpoint", ck, "--quiet"] + BASE) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--data-dir", train_only, "--checkpoint", ck]) == 1
+    assert _one_error_line(capsys) == "error: no users with a nonempty test part"
+
+
+def test_ablate_pop_with_no_held_out_items_exits_1(train_only, capsys):
+    assert main(["ablate", "--data-dir", train_only, "--masks", "pop"] + BASE) == 1
+    assert _one_error_line(capsys) == "error: no users with a nonempty test part"
+
+
 def test_mine_rules_csv_and_intensity(prepared, tmp_path, capsys):
     out_csv = str(tmp_path / "rules.csv")
     code = main(["mine-rules", "--data-dir", prepared, "--minsup", "2",
@@ -651,10 +691,15 @@ def test_sweep_jobs_after_a_threaded_training_finishes(prepared, large_split, tw
     # the training's Adam threads are gone before sweep forks its workers
     threads = []
     real_part = training._adam_part
-    monkeypatch.setattr(training, "_adam_part", lambda *args: threads.append(threading.get_ident()) or real_part(*args))
+    monkeypatch.setattr(training, "_adam_part",
+                        lambda *args: threads.append((args[-1], threading.get_ident())) or real_part(*args))
     before = threading.active_count()
     train(large_split, LARGE_HP, seed=1, epochs=1, batch_size=200, patience=1)
-    assert len(set(threads)) == 2 and threading.active_count() == before
+    # every step ran part 0 on the caller and part 1 on another thread
+    parts = [part for part, _ in threads]
+    assert parts and parts.count(0) == parts.count(1) == len(parts) / 2
+    assert all((ident == threading.get_ident()) == (part == 0) for part, ident in threads)
+    assert threading.active_count() == before
     code = main(["sweep", "--data-dir", prepared, "--jobs", "2", "--grid", "latent_dim=4,6"] + SWEEP_BASE)
     assert code == 0
     assert capsys.readouterr().out.strip().splitlines()[-1].startswith("best: ")

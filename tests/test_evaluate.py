@@ -1,8 +1,8 @@
 import dataclasses
 import importlib
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -580,16 +580,15 @@ def test_split_product_has_the_bits_of_the_whole_product(items, k):
     workers = max(2, thread_budget())
     whole, split = np.empty((2, SCORE_CHUNK, items + 1))
     split_rows = []
-    with ThreadPoolExecutor(workers - 1) as pool:
-        for rows in range(1, SCORE_CHUNK + 1):
-            ranges = score_column_ranges(rows, items + 1, k, workers)
-            if len(ranges) == 1:
-                continue
-            split_rows.append(rows)
-            batch_module._score_columns(params, xo[:rows], whole[:rows], 0, items + 1)
-            run_parts(lambda part: batch_module._score_columns(params, xo[:rows], split[:rows], *ranges[part]),
-                      len(ranges), pool)
-            assert np.array_equal(whole[:rows].view(np.uint64), split[:rows].view(np.uint64)), rows
+    for rows in range(1, SCORE_CHUNK + 1):
+        ranges = score_column_ranges(rows, items + 1, k, workers)
+        if len(ranges) == 1:
+            continue
+        split_rows.append(rows)
+        batch_module._score_columns(params, xo[:rows], whole[:rows], 0, items + 1)
+        run_parts(lambda part: batch_module._score_columns(params, xo[:rows], split[:rows], *ranges[part]),
+                  len(ranges))
+        assert np.array_equal(whole[:rows].view(np.uint64), split[:rows].view(np.uint64)), rows
     if items == 501:
         assert not split_rows  # a small catalog is always scored on one thread
     else:
@@ -606,10 +605,37 @@ def test_run_parts_raises_only_after_every_part_has_stopped():
         time.sleep(0.05)
         finished.append(part)
 
-    with ThreadPoolExecutor(2) as pool:
-        with pytest.raises(ValueError, match="part 0 failed"):
-            run_parts(run, 3, pool)
-        assert sorted(finished) == [1, 2]
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="part 0 failed"):
+        run_parts(run, 3)
+    assert sorted(finished) == [1, 2] and threading.active_count() == before
+
+
+def test_run_parts_raises_the_first_failed_part_on_the_caller():
+    before = threading.active_count()
+
+    def run(part):
+        if part:
+            raise ValueError(f"part {part} failed")
+
+    with pytest.raises(ValueError, match="part 1 failed"):
+        run_parts(run, 3)
+    assert threading.active_count() == before
+    ran = []
+    run_parts(lambda part: ran.append((part, threading.get_ident(), threading.active_count())), 1)
+    assert ran == [(0, threading.get_ident(), before)]  # one part starts no thread
+
+
+def test_run_parts_runs_every_part_once_with_more_parts_than_cpus():
+    counts = np.zeros(16, dtype=np.int64)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            run_parts(lambda part: counts.__setitem__(part, counts[part] + 1), len(counts))
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts.tolist() == [20] * len(counts) and threading.active_count() == before
 
 
 def _recording_columns(monkeypatch):

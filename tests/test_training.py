@@ -179,17 +179,17 @@ def test_split_adam_matches_dense_oracle_bitwise():
     want = p.copy()
     want_state = AdamState.for_params(want)
     rng = np.random.default_rng(6)
-    with AdamState.for_params(p, workers=3) as state:
-        assert len(state.parts) == 3 and state.pool is not None
-        starts = [start for start, _ in state.parts]
-        # every part boundary, and every block edge inside a part
-        cuts = sorted({c for start, stop in state.parts for c in range(start, stop, ADAM_BLOCK)} - {0})
-        assert set(starts[1:]) <= set(cuts)
-        for step in range(5):
-            g, dense = _row_sparse_grads(p, rng, step, cuts)
-            adam_step(p, g, state, lr=0.01)
-            _dense_adam(want, dense, want_state, lr=0.01)
-            _assert_same_bits(p, state, want, want_state)
+    state = AdamState.for_params(p, workers=3)
+    assert len(state.parts) == 3
+    starts = [start for start, _ in state.parts]
+    # every part boundary, and every block edge inside a part
+    cuts = sorted({c for start, stop in state.parts for c in range(start, stop, ADAM_BLOCK)} - {0})
+    assert set(starts[1:]) <= set(cuts)
+    for step in range(5):
+        g, dense = _row_sparse_grads(p, rng, step, cuts)
+        adam_step(p, g, state, lr=0.01)
+        _dense_adam(want, dense, want_state, lr=0.01)
+        _assert_same_bits(p, state, want, want_state)
 
 
 def test_adam_parts_cut_inside_every_tensor_match_the_dense_oracle():
@@ -223,25 +223,46 @@ def test_split_adam_runs_the_second_part_on_a_second_thread(monkeypatch):
         real_part(params, by_tensor, state, lr, part)
 
     monkeypatch.setattr(training, "_adam_part", recording)
-    with AdamState.for_params(p, workers=2) as state:
-        adam_step(p, GradientSet.zeros_like(p), state, lr=0.01)
+    adam_step(p, GradientSet.zeros_like(p), AdamState.for_params(p, workers=2), lr=0.01)
     assert sorted(part for part, _ in ran) == [0, 1]
     assert dict(ran)[0] == threading.get_ident()  # the caller takes the first part
-    assert dict(ran)[1] != threading.get_ident()  # and the pool's thread the second
+    assert dict(ran)[1] != threading.get_ident()  # and a thread of the step's own the second
+
+
+def test_split_adam_runs_each_part_on_its_own_thread(monkeypatch):
+    # a thread per part: no thread runs two parts of one step, and none outlives the step
+    p = _three_part_params()
+    ran = []
+    real_part = training._adam_part
+
+    def recording(params, by_tensor, state, lr, part):
+        ran.append((part, threading.get_ident()))
+        real_part(params, by_tensor, state, lr, part)
+
+    monkeypatch.setattr(training, "_adam_part", recording)
+    state = AdamState.for_params(p, workers=3)
+    before = threading.active_count()
+    for _ in range(2):
+        ran.clear()
+        adam_step(p, GradientSet.zeros_like(p), state, lr=0.01)
+        assert sorted(part for part, _ in ran) == [0, 1, 2]
+        assert len({ident for _, ident in ran}) == 3
+        assert dict(ran)[0] == threading.get_ident()
+        assert threading.active_count() == before
 
 
 def test_split_adam_non_finite_gradient_leaves_params_and_moments():
     p = _three_part_params()
     g, _ = _row_sparse_grads(p, np.random.default_rng(7), 0)
-    with AdamState.for_params(p, workers=3) as state:
+    state = AdamState.for_params(p, workers=3)
+    adam_step(p, g, state, lr=0.01)
+    before = p.copy(), state.m.copy(), state.v.copy()
+    g.out_b[-1] = np.nan  # a row in the last part
+    with pytest.raises(NonFiniteGradientError, match="out_b at step 2"):
         adam_step(p, g, state, lr=0.01)
-        before = p.copy(), state.m.copy(), state.v.copy()
-        g.out_b[-1] = np.nan  # a row in the last part
-        with pytest.raises(NonFiniteGradientError, match="out_b at step 2"):
-            adam_step(p, g, state, lr=0.01)
-        assert state.step == 1
-        for got, want in zip((p, state.m, state.v), before):
-            assert np.array_equal(got.buffer, want.buffer)
+    assert state.step == 1
+    for got, want in zip((p, state.m, state.v), before):
+        assert np.array_equal(got.buffer, want.buffer)
 
 
 def test_part_bounds_cut_at_row_starts():
@@ -509,18 +530,21 @@ def test_large_buffer_trains_the_same_bits_on_one_thread_and_two(large_split, tw
     real_part = training._adam_part
 
     def recording(params, by_tensor, state, lr, part):
-        threads.append(threading.get_ident())
+        threads.append((part, threading.get_ident()))
         real_part(params, by_tensor, state, lr, part)
 
     monkeypatch.setattr(training, "_adam_part", recording)
     before = threading.active_count()
     split_run = train(large_split, LARGE_HP, seed=3, epochs=2, batch_size=100, patience=2)
-    assert len(set(threads)) == 2
+    # every step ran part 0 on the caller and part 1 on another thread
+    parts = [part for part, _ in threads]
+    assert parts and parts.count(0) == parts.count(1) == len(parts) / 2
+    assert all((ident == threading.get_ident()) == (part == 0) for part, ident in threads)
     assert threading.active_count() == before  # train() shut its threads down
     threads.clear()
     monkeypatch.setenv("CASER_THREADS", "1")
     serial_run = train(large_split, LARGE_HP, seed=3, epochs=2, batch_size=100, patience=2)
-    assert set(threads) == {threading.get_ident()}
+    assert {ident for _, ident in threads} == {threading.get_ident()}
     assert split_run.params.buffer.tobytes() == serial_run.params.buffer.tobytes()
     assert [r.train_loss.hex() for r in split_run.log] == [r.train_loss.hex() for r in serial_run.log]
 
