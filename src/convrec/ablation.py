@@ -15,6 +15,7 @@ import numpy as np
 from .batch import forward
 from .config import HyperParams
 from .data import PADDING_INDEX, SplitDataset, pad_left
+from .errors import EmptyDatasetError
 # metrics_for_ranking is unused here, but perfbench hooks it under this module's name
 from .evaluate import (  # noqa: F401
     EvalReport,
@@ -47,13 +48,12 @@ def evaluate_pop(
     cutoffs=(1, 5, 10),
     ap_mode: str = "standard",
     exclude_seen: bool = True,
-    part: str = "test",
 ) -> EvalReport:
-    """POP baseline metrics: every user gets the training-count score row,
+    """POP baseline metrics on the test part: every user gets the training-count score row,
     ranked by one sort of it (see evaluate_scores)."""
     row = popularity_counts(split).astype(float)
     row[0] = -np.inf
-    return evaluate_scores(split, SharedRow(row, ranked_order(row)), cutoffs, ap_mode, exclude_seen, part)
+    return evaluate_scores(split, SharedRow(row, ranked_order(row)), cutoffs, ap_mode, exclude_seen)
 
 
 @dataclass
@@ -66,6 +66,11 @@ class AblationRow:
 
 
 ABLATION_HEADER = "mask,MAP,Prec@1,epochs,seed"
+
+
+def resolve_masks(codes: list[str]) -> list[ComponentMask | None]:
+    """Each code's ComponentMask, None for "pop"; a code of other letters than p, v and h raises ValueError."""
+    return [None if code.strip().lower() == "pop" else ComponentMask.from_code(code) for code in codes]
 
 
 def run_ablation(
@@ -90,13 +95,15 @@ def run_ablation(
     evaluated, for the Prec@1 column.
     """
     cutoffs = (1, *cutoffs)  # evaluate_scores reports a repeated cutoff once
+    plan = resolve_masks(masks)  # every code, and the test part, is checked before the first model trains
+    if not any(split.test[u] for u in split.users()):
+        raise EmptyDatasetError("no users with a nonempty test part")
     rows: list[AblationRow] = []
-    for code in masks:
-        if code.strip().lower() == "pop":
+    for mask in plan:
+        if mask is None:
             report = evaluate_pop(split, cutoffs=cutoffs, ap_mode=ap_mode, exclude_seen=exclude_seen)
             rows.append(AblationRow("pop", report.mean_ap, report.precision[1], 0, seed))
         else:
-            mask = ComponentMask.from_code(code)
             result: TrainResult = train(
                 split, hp, seed=seed, epochs=epochs, batch_size=batch_size,
                 patience=patience, comp_mask=mask, exclude_history_negatives=exclude_history_negatives,

@@ -184,9 +184,13 @@ def cmd_mine_rules(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _build_config(args)
     _print_config(cfg)
+    masks = [m.strip() for m in args.masks.split(",") if m.strip()]
+    try:
+        ablation.resolve_masks(masks)
+    except ValueError as exc:  # a --masks code that is neither pop nor made of p, v and h
+        raise ConfigError(str(exc)) from None
     split = _resolve_split(args, cfg)
     hp = cfg.hyperparams()
-    masks = [m.strip() for m in args.masks.split(",") if m.strip()]
     rows = ablation.run_ablation(split, hp, masks, **_train_kwargs(cfg), cutoffs=cfg.eval_cutoffs())
     csv_text = ablation.ablation_csv(rows)
     if args.out:
@@ -240,9 +244,9 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--grid expects key=v1,v2,... got {spec!r}")
         key, _, values = spec.partition("=")
         key = key.strip()
-        if key not in RunConfig.field_names():
-            raise ConfigError(f"unknown config key in grid: {key}")
         grid[key] = [v.strip() for v in values.split(",") if v.strip()]
+        if not grid[key]:
+            raise ConfigError(f"--grid {key} has no values")
     if not grid:
         raise ConfigError("sweep needs at least one --grid key=v1,v2")
 

@@ -126,10 +126,6 @@ class RunConfig:
         self.explicit: set[str] = set()  # keys set via file or override
 
     @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(cls.DEFAULTS)
-
-    @classmethod
     def from_sources(cls, path: str | None = None, overrides: dict[str, str] | None = None) -> "RunConfig":
         """Build a config from an optional file plus override pairs."""
         cfg = cls()

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DataError, EmptyDatasetError, ParseError, open_input
 
 PADDING_INDEX = 0
+# the Caser protocol's split of each user's actions, oldest first; the test part takes the last 20%
+TRAIN_SHARE, VALIDATION_SHARE = 0.7, 0.1
 
 
 class Interactions(NamedTuple):
@@ -174,22 +176,15 @@ def build_sequences(interactions, min_feedback: int) -> SequenceData:
     return SequenceData(item_index[item[order]], offsets, user_ids, item_ids)
 
 
-def chronological_split(
-    seqdata: SequenceData, ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
-) -> SplitDataset:
-    """Per-user prefix split at the ceil(70%) and ceil(80%) boundaries."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
-    if any(r < 0 for r in ratios):
-        raise ValueError("split ratios must be non-negative")
+def chronological_split(seqdata: SequenceData) -> SplitDataset:
+    """Per-user prefix split at the ceil(70%) and ceil(80%) boundaries: train, validation, test."""
     flat, bounds = seqdata.items.tolist(), seqdata.offsets.tolist()
     parts: tuple[list[list[int]], ...] = ([[]], [[]], [[]])
     for start, end in zip(bounds, bounds[1:]):
         # ceil with a small epsilon so float noise at exact boundaries (e.g.
         # 0.8 * 5 evaluating to 4.0000000000000002) cannot shift the split
-        c1, c2 = (start + math.ceil(r * (end - start) - 1e-9) for r in (ratios[0], ratios[0] + ratios[1]))
-        cuts = (start, c1, c2, end) if c1 > start else (start,) * 4  # a user without training actions is dropped
-        for part, a, b in zip(parts, cuts, cuts[1:]):
+        c1, c2 = (start + math.ceil(r * (end - start) - 1e-9) for r in (TRAIN_SHARE, TRAIN_SHARE + VALIDATION_SHARE))
+        for part, a, b in zip(parts, (start, c1, c2), (c1, c2, end)):
             part.append(flat[a:b])
     return SplitDataset(*parts, seqdata.user_count, seqdata.item_count, seqdata.user_ids, seqdata.item_ids)
 

@@ -151,14 +151,10 @@ def sequential_intensity(sequences) -> float:
     return len(mine_rules(seqs, MiningConfig())) / len(seqs)
 
 
-def rules_to_csv(rules: list[Rule], item_ids: list[str] | None = None) -> str:
-    """CSV dump; antecedent items joined with '|'."""
-
-    def name(idx: int) -> str:
-        return item_ids[idx] if item_ids else str(idx)
-
+def rules_to_csv(rules: list[Rule], item_ids: list[str]) -> str:
+    """CSV dump with the items' original ids; antecedent items joined with '|'."""
     lines = ["antecedent,consequent,skip,support,confidence"]
     for r in rules:
-        ante = "|".join(name(i) for i in r.antecedent)
-        lines.append(f"{ante},{name(r.consequent)},{r.skip},{r.support},{r.confidence:.6f}")
+        ante = "|".join(item_ids[i] for i in r.antecedent)
+        lines.append(f"{ante},{item_ids[r.consequent]},{r.skip},{r.support},{r.confidence:.6f}")
     return "\n".join(lines) + "\n"

@@ -21,6 +21,7 @@ from .gradients import GradientSet
 from .model import FULL_MASK, ComponentMask, ModelParams, dropout_mask_for, init_params
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator floor
 ADAM_BLOCK = 65536  # elements per block of the parameter update
 # Fewest elements in one thread's part of the update. On a 2-vCPU VM a split
 # costs about 0.7 ms a step (a 50-70 us handoff, and the second part's
@@ -56,9 +57,6 @@ class AdamState:
     m: ModelParams  # first moments, in the parameters' layout
     v: ModelParams  # second moments
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     parts: list[tuple[int, int]] = field(default_factory=list)  # empty: the whole buffer as one part
     # block-sized scratch for the parameter update, one pair per part
     scratch: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
@@ -82,7 +80,7 @@ def _adam_part(params: ModelParams, by_tensor, state: AdamState, lr: float, part
     the same order, so any split of the buffer gives the same bits.
     """
     start, stop = state.parts[part]
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     p, m, v = params.buffer, state.m.buffer, state.v.buffer
@@ -114,7 +112,7 @@ def _adam_part(params: ModelParams, by_tensor, state: AdamState, lr: float, part
         step *= lr
         np.divide(v[lo:hi], c2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         step /= denom
         p[lo:hi] -= step
 

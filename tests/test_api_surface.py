@@ -13,7 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "convrec"
 
-# Kept for the paper's history-masking analysis (ROADMAP open item 4), which
+# Kept for the paper's history-masking analysis (ROADMAP open item 2), which
 # has no caller outside the tests yet.
 ALLOWED = {"mask_history_items"}
 

@@ -190,6 +190,28 @@ def test_ablate_pop_with_no_held_out_items_exits_1(train_only, capsys):
     assert _one_error_line(capsys) == "error: no users with a nonempty test part"
 
 
+def _count_trainings(monkeypatch, where: str) -> list:
+    """Patch ``where``'s train to record each call before it trains."""
+    calls = []
+    monkeypatch.setattr(where, lambda *args, **kwargs: calls.append(1) or train(*args, **kwargs))
+    return calls
+
+
+def test_ablate_with_no_held_out_items_exits_1_before_training(train_only, capsys, monkeypatch):
+    calls = _count_trainings(monkeypatch, "convrec.ablation.train")
+    assert main(["ablate", "--data-dir", train_only, "--masks", "pvh,pop"] + BASE) == 1
+    assert _one_error_line(capsys) == "error: no users with a nonempty test part"
+    assert calls == []
+
+
+@pytest.mark.parametrize("masks", ["q", "pvh,q"])
+def test_ablate_bad_mask_code_exits_2_before_training(prepared, capsys, monkeypatch, masks):
+    calls = _count_trainings(monkeypatch, "convrec.ablation.train")
+    assert main(["ablate", "--data-dir", prepared, "--masks", masks] + BASE) == 2
+    assert _one_error_line(capsys) == "config error: mask code must use letters p, v, h; got 'q'"
+    assert calls == []
+
+
 def test_mine_rules_csv_and_intensity(prepared, tmp_path, capsys):
     out_csv = str(tmp_path / "rules.csv")
     code = main(["mine-rules", "--data-dir", prepared, "--minsup", "2",
@@ -319,12 +341,18 @@ def test_sweep_thread_cap_env(prepared, capsys, monkeypatch):
 
 
 def test_sweep_checks_every_trial_config_before_the_first_trial(prepared, capsys, monkeypatch):
-    calls = []
-    real_train = train
-    monkeypatch.setattr("convrec.cli.train", lambda *args, **kwargs: calls.append(1) or real_train(*args, **kwargs))
+    calls = _count_trainings(monkeypatch, "convrec.cli.train")
     assert main(["sweep", "--data-dir", prepared, "--grid", "latent_dim=8,0"] + SWEEP_BASE) == 2
     assert calls == []
     assert "latent_dim" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("spec", ["latent_dim=", "latent_dim=,"])
+def test_sweep_grid_key_without_values_exits_2(prepared, capsys, monkeypatch, spec):
+    calls = _count_trainings(monkeypatch, "convrec.cli.train")
+    assert main(["sweep", "--data-dir", prepared, "--grid", spec] + SWEEP_BASE) == 2
+    assert _one_error_line(capsys) == "config error: --grid latent_dim has no values"
+    assert calls == []
 
 
 def test_sweep_ranks_trials_by_the_metric_keys(prepared, capsys):
@@ -421,7 +449,7 @@ def config_file(tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_resolved_config_text_reads_back_to_the_same_config(config_file, data):
-    keys = data.draw(st.lists(st.sampled_from(RunConfig.field_names()), unique=True))
+    keys = data.draw(st.lists(st.sampled_from(tuple(RunConfig.DEFAULTS)), unique=True))
     cfg = RunConfig.from_sources(overrides={key: data.draw(_config_values(key)) for key in keys})
     config_file.write_text(cfg.resolved_text(), encoding="utf-8")
     again = RunConfig.from_sources(str(config_file))
@@ -513,7 +541,7 @@ def test_readme_names_every_config_key():
     # each bullet names its keys after the colon; continuation lines are indented
     lists = re.findall(r"^- [^:]*:(.*(?:\n  .*)*)", section, re.M)
     named = re.findall(r"`(\w+)`", "".join(lists))
-    assert sorted(named) == sorted(RunConfig.field_names())
+    assert sorted(named) == sorted(RunConfig.DEFAULTS)
 
 
 # --------------------------------------------------------------------------

@@ -349,12 +349,6 @@ def test_split_sizes(n, expected):
     assert (len(split.train[1]), len(split.validation[1]), len(split.test[1])) == expected
 
 
-def test_bad_ratios_rejected():
-    split_input = build_sequences(_rows([("u", "a")]), 1)
-    with pytest.raises(ValueError):
-        chronological_split(split_input, ratios=(0.7, 0.1, 0.1))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 200))
 def test_split_reconstructs_sequence(n):

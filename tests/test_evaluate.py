@@ -16,8 +16,10 @@ from convrec.evaluate import (
     AP_MODES,
     LONG_ROW,
     SCORE_CHUNK,
+    SharedRow,
     eligible_and_ranks,
     evaluate,
+    evaluate_scores,
     metrics_for_ranking,
     ranked_metrics,
     ranked_order,
@@ -217,6 +219,15 @@ def test_ap_of_many_hits_sums_like_np_sum():
         assert float(ap[i]).hex() == _row_metrics(scores[i], relevant[i], (1,), "standard")[2].hex()
 
 
+def _pop_report(split, counts, cutoffs, ap_mode, exclude_seen, part):
+    """POP's report on ``part``: the shared count row through evaluate_scores, which
+    evaluate_pop gives bit for bit on the test part."""
+    report = evaluate_scores(split, SharedRow(counts, ranked_order(counts)), cutoffs, ap_mode, exclude_seen, part)
+    if part == "test":
+        assert evaluate_pop(split, cutoffs=cutoffs, ap_mode=ap_mode, exclude_seen=exclude_seen) == report
+    return report
+
+
 @pytest.mark.parametrize("part", ["test", "validation"])
 @pytest.mark.parametrize("exclude_seen", [True, False])
 @pytest.mark.parametrize("ap_mode", AP_MODES)
@@ -245,7 +256,7 @@ def test_evaluate_matches_per_user_loop_bitwise(tiny_params, tiny_hp, tiny_split
         )
         assert _report_bits(got) == _per_user_report(tiny_split, model_rows, cutoffs, ap_mode, exclude_seen, part)
         assert all(type(ap) is float and type(hits) is int for _, ap, hits in got.per_user)
-        pop = evaluate_pop(tiny_split, cutoffs=cutoffs, ap_mode=ap_mode, exclude_seen=exclude_seen, part=part)
+        pop = _pop_report(tiny_split, counts, cutoffs, ap_mode, exclude_seen, part)
         want = _per_user_report(tiny_split, pop_rows, cutoffs, ap_mode, exclude_seen, part)
         assert _report_bits(dataclasses.replace(pop, per_user=[])) == want[:4] + ([],)
 
@@ -263,7 +274,7 @@ def test_pop_matches_per_user_loop_bitwise_on_long_rows(large_split, ap_mode, ex
     def pop_rows(users, histories):
         return [counts] * len(users)
 
-    pop = evaluate_pop(large_split, cutoffs=cutoffs, ap_mode=ap_mode, exclude_seen=exclude_seen, part=part)
+    pop = _pop_report(large_split, counts, cutoffs, ap_mode, exclude_seen, part)
     want = _per_user_report(large_split, pop_rows, cutoffs, ap_mode, exclude_seen, part)
     assert _report_bits(dataclasses.replace(pop, per_user=[])) == want[:4] + ([],)
 
@@ -311,8 +322,6 @@ def test_shared_row_ranks_match_the_masked_block(case, exclude_seen):
 def test_unknown_part_is_refused(tiny_params, tiny_hp, tiny_split):
     with pytest.raises(ValueError, match="part"):
         evaluate(tiny_params, tiny_hp, tiny_split, part="tset")
-    with pytest.raises(ValueError, match="part"):
-        evaluate_pop(tiny_split, part="tset")
 
 
 def test_evaluate_deduplicates_relevant_items(tiny_params, tiny_hp, tiny_split):

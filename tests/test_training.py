@@ -14,8 +14,8 @@ from convrec.errors import NonFiniteGradientError, NonFiniteLossError, SamplingE
 from convrec.gradients import GradientSet
 from convrec.model import ModelParams, init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
-from convrec.training import (ADAM_BLOCK, ADAM_MIN_PART, AdamState, adam_step, map_trials, sample_negative_batch,
-                              train)
+from convrec.training import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, ADAM_MIN_PART, AdamState, adam_step,
+                              map_trials, sample_negative_batch, train)
 from tests.conftest import LARGE_HP
 
 training = importlib.import_module("convrec.training")
@@ -58,7 +58,7 @@ def test_adam_first_step_matches_hand_computation():
     state = AdamState.for_params(p)
     adam_step(p, g, state, lr=0.01)
     # t=1: m_hat = g, v_hat = g^2, update = -lr * g / (|g| + eps)
-    expected = -0.01 * 0.25 / (0.25 + state.eps)
+    expected = -0.01 * 0.25 / (0.25 + ADAM_EPS)
     delta = p.fc_w - before.fc_w
     assert np.allclose(delta, expected, atol=1e-15)
 
@@ -85,15 +85,15 @@ def test_adam_repins_padding_rows():
 def _dense_adam(params, dense_grads, state, lr):
     """The textbook dense update: reads every row of every full-size gradient."""
     state.step += 1
-    c1 = 1.0 - state.beta1**state.step
-    c2 = 1.0 - state.beta2**state.step
+    c1 = 1.0 - ADAM_BETA1**state.step
+    c2 = 1.0 - ADAM_BETA2**state.step
     for (name, p), g in zip(params.tensors(), dense_grads):
         m, v = dict(state.m.tensors())[name], dict(state.v.tensors())[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     params.pin_rows()
 
 
