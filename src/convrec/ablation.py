@@ -15,7 +15,7 @@ import numpy as np
 from .batch import forward
 from .config import HyperParams
 from .data import PADDING_INDEX, SplitDataset, pad_left
-from .errors import EmptyDatasetError
+from .errors import ConfigError, EmptyDatasetError
 # metrics_for_ranking is unused here, but perfbench hooks it under this module's name
 from .evaluate import (  # noqa: F401
     EvalReport,
@@ -69,7 +69,9 @@ ABLATION_HEADER = "mask,MAP,Prec@1,epochs,seed"
 
 
 def resolve_masks(codes: list[str]) -> list[ComponentMask | None]:
-    """Each code's ComponentMask, None for "pop"; a code of other letters than p, v and h raises ValueError."""
+    """Each code's ComponentMask, None for "pop"; no code, or one of other letters than p, v and h, raises ConfigError."""
+    if not codes:
+        raise ConfigError("no mask codes given")
     return [None if code.strip().lower() == "pop" else ComponentMask.from_code(code) for code in codes]
 
 
@@ -82,7 +84,6 @@ def run_ablation(
     batch_size: int = 100,
     patience: int = 5,
     cutoffs=(1, 5, 10),
-    progress=None,
     exclude_history_negatives: bool = False,
     ap_mode: str = "standard",
     exclude_seen: bool = True,
@@ -107,7 +108,7 @@ def run_ablation(
             result: TrainResult = train(
                 split, hp, seed=seed, epochs=epochs, batch_size=batch_size,
                 patience=patience, comp_mask=mask, exclude_history_negatives=exclude_history_negatives,
-                progress=progress, ap_mode=ap_mode, exclude_seen=exclude_seen,
+                ap_mode=ap_mode, exclude_seen=exclude_seen,
             )
             report = evaluate(result.params, hp, split, cutoffs=cutoffs, ap_mode=ap_mode,
                               exclude_seen=exclude_seen, comp_mask=mask)

@@ -39,9 +39,9 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _enabled_fc_cols(params: ModelParams, mask: ComponentMask) -> np.ndarray:
-    n = sum(len(f) for f in params.h_filters)
-    cols = np.zeros(params.fc_w.shape[1], dtype=bool)
+def _enabled_fc_cols(hp: HyperParams, mask: ComponentMask) -> np.ndarray:
+    n = hp.total_h_filters
+    cols = np.zeros(hp.fc_input_dim, dtype=bool)
     if mask.h:
         cols[:n] = True
     if mask.v:
@@ -130,7 +130,7 @@ def batch_forward(
     if comp_mask.h:
         o, hpre, hamax = horizontal_conv(E, params.h_filters, hp.conv_act)
     else:
-        o = np.zeros((B, sum(len(f) for f in params.h_filters)))
+        o = np.zeros((B, hp.total_h_filters))
 
     ot_pre = None
     if comp_mask.v:
@@ -205,7 +205,7 @@ def batch_loss(params: ModelParams, hp: HyperParams, bt: BatchTrace,
     if mask.h or mask.v:
         w = (bt.prev.ravel() != 0).astype(float)
         sq += float((bt.E.reshape(-1, params.latent_dim) ** 2).sum(axis=1) @ w)
-        cols = _enabled_fc_cols(params, mask)
+        cols = _enabled_fc_cols(hp, mask)
         sq += B * (float(np.sum(params.fc_w[:, cols] ** 2)) + float(params.fc_b @ params.fc_b))
     if mask.p:
         sq += float(np.sum(bt.p_u**2))
@@ -276,14 +276,14 @@ def _batch_backward(params, hp, bt, target_mask, negative_mask) -> GradientSet:
         g.fc_w += da.T @ bt.x
         g.fc_b += da.sum(axis=0)
         if hp.l2:
-            cols = _enabled_fc_cols(params, mask)
+            cols = _enabled_fc_cols(hp, mask)
             g.fc_w[:, cols] += hp.l2 * params.fc_w[:, cols]
             g.fc_b += hp.l2 * params.fc_b
         dx = da @ params.fc_w
         if bt.dropout_mask is not None:
             dx = dx * bt.dropout_mask
 
-        n = sum(len(f) for f in params.h_filters)
+        n = hp.total_h_filters
         dE = np.zeros_like(bt.E)
         if mask.h:
             off = 0

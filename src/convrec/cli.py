@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -43,9 +44,15 @@ def _resolve_split(args, cfg: RunConfig):
         return load_split(str(Path(args.data_dir) / SPLIT_FILE))
     if not cfg.data:
         raise ConfigError("either --data-dir or a data path in the config is required")
-    interactions = load_interactions(cfg.data, cfg.format)
-    seqdata = build_sequences(interactions, cfg.min_feedback)
+    seqdata = build_sequences(load_interactions(cfg.data, cfg.format), cfg.min_feedback)
     return chronological_split(seqdata)
+
+
+def _check_out_dirs(*paths) -> None:
+    """Refuse an output path whose directory is missing, before the work whose result it would hold."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise ConvrecError(f"{path}: directory {Path(path).parent} does not exist")
 
 
 def _load_model(path: str, split, cfg: RunConfig | None = None):
@@ -92,9 +99,7 @@ def _epoch_printer(row) -> None:
 def cmd_prepare(args) -> int:
     cfg = _build_config(args)
     _print_config(cfg)
-    interactions = load_interactions(cfg.data, cfg.format)
-    seqdata = build_sequences(interactions, cfg.min_feedback)
-    split = chronological_split(seqdata)
+    split = _resolve_split(args, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_split(str(out / SPLIT_FILE), split)
@@ -106,6 +111,7 @@ def cmd_prepare(args) -> int:
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     _print_config(cfg)
+    _check_out_dirs(args.checkpoint, args.log)
     split = _resolve_split(args, cfg)
     hp = cfg.hyperparams()
     result = train(split, hp, **_train_kwargs(cfg), progress=_epoch_printer if not args.quiet else None)
@@ -155,13 +161,7 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_mine_rules(args) -> int:
-    try:
-        mining_cfg = rules.MiningConfig(
-            max_order=args.max_order, max_skip=args.max_skip,
-            minsup=args.minsup, minconf=args.minconf,
-        )
-    except ValueError as exc:  # a flag out of its range
-        raise ConfigError(str(exc)) from None
+    mining_cfg = rules.MiningConfig(max_order=args.max_order, max_skip=args.max_skip, minsup=args.minsup, minconf=args.minconf)
     cfg = _build_config(args)
     split = _resolve_split(args, cfg)
     sequences = [
@@ -185,10 +185,8 @@ def cmd_ablate(args) -> int:
     cfg = _build_config(args)
     _print_config(cfg)
     masks = [m.strip() for m in args.masks.split(",") if m.strip()]
-    try:
-        ablation.resolve_masks(masks)
-    except ValueError as exc:  # a --masks code that is neither pop nor made of p, v and h
-        raise ConfigError(str(exc)) from None
+    ablation.resolve_masks(masks)  # a bad or missing --masks code fails before the split is read
+    _check_out_dirs(args.out)
     split = _resolve_split(args, cfg)
     hp = cfg.hyperparams()
     rows = ablation.run_ablation(split, hp, masks, **_train_kwargs(cfg), cutoffs=cfg.eval_cutoffs())
@@ -201,10 +199,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_grad_check(args) -> int:
     hp = dataclasses.replace(TOY_HP, dropout=args.dropout, l2=args.l2)
-    try:
-        report = gradient_check(hp=hp, seed=args.seed, step=args.step)
-    except ValueError as exc:  # a --step that is not finite and > 0
-        raise ConfigError(str(exc)) from None
+    report = gradient_check(hp=hp, seed=args.seed, step=args.step)
     print(report)
     return 0 if report.passed() else 1
 
@@ -366,12 +361,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe fails here, not at exit
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvrecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # nothing left for the exit flush
+        return 1
+    except OSError as exc:  # an output file that cannot be written
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import HyperParams
+from .errors import ConfigError
 from .model import FULL_MASK, PADDED, ComponentMask, ModelParams, dropout_mask_for, init_params
 
 
@@ -179,26 +180,17 @@ def _signatures_equal(a, b) -> bool:
 
 
 def _check_batch(hp: HyperParams, rng: np.random.Generator, user_count: int, item_count: int, rows: int):
-    """One training batch; row 1 has a padding slot and, if it can, a target slot fewer."""
-    n_t = hp.num_targets
+    """One training batch with training's negatives; row 1 has a padding slot and, if it can, a target slot fewer."""
+    from .training import sample_negative_batch  # late import: training imports this module
+
     users = rng.integers(1, user_count + 1, size=rows)
     prev = rng.integers(1, item_count + 1, size=(rows, hp.order))
     prev[1, 0] = 0
-    tgt_mask = np.ones((rows, n_t))
-    if n_t > 1:
-        tgt_mask[1, -1] = 0.0
-    if hp.negatives_per_instance:
-        neg_mask = np.ones((rows, hp.num_negatives))
-    else:
-        neg_mask = np.repeat(tgt_mask, hp.num_negatives, axis=1)
-    tgt = np.empty((rows, n_t), dtype=np.int64)
-    neg = np.empty(neg_mask.shape, dtype=np.int64)
-    for b in range(rows):
-        pool = rng.permutation(np.arange(1, item_count + 1))  # distinct within the row
-        tgt[b] = pool[:n_t]
-        neg[b] = pool[n_t : n_t + neg.shape[1]]
-    tgt[tgt_mask == 0] = 0
-    neg[neg_mask == 0] = 0
+    tgt = rng.integers(1, item_count + 1, size=(rows, hp.num_targets))
+    tgt_mask = np.ones(tgt.shape)
+    if hp.num_targets > 1:
+        tgt[1, -1], tgt_mask[1, -1] = 0, 0.0
+    neg, neg_mask = sample_negative_batch(rng, tgt, tgt_mask, item_count, hp.num_negatives, hp.negatives_per_instance)
     return prev, users, tgt, tgt_mask, neg, neg_mask
 
 
@@ -223,7 +215,7 @@ def gradient_check(
     if num_instances < 2:
         raise ValueError("num_instances must be >= 2")
     if not (np.isfinite(step) and step > 0):
-        raise ValueError(f"step must be a finite number > 0, got {step}")
+        raise ConfigError(f"step must be a finite number > 0, got {step}")
     start = time.monotonic()
     rng = np.random.default_rng(seed)
     params = init_params(hp, CHECK_USERS, CHECK_ITEMS, rng)

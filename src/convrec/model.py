@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HyperParams
+from .errors import ConfigError
 
 
 # --------------------------------------------------------------------------
@@ -78,13 +79,13 @@ class ComponentMask:
 
     def __post_init__(self):
         if not (self.p or self.h or self.v):
-            raise ValueError("at least one component must stay enabled")
+            raise ConfigError("at least one component must stay enabled")
 
     @classmethod
     def from_code(cls, code: str) -> "ComponentMask":
         letters = set(code.strip().lower())
         if not letters or letters - {"p", "v", "h"}:
-            raise ValueError(f"mask code must use letters p, v, h; got {code!r}")
+            raise ConfigError(f"mask code must use letters p, v, h; got {code!r}")
         return cls(p="p" in letters, h="h" in letters, v="v" in letters)
 
     @property

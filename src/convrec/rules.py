@@ -13,6 +13,8 @@ from itertools import chain
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -34,13 +36,13 @@ class MiningConfig:
 
     def __post_init__(self):
         if self.max_order < 1:
-            raise ValueError("max_order must be >= 1")
+            raise ConfigError("max_order must be >= 1")
         if self.max_skip < 0:
-            raise ValueError("max_skip must be >= 0")
+            raise ConfigError("max_skip must be >= 0")
         if self.minsup < 1:
-            raise ValueError("minsup must be >= 1")
+            raise ConfigError("minsup must be >= 1")
         if not 0.0 < self.minconf <= 1.0:
-            raise ValueError("minconf must lie in (0, 1]")
+            raise ConfigError("minconf must lie in (0, 1]")
 
 
 def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:

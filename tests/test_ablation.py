@@ -12,6 +12,7 @@ from convrec.ablation import (
 )
 from convrec.config import HyperParams
 from convrec.data import build_sequences, chronological_split
+from convrec.errors import ConfigError
 from convrec.evaluate import LONG_ROW, evaluate, ranked_order
 from convrec.batch import forward
 from convrec.model import ComponentMask, init_params
@@ -23,9 +24,9 @@ def test_mask_codes():
     assert ComponentMask.from_code("pvh").code == "pvh"
     assert ComponentMask.from_code("hp").code == "ph"
     assert ComponentMask.from_code("v").code == "v"
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ComponentMask.from_code("xyz")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ComponentMask(p=False, h=False, v=False)
 
 

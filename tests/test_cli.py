@@ -1,7 +1,10 @@
 import argparse
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import convrec
 from convrec import rules
 from convrec.ablation import evaluate_pop
 from convrec.checkpoint import load_checkpoint, save_checkpoint
@@ -210,6 +214,79 @@ def test_ablate_bad_mask_code_exits_2_before_training(prepared, capsys, monkeypa
     assert main(["ablate", "--data-dir", prepared, "--masks", masks] + BASE) == 2
     assert _one_error_line(capsys) == "config error: mask code must use letters p, v, h; got 'q'"
     assert calls == []
+
+
+@pytest.mark.parametrize("masks", [",", "", " , "])
+def test_ablate_without_masks_exits_2_before_reading_the_split(tmp_path, capsys, masks):
+    assert main(["ablate", "--data-dir", str(tmp_path / "missing"), "--masks", masks] + BASE) == 2
+    assert _one_error_line(capsys) == "config error: no mask codes given"
+
+
+def test_prepare_without_data_exits_2(tmp_path, capsys):
+    assert main(["prepare", "--out", str(tmp_path / "none")]) == 2
+    assert "--data" in _one_error_line(capsys)
+    assert not (tmp_path / "none").exists()
+
+
+def _one_output_error(capsys) -> str:
+    """The one stderr line of a run that could not write an output: exit 1 and no traceback."""
+    line = _one_error_line(capsys)
+    assert line.startswith("error: ") and "Traceback" not in line
+    return line
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--log"])
+def test_train_into_a_missing_directory_exits_1_before_training(prepared, tmp_path, capsys, monkeypatch, flag):
+    calls = _count_trainings(monkeypatch, "convrec.cli.train")
+    paths = {"--checkpoint": str(tmp_path / "m.ckpt"), flag: str(tmp_path / "missing" / "out")}
+    argv = ["train", "--data-dir", prepared, "--quiet"] + [x for kv in paths.items() for x in kv] + BASE
+    assert main(argv) == 1
+    assert _one_output_error(capsys) == f"error: {paths[flag]}: directory {tmp_path / 'missing'} does not exist"
+    assert calls == [] and not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_that_cannot_write_its_config_file_exits_1(prepared, tmp_path, capsys):
+    ck = tmp_path / "m.ckpt"
+    Path(str(ck) + ".cfg").mkdir()  # a directory where the .cfg file goes
+    assert main(["train", "--data-dir", prepared, "--checkpoint", str(ck), "--quiet"] + BASE) == 1
+    assert _one_output_error(capsys).startswith(f"error: {ck}.cfg: ")
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--per-user"])
+def test_evaluate_into_a_missing_directory_exits_1(prepared, checkpoint, tmp_path, capsys, flag):
+    out = tmp_path / "missing" / "out"
+    assert main(["evaluate", "--data-dir", prepared, "--checkpoint", checkpoint, flag, str(out)]) == 1
+    assert _one_output_error(capsys) == f"error: {out}: No such file or directory"
+
+
+def test_mine_rules_into_a_missing_directory_exits_1(prepared, tmp_path, capsys):
+    out = tmp_path / "missing" / "rules.csv"
+    assert main(["mine-rules", "--data-dir", prepared, "--out", str(out)]) == 1
+    assert _one_output_error(capsys) == f"error: {out}: No such file or directory"
+
+
+def test_ablate_into_a_missing_directory_exits_1_before_training(prepared, tmp_path, capsys, monkeypatch):
+    calls = _count_trainings(monkeypatch, "convrec.ablation.train")
+    out = tmp_path / "missing" / "ablation.csv"
+    assert main(["ablate", "--data-dir", prepared, "--masks", "pop,p", "--out", str(out)] + BASE) == 1
+    assert _one_output_error(capsys) == f"error: {out}: directory {out.parent} does not exist"
+    assert calls == []
+
+
+def test_prepare_into_a_file_exits_1(data_file, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "data"
+    assert main(["prepare", "--data", data_file, "--set", "min_feedback=1", "--out", str(out)]) == 1
+    assert _one_output_error(capsys) == f"error: {out}: Not a directory"
+
+
+def test_grad_check_into_a_closed_pipe_prints_no_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(convrec.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "convrec.cli", "grad-check"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the report is printed
+    err = proc.stderr.read()
+    assert proc.wait() == 1 and err == b""
 
 
 def test_mine_rules_csv_and_intensity(prepared, tmp_path, capsys):

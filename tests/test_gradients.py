@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from convrec.batch import batch_forward, batch_loss, batch_loss_and_grads
 from convrec.config import HyperParams
+from convrec.errors import ConfigError
 from convrec.gradients import TOY_HP, RowScatter, gradient_check
 from convrec.model import ComponentMask, dropout_mask_for, init_params
 
@@ -360,7 +361,7 @@ def test_gradient_check_runs_the_backward_once(monkeypatch):
 
 @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
 def test_gradient_check_refuses_a_bad_step(step):
-    with pytest.raises(ValueError, match="step"):
+    with pytest.raises(ConfigError, match="step"):
         gradient_check(step=step)
 
 
@@ -383,3 +384,14 @@ def test_dropout_mask_scaling():
     assert mask.shape == (3, hp.fc_input_dim)
     assert set(np.unique(mask)) <= {0.0, 2.0}
     assert dropout_mask_for(HP, rng, 3) is None  # rate 0: no mask, no draw
+
+
+def test_gradient_check_draws_negatives_with_the_training_sampler(monkeypatch):
+    """The kernel is checked on the negatives and slot mask that training's sampler returns."""
+    training, batch = importlib.import_module("convrec.training"), importlib.import_module("convrec.batch")
+    sample, kernel, drawn, used = training.sample_negative_batch, batch.batch_loss_and_grads, [], []
+    monkeypatch.setattr(training, "sample_negative_batch", lambda *a, **k: drawn.append(sample(*a, **k)) or drawn[-1])
+    monkeypatch.setattr(batch, "batch_loss_and_grads", lambda *a: used.append(a[6:8]) or kernel(*a))
+    assert gradient_check(seed=1).passed()
+    assert len(drawn) == 1 and len(used) == 1
+    assert all(np.array_equal(x, y) for x, y in zip(drawn[0], used[0]))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from convrec.errors import ConfigError
 from convrec.rules import MiningConfig, Rule, _pair_order, mine_rules, rules_to_csv, sequential_intensity
 
 
@@ -78,11 +79,11 @@ def test_confidence_denominator_counts_antecedent_sequences():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         MiningConfig(minsup=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         MiningConfig(minconf=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         MiningConfig(max_order=0)
 
 
