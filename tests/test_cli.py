@@ -1,5 +1,6 @@
 import argparse
 import importlib
+import itertools
 import json
 import os
 import re
@@ -238,11 +239,11 @@ def _one_output_error(capsys) -> str:
 @pytest.mark.parametrize("flag", ["--checkpoint", "--log"])
 def test_train_into_a_missing_directory_exits_1_before_training(prepared, tmp_path, capsys, monkeypatch, flag):
     calls = _count_trainings(monkeypatch, "convrec.cli.train")
-    paths = {"--checkpoint": str(tmp_path / "m.ckpt"), flag: str(tmp_path / "missing" / "out")}
-    argv = ["train", "--data-dir", prepared, "--quiet"] + [x for kv in paths.items() for x in kv] + BASE
-    assert main(argv) == 1
-    assert _one_output_error(capsys) == f"error: {paths[flag]}: directory {tmp_path / 'missing'} does not exist"
-    assert calls == [] and not (tmp_path / "m.ckpt").exists()
+    ck, out = tmp_path / "m.ckpt", tmp_path / "missing" / "out"
+    paths = {"--checkpoint": str(ck), flag: str(out)}  # the flag under test writes into the missing directory
+    assert main(["train", "--data-dir", prepared, "--quiet", *itertools.chain(*paths.items())] + BASE) == 1
+    assert _one_output_error(capsys) == f"error: {out}: directory {out.parent} does not exist"
+    assert calls == [] and not ck.exists()
 
 
 def test_train_that_cannot_write_its_config_file_exits_1(prepared, tmp_path, capsys):
