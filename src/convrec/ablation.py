@@ -141,9 +141,9 @@ def mask_history_items(
     (scores, rank), rank being 1-based among the eligible items.
     """
     if any(p < 1 or p > hp.order for p in mask_positions):
-        raise ValueError(f"mask positions must lie in 1..{hp.order}")
+        raise ConfigError(f"mask positions must lie in 1..{hp.order}")
     if not 1 <= probe_item <= params.item_count:
-        raise ValueError(f"probe item {probe_item} must lie in 1..{params.item_count}")
+        raise ConfigError(f"probe item {probe_item} must lie in 1..{params.item_count}")
     window = np.asarray(pad_left(list(history), hp.order), dtype=np.int64)
     window[[p - 1 for p in mask_positions]] = PADDING_INDEX
     scores = forward(params, hp, window, user_index)
@@ -151,6 +151,6 @@ def mask_history_items(
         seen = np.asarray(list(history), dtype=np.int64)
         scores[seen] = -np.inf
     if not np.isfinite(scores[probe_item]):
-        raise ValueError(f"probe item {probe_item} is excluded from ranking")
+        raise ConfigError(f"probe item {probe_item} is excluded from ranking")
     _, rank = eligible_and_ranks(scores[None], np.zeros(1, dtype=np.int64), np.array([probe_item]))
     return scores, int(rank[0])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import HyperParams, run_parts
+from .config import HyperParams, run_parts, thread_budget
 from .gradients import GradientSet, RowScatter
 from .model import (
     FULL_MASK,
@@ -62,15 +62,18 @@ SCORE_MIN_COLUMNS = 1024  # per range
 SCORE_MIN_PART = 1 << 24  # rows x columns x 2d per range
 
 
-def score_column_ranges(rows: int, columns: int, k: int, workers: int) -> list[tuple[int, int]]:
+def score_column_ranges(rows: int, columns: int, k: int, workers: int | None = None) -> list[tuple[int, int]]:
     """(start, stop) of near-equal ranges of the columns of a (rows, k) x (k, columns) product.
 
-    At most ``workers`` ranges, each of at least SCORE_MIN_COLUMNS columns and
+    At most ``workers`` ranges (by default thread_budget(), read only for two
+    rows or more), each of at least SCORE_MIN_COLUMNS columns and
     SCORE_MIN_PART multiply-adds (about), each cut at a multiple of
     SCORE_COLUMN_ALIGN; one row is never split.
     """
-    parts = min(workers, columns // SCORE_MIN_COLUMNS, rows * columns * k // SCORE_MIN_PART)
-    if rows < 2 or parts < 2:
+    if rows < 2:
+        return [(0, columns)]
+    parts = min(workers or thread_budget(), columns // SCORE_MIN_COLUMNS, rows * columns * k // SCORE_MIN_PART)
+    if parts < 2:
         return [(0, columns)]
     half = SCORE_COLUMN_ALIGN // 2
     cuts = [(columns * i // parts + half) // SCORE_COLUMN_ALIGN * SCORE_COLUMN_ALIGN for i in range(parts)]
@@ -112,14 +115,14 @@ def batch_forward(
     dropout_mask: np.ndarray | None = None,
     score_ids: np.ndarray | None = None,
     out: np.ndarray | None = None,
-    workers: int = 1,
 ) -> BatchTrace:
     """Forward a batch; scores only the given item ids when provided.
 
     Scores over all items are written into ``out`` when it is given. Their
-    product is cut into up to ``workers`` ranges of item columns (see
-    score_column_ranges); the calling thread scores the first and a thread
-    of its own each other range (see config.run_parts).
+    product is cut into ranges of item columns, up to one per CPU, by
+    score_column_ranges (one range for a batch of one); the calling thread
+    scores the first and a thread of its own each other range (see
+    config.run_parts).
     """
     B = prev.shape[0]
     d = params.latent_dim
@@ -153,13 +156,9 @@ def batch_forward(
     xo = np.concatenate([z, p_u], axis=1)
     out_w_scored = None
     if score_ids is None:
-        if workers > 1:
-            scores = np.empty((B, params.item_count + 1)) if out is None else out
-            ranges = score_column_ranges(B, scores.shape[1], xo.shape[1], workers)
-            run_parts(lambda part: _score_columns(params, xo, scores, *ranges[part]), len(ranges))
-        else:  # one thread, as for recommend's single row: the whole product, with no views to cut
-            scores = np.matmul(xo, params.out_w.T, out=out)
-            scores += params.out_b
+        scores = np.empty((B, params.item_count + 1)) if out is None else out
+        ranges = score_column_ranges(B, scores.shape[1], xo.shape[1])
+        run_parts(lambda part: _score_columns(params, xo, scores, *ranges[part]), len(ranges))
         scores[:, 0] = -np.inf
     else:
         out_w_scored = params.out_w[score_ids]

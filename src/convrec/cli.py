@@ -55,14 +55,14 @@ def _check_out_dirs(*paths) -> None:
             raise ConvrecError(f"{path}: directory {Path(path).parent} does not exist")
 
 
-def _load_model(path: str, split, cfg: RunConfig | None = None):
+def _load_model(path: str, split, cfg: RunConfig):
     """Load a checkpoint; refuse it unless its tables fit the split's user and item counts,
     and its shapes fit every shape key that ``cfg`` sets explicitly."""
     params, hp = load_checkpoint(path)
     got, want = (params.user_count, params.item_count), (split.user_count, split.item_count)
     if got != want:
         raise CheckpointError(f"{path}: checkpoint has (users, items) = {got}, the split {want}")
-    explicit = [name for name in SHAPE_KEYS if cfg is not None and name in cfg.explicit]
+    explicit = [name for name in SHAPE_KEYS if name in cfg.explicit]
     wanted = cfg.hyperparams() if explicit else None
     for name in explicit:
         if getattr(hp, name) != getattr(wanted, name):
@@ -115,8 +115,9 @@ def cmd_train(args) -> int:
     split = _resolve_split(args, cfg)
     hp = cfg.hyperparams()
     result = train(split, hp, **_train_kwargs(cfg), progress=_epoch_printer if not args.quiet else None)
-    save_checkpoint(args.checkpoint, result.params, hp)
+    # the config first: a run that cannot write it leaves no checkpoint without it
     Path(args.checkpoint + ".cfg").write_text(cfg.resolved_text(), encoding="utf-8")
+    save_checkpoint(args.checkpoint, result.params, hp)
     if args.log:
         result.write_log(args.log)
     print(f"best epoch {result.best_epoch}, checkpoint written to {args.checkpoint}")
@@ -126,6 +127,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     thread_budget()  # a bad CASER_THREADS fails before the split and checkpoint load
     cfg = _build_config(args)
+    _check_out_dirs(args.csv, args.per_user)
     split = _resolve_split(args, cfg)
     params, hp = _load_model(args.checkpoint, split, cfg)
     report = evaluate(
@@ -163,6 +165,7 @@ def cmd_recommend(args) -> int:
 def cmd_mine_rules(args) -> int:
     mining_cfg = rules.MiningConfig(max_order=args.max_order, max_skip=args.max_skip, minsup=args.minsup, minconf=args.minconf)
     cfg = _build_config(args)
+    _check_out_dirs(args.out)
     split = _resolve_split(args, cfg)
     sequences = [
         split.train[u] + split.validation[u] + split.test[u]

@@ -130,13 +130,19 @@ def _renumber(codes: np.ndarray, names) -> tuple[np.ndarray, list[str]]:
     return index, ["", *map(names.__getitem__, present.tolist())]
 
 
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """True where a row starts a run of equal (key, ...) rows: on sorted keys, the first of each distinct row."""
+    first = np.zeros(keys[0].size, dtype=bool)
+    first[:1] = True
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
+    return first
+
+
 def _distinct_rows(pair: np.ndarray, ts: np.ndarray, by_time: np.ndarray) -> np.ndarray:
     """The first of each set of rows equal in (user, item) code pair and timestamp, in input order."""
     order = by_time[np.argsort(pair[by_time], kind="stable")]  # equal rows side by side, in input order
-    pair, ts = pair[order], ts[order]
-    first = np.ones(order.size, bool)
-    first[1:] = (pair[1:] != pair[:-1]) | (ts[1:] != ts[:-1])
-    return np.sort(order[first])
+    return np.sort(order[run_starts(pair[order], ts[order])])
 
 
 def build_sequences(interactions, min_feedback: int) -> SequenceData:
@@ -296,7 +302,7 @@ def load_split(path: str) -> SplitDataset:
                         _sliced(user_text, user_off), _sliced(item_text, item_off))
 
 
-def history_for(split: SplitDataset, user: int, part: str = "test") -> list[int]:
+def history_for(split: SplitDataset, user: int, part: str) -> list[int]:
     """Items known before the evaluated part: train (+ validation for test)."""
     if part == "test":
         return split.train[user] + split.validation[user]

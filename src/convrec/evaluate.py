@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import batch_forward, forward
-from .config import AP_MODES, HyperParams, thread_budget
-from .data import SplitDataset, history_for, pad_left
+from .config import AP_MODES, HyperParams
+from .data import SplitDataset, history_for, pad_left, run_starts
 from .errors import EmptyDatasetError
 from .model import FULL_MASK, ComponentMask, ModelParams
 
@@ -119,17 +119,16 @@ def score_matrix(
     """Inference scores over all items for many users, SCORE_CHUNK per batch.
 
     The scores go into ``out`` when it is given, shape (len(users), item_count + 1).
-    Each batch's product is split over up to one thread per CPU
-    (thread_budget) where its ranges are large enough (see batch_forward).
+    batch_forward splits each batch's product over up to one thread per CPU
+    where its ranges are large enough.
     """
-    workers = thread_budget()
     prev = np.asarray([pad_left(h, hp.order) for h in histories], dtype=np.int64)
     users_arr = np.asarray(users, dtype=np.int64)
     if out is None:
         out = np.empty((len(users), params.item_count + 1))
     for lo in range(0, len(users), SCORE_CHUNK):
         hi = min(lo + SCORE_CHUNK, len(users))
-        batch_forward(params, hp, prev[lo:hi], users_arr[lo:hi], comp_mask, out=out[lo:hi], workers=workers)
+        batch_forward(params, hp, prev[lo:hi], users_arr[lo:hi], comp_mask, out=out[lo:hi])
     return out
 
 
@@ -211,7 +210,7 @@ def shared_row_ranks(row: np.ndarray, order: np.ndarray, rows: np.ndarray, items
     # keys are its seen items in ranked order. np.unique took 25x as long as
     # this sort on 48k keys.
     keys = np.sort(seen[0] * width + pos[seen[1]])
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    keys = keys[run_starts(keys)]
     seen_finite = keys[finite[order[keys % width]]] // width
     eligible = np.count_nonzero(finite) - np.bincount(seen_finite, minlength=n_rows)
     at = pos[items]
@@ -354,10 +353,10 @@ def evaluate(
 ) -> EvalReport:
     """The model's metrics against the held-out part (see evaluate_scores).
 
-    Each chunk's product is split into ranges of item columns, one per CPU
-    (thread_budget) where the ranges are large enough; the calling thread
-    scores the first range and a thread started for the chunk each other
-    range. Ranking stays on the calling thread.
+    Each chunk's product goes through batch_forward, which splits it into
+    ranges of item columns, one per CPU where the ranges are large enough;
+    the calling thread scores the first range and a thread started for the
+    chunk each other range. Ranking stays on the calling thread.
     """
     # One chunk's buffer for every chunk: fresh chunk-sized arrays above
     # malloc's mmap threshold fault in new pages on each call.

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import HyperParams
+from .data import run_starts
 from .errors import ConfigError
 from .model import FULL_MASK, PADDED, ComponentMask, ModelParams, dropout_mask_for, init_params
 
@@ -36,10 +37,7 @@ class RowScatter:
     def __init__(self, ids: np.ndarray, width: int):
         flat = ids.reshape(-1)
         s = np.sort(flat)  # np.unique without its fixed overhead
-        keep = np.empty(s.size, dtype=bool)
-        keep[:1] = True
-        np.not_equal(s[1:], s[:-1], out=keep[1:])
-        self.rows = s[keep]
+        self.rows = s[run_starts(s)]
         self.inv = np.searchsorted(self.rows, flat)
         self.index = (self.inv[:, None] * width + np.arange(width)).reshape(-1)
 
@@ -213,7 +211,7 @@ def gradient_check(
     from .batch import batch_forward, batch_loss, batch_loss_and_grads  # late import: batch imports this module
 
     if num_instances < 2:
-        raise ValueError("num_instances must be >= 2")
+        raise ConfigError("num_instances must be >= 2")
     if not (np.isfinite(step) and step > 0):
         raise ConfigError(f"step must be a finite number > 0, got {step}")
     start = time.monotonic()

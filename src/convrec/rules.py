@@ -13,6 +13,7 @@ from itertools import chain
 
 import numpy as np
 
+from .data import run_starts
 from .errors import ConfigError
 
 
@@ -71,14 +72,16 @@ def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:
     if not flat.size:
         return []
 
-    ids, code = np.unique(flat, return_inverse=True)
+    ids = np.sort(flat)
+    ids = ids[run_starts(ids)]  # the distinct items; an item's code is its position here
+    code = np.searchsorted(ids, flat)
     seq_of = np.repeat(np.arange(len(seqs)), lengths)
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(flat.size) - 1  # positions after each one
 
     # length 1: every position, in (item, position) order
     end = np.argsort(code, kind="stable")
     pat = code[end]
-    sup_x = np.bincount(pat[_firsts(pat, seq_of[end])], minlength=ids.size)
+    sup_x = np.bincount(pat[run_starts(pat, seq_of[end])], minlength=ids.size)
     antecedents = np.arange(ids.size)[:, None]  # item codes of each pattern
 
     rules: list[Rule] = []
@@ -99,10 +102,10 @@ def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:
             cons = code[s_end + skip + 1]
             order = _pair_order(s_pat, sup_x.size, cons, ids.size)
             s_pat, s_end, cons = s_pat[order], s_end[order], cons[order]
-            first = _firsts(s_pat, cons)
+            first = run_starts(s_pat, cons)
             starts = np.flatnonzero(first)
             # sequences per group: count the first row of each (group, sequence) run
-            support = np.add.reduceat(first | _firsts(seq_of[s_end]), starts, dtype=np.int64)
+            support = np.add.reduceat(first | run_starts(seq_of[s_end]), starts, dtype=np.int64)
             g_pat, g_cons = s_pat[starts], cons[starts]
             conf = support / sup_x[g_pat]
             hit = (support >= cfg.minsup) & (conf >= cfg.minconf)
@@ -116,15 +119,6 @@ def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:
         rules.extend(_to_rules(ids, antecedents, *map(np.concatenate, zip(*found))))
         antecedents, sup_x, pat, end = extended
     return rules
-
-
-def _firsts(*keys: np.ndarray) -> np.ndarray:
-    """True where a row starts a run of equal (key, ...) rows."""
-    first = np.zeros(keys[0].size, dtype=bool)
-    first[:1] = True
-    for key in keys:
-        first[1:] |= key[1:] != key[:-1]
-    return first
 
 
 def _pair_order(major: np.ndarray, major_bound: int, minor: np.ndarray, minor_bound: int) -> np.ndarray:

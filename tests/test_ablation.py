@@ -253,12 +253,18 @@ def test_mask_all_positions_equals_p_only_when_biases_zero(tiny_hp, tiny_split):
 @pytest.mark.parametrize("offset", [-1, -5, 1], ids=["-1", "-5", "item_count+1"])
 def test_probe_item_outside_the_items_rejected(tiny_params, tiny_hp, offset):
     probe = offset if offset < 0 else tiny_params.item_count + offset
-    with pytest.raises(ValueError, match=f"1..{tiny_params.item_count}"):
+    with pytest.raises(ConfigError, match=f"1..{tiny_params.item_count}"):
         mask_history_items(tiny_params, tiny_hp, [1, 2], 1, set(), probe_item=probe)
 
 
 def test_mask_positions_validated(tiny_params, tiny_hp):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         mask_history_items(tiny_params, tiny_hp, [1, 2], 1, {0}, probe_item=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         mask_history_items(tiny_params, tiny_hp, [1, 2], 1, {9}, probe_item=5)
+
+
+def test_probe_item_in_the_excluded_history_rejected(tiny_params, tiny_hp):
+    with pytest.raises(ConfigError, match="probe item 2 is excluded"):
+        mask_history_items(tiny_params, tiny_hp, [1, 2], 1, set(), probe_item=2)
+    mask_history_items(tiny_params, tiny_hp, [1, 2], 1, set(), probe_item=2, exclude_seen=False)

@@ -195,15 +195,15 @@ def test_ablate_pop_with_no_held_out_items_exits_1(train_only, capsys):
     assert _one_error_line(capsys) == "error: no users with a nonempty test part"
 
 
-def _count_trainings(monkeypatch, where: str) -> list:
-    """Patch ``where``'s train to record each call before it trains."""
+def _count_calls(monkeypatch, where: str, real=train) -> list:
+    """Patch ``where`` to record each call before it runs ``real`` (train by default)."""
     calls = []
-    monkeypatch.setattr(where, lambda *args, **kwargs: calls.append(1) or train(*args, **kwargs))
+    monkeypatch.setattr(where, lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     return calls
 
 
 def test_ablate_with_no_held_out_items_exits_1_before_training(train_only, capsys, monkeypatch):
-    calls = _count_trainings(monkeypatch, "convrec.ablation.train")
+    calls = _count_calls(monkeypatch, "convrec.ablation.train")
     assert main(["ablate", "--data-dir", train_only, "--masks", "pvh,pop"] + BASE) == 1
     assert _one_error_line(capsys) == "error: no users with a nonempty test part"
     assert calls == []
@@ -211,7 +211,7 @@ def test_ablate_with_no_held_out_items_exits_1_before_training(train_only, capsy
 
 @pytest.mark.parametrize("masks", ["q", "pvh,q"])
 def test_ablate_bad_mask_code_exits_2_before_training(prepared, capsys, monkeypatch, masks):
-    calls = _count_trainings(monkeypatch, "convrec.ablation.train")
+    calls = _count_calls(monkeypatch, "convrec.ablation.train")
     assert main(["ablate", "--data-dir", prepared, "--masks", masks] + BASE) == 2
     assert _one_error_line(capsys) == "config error: mask code must use letters p, v, h; got 'q'"
     assert calls == []
@@ -238,7 +238,7 @@ def _one_output_error(capsys) -> str:
 
 @pytest.mark.parametrize("flag", ["--checkpoint", "--log"])
 def test_train_into_a_missing_directory_exits_1_before_training(prepared, tmp_path, capsys, monkeypatch, flag):
-    calls = _count_trainings(monkeypatch, "convrec.cli.train")
+    calls = _count_calls(monkeypatch, "convrec.cli.train")
     ck, out = tmp_path / "m.ckpt", tmp_path / "missing" / "out"
     paths = {"--checkpoint": str(ck), flag: str(out)}  # the flag under test writes into the missing directory
     assert main(["train", "--data-dir", prepared, "--quiet", *itertools.chain(*paths.items())] + BASE) == 1
@@ -251,23 +251,28 @@ def test_train_that_cannot_write_its_config_file_exits_1(prepared, tmp_path, cap
     Path(str(ck) + ".cfg").mkdir()  # a directory where the .cfg file goes
     assert main(["train", "--data-dir", prepared, "--checkpoint", str(ck), "--quiet"] + BASE) == 1
     assert _one_output_error(capsys).startswith(f"error: {ck}.cfg: ")
+    assert not ck.exists()  # no checkpoint is left without the config it was trained with
 
 
 @pytest.mark.parametrize("flag", ["--csv", "--per-user"])
-def test_evaluate_into_a_missing_directory_exits_1(prepared, checkpoint, tmp_path, capsys, flag):
+def test_evaluate_into_a_missing_directory_exits_1(prepared, checkpoint, tmp_path, capsys, monkeypatch, flag):
+    calls = _count_calls(monkeypatch, "convrec.cli.evaluate", evaluate)
     out = tmp_path / "missing" / "out"
     assert main(["evaluate", "--data-dir", prepared, "--checkpoint", checkpoint, flag, str(out)]) == 1
-    assert _one_output_error(capsys) == f"error: {out}: No such file or directory"
+    assert capsys.readouterr() == ("", f"error: {out}: directory {out.parent} does not exist\n")
+    assert calls == []
 
 
-def test_mine_rules_into_a_missing_directory_exits_1(prepared, tmp_path, capsys):
+def test_mine_rules_into_a_missing_directory_exits_1(prepared, tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "convrec.rules.mine_rules", rules.mine_rules)
     out = tmp_path / "missing" / "rules.csv"
     assert main(["mine-rules", "--data-dir", prepared, "--out", str(out)]) == 1
-    assert _one_output_error(capsys) == f"error: {out}: No such file or directory"
+    assert capsys.readouterr() == ("", f"error: {out}: directory {out.parent} does not exist\n")
+    assert calls == []
 
 
 def test_ablate_into_a_missing_directory_exits_1_before_training(prepared, tmp_path, capsys, monkeypatch):
-    calls = _count_trainings(monkeypatch, "convrec.ablation.train")
+    calls = _count_calls(monkeypatch, "convrec.ablation.train")
     out = tmp_path / "missing" / "ablation.csv"
     assert main(["ablate", "--data-dir", prepared, "--masks", "pop,p", "--out", str(out)] + BASE) == 1
     assert _one_output_error(capsys) == f"error: {out}: directory {out.parent} does not exist"
@@ -419,7 +424,7 @@ def test_sweep_thread_cap_env(prepared, capsys, monkeypatch):
 
 
 def test_sweep_checks_every_trial_config_before_the_first_trial(prepared, capsys, monkeypatch):
-    calls = _count_trainings(monkeypatch, "convrec.cli.train")
+    calls = _count_calls(monkeypatch, "convrec.cli.train")
     assert main(["sweep", "--data-dir", prepared, "--grid", "latent_dim=8,0"] + SWEEP_BASE) == 2
     assert calls == []
     assert "latent_dim" in _one_error_line(capsys)
@@ -427,7 +432,7 @@ def test_sweep_checks_every_trial_config_before_the_first_trial(prepared, capsys
 
 @pytest.mark.parametrize("spec", ["latent_dim=", "latent_dim=,"])
 def test_sweep_grid_key_without_values_exits_2(prepared, capsys, monkeypatch, spec):
-    calls = _count_trainings(monkeypatch, "convrec.cli.train")
+    calls = _count_calls(monkeypatch, "convrec.cli.train")
     assert main(["sweep", "--data-dir", prepared, "--grid", spec] + SWEEP_BASE) == 2
     assert _one_error_line(capsys) == "config error: --grid latent_dim has no values"
     assert calls == []

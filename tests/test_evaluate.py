@@ -648,34 +648,61 @@ def test_run_parts_runs_every_part_once_with_more_parts_than_cpus():
 
 
 def _recording_columns(monkeypatch):
-    threads = []
+    """Patch batch._score_columns to record the thread and (start, stop) of each call."""
+    calls = []
     real = batch_module._score_columns
 
-    def recording(*args):
-        threads.append(threading.get_ident())
-        real(*args)
+    def recording(params, xo, scores, start, stop):
+        calls.append((threading.get_ident(), start, stop))
+        real(params, xo, scores, start, stop)
 
     monkeypatch.setattr(batch_module, "_score_columns", recording)
-    return threads
+    return calls
+
+
+def _threads(calls) -> set:
+    return {thread for thread, _, _ in calls}
+
+
+def test_recommend_scores_the_whole_catalog_once_on_the_calling_thread(tiny_params, tiny_hp, two_cpus, monkeypatch):
+    calls = _recording_columns(monkeypatch)
+    recommend_top_n(tiny_params, tiny_hp, [3, 5, 7], 1, 5)
+    assert calls == [(threading.get_ident(), 0, tiny_params.item_count + 1)]
+    monkeypatch.setenv("CASER_THREADS", "x")  # one row never reads the thread budget
+    recommend_top_n(tiny_params, tiny_hp, [3, 5, 7], 1, 5)
+
+
+def test_one_thread_scores_many_rows_in_one_whole_catalog_product(large_split, two_cpus, monkeypatch):
+    params = init_params(LARGE_HP, large_split.user_count, large_split.item_count, np.random.default_rng(23))
+    users = list(large_split.users())
+    histories = [history_for(large_split, u, "test") for u in users]
+    calls = _recording_columns(monkeypatch)
+    split = score_matrix(params, LARGE_HP, histories, users)
+    assert len(calls) == 2  # 150 rows of 2,892 columns are two ranges on two CPUs
+    calls.clear()
+    monkeypatch.setenv("CASER_THREADS", "1")
+    whole = score_matrix(params, LARGE_HP, histories, users)
+    assert calls == [(threading.get_ident(), 0, large_split.item_count + 1)]
+    assert np.array_equal(split.view(np.uint64), whole.view(np.uint64))
 
 
 def test_evaluate_on_two_cpus_has_the_bits_of_one_thread(large_split, two_cpus, monkeypatch):
     params = init_params(LARGE_HP, large_split.user_count, large_split.item_count, np.random.default_rng(21))
-    threads = _recording_columns(monkeypatch)
+    calls = _recording_columns(monkeypatch)
     before = threading.active_count()
     split_report = evaluate(params, LARGE_HP, large_split, collect_per_user=True)
-    assert len(set(threads)) == 2  # the product ran on two threads
+    assert len(_threads(calls)) == 2  # the product ran on two threads
     assert threading.active_count() == before  # and evaluate shut its thread down
-    threads.clear()
+    calls.clear()
     monkeypatch.setenv("CASER_THREADS", "1")
     serial_report = evaluate(params, LARGE_HP, large_split, collect_per_user=True)
-    assert set(threads) <= {threading.get_ident()}  # no other thread scored
+    assert _threads(calls) <= {threading.get_ident()}  # no other thread scored
     assert _report_bits(split_report) == _report_bits(serial_report)
 
 
 def test_evaluate_stops_its_thread_when_it_raises(large_split, two_cpus, monkeypatch):
     params = init_params(LARGE_HP, large_split.user_count, large_split.item_count, np.random.default_rng(22))
-    threads = _recording_columns(monkeypatch)
+    calls = _recording_columns(monkeypatch)
 
     def failing(*args):
         raise RuntimeError("ranking failed")
@@ -684,18 +711,18 @@ def test_evaluate_stops_its_thread_when_it_raises(large_split, two_cpus, monkeyp
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="ranking failed"):
         evaluate(params, LARGE_HP, large_split)
-    assert len(set(threads)) == 2  # the first chunk was scored on two threads before ranking raised
+    assert len(_threads(calls)) == 2  # the first chunk was scored on two threads before ranking raised
     assert threading.active_count() == before
 
 
 def test_small_catalog_evaluates_without_a_thread(tiny_params, tiny_hp, tiny_split, two_cpus, monkeypatch):
-    threads = _recording_columns(monkeypatch)
+    calls = _recording_columns(monkeypatch)
     counts = []
     real_metrics = evaluation.metrics_for_ranking
     monkeypatch.setattr(evaluation, "metrics_for_ranking",
                         lambda *args: counts.append(threading.active_count()) or real_metrics(*args))
     before = threading.active_count()
     evaluate(tiny_params, tiny_hp, tiny_split)
-    assert set(threads) <= {threading.get_ident()} and set(counts) == {before}
+    assert _threads(calls) <= {threading.get_ident()} and set(counts) == {before}
     # the 501-item bench catalogs (K = 100 and 64) are never split, whatever the CPU count
     assert all(len(score_column_ranges(rows, 502, k, 64)) == 1 for rows in range(1, SCORE_CHUNK + 1) for k in (64, 100))

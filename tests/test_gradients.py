@@ -326,7 +326,7 @@ def test_gradient_check_masked_variants():
 
 
 def test_gradient_check_needs_two_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         gradient_check(num_instances=1)
 
 
