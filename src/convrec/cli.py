@@ -115,8 +115,7 @@ def cmd_train(args) -> int:
     split = _resolve_split(args, cfg)
     hp = cfg.hyperparams()
     result = train(split, hp, **_train_kwargs(cfg), progress=_epoch_printer if not args.quiet else None)
-    # the config first: a run that cannot write it leaves no checkpoint without it
-    Path(args.checkpoint + ".cfg").write_text(cfg.resolved_text(), encoding="utf-8")
+    Path(args.checkpoint + ".cfg").write_text(cfg.resolved_text(), encoding="utf-8")  # first: no checkpoint without it
     save_checkpoint(args.checkpoint, result.params, hp)
     if args.log:
         result.write_log(args.log)

@@ -72,15 +72,16 @@ def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:
     if not flat.size:
         return []
 
-    ids = np.sort(flat)
-    ids = ids[run_starts(ids)]  # the distinct items; an item's code is its position here
-    code = np.searchsorted(ids, flat)
     seq_of = np.repeat(np.arange(len(seqs)), lengths)
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(flat.size) - 1  # positions after each one
 
-    # length 1: every position, in (item, position) order
-    end = np.argsort(code, kind="stable")
-    pat = code[end]
+    # length 1: every position, in (item, position) order; an item's code is its place among the distinct items
+    end = np.argsort(flat, kind="stable")
+    first = run_starts(flat[end])
+    ids = flat[end[first]]
+    pat = np.cumsum(first) - 1  # the item code at each position of end
+    code = np.empty_like(pat)
+    code[end] = pat
     sup_x = np.bincount(pat[run_starts(pat, seq_of[end])], minlength=ids.size)
     antecedents = np.arange(ids.size)[:, None]  # item codes of each pattern
 
