@@ -48,9 +48,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int, env: dict[str, 
 
 
 def uncommitted_changes(tree: Path) -> bool:
-    """Whether a tracked file differs from the commit; the BENCH_*.json files that record() rewrites do not count."""
-    status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)BENCH_*.json"],
-                            cwd=tree, capture_output=True, text=True).stdout
+    """Whether a tracked file differs from the commit. The BENCH_*.json files that record() rewrites, and
+    Markdown files such as the change log, which no run reads, do not count."""
+    status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)BENCH_*.json",
+                             ":(exclude)*.md"], cwd=tree, capture_output=True, text=True).stdout
     return bool(status.strip())
 
 

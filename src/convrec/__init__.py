@@ -7,7 +7,7 @@ user latent factor. Ships with its own analytic backprop, Adam training,
 ranking metrics, component ablations, and a sequential-rule miner.
 """
 
-from .config import HyperParams, RunConfig
+from .config import HyperParams, Ranking, RunConfig
 from .data import (
     Interactions,
     SplitDataset,
@@ -30,6 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HyperParams",
+    "Ranking",
     "RunConfig",
     "Interactions",
     "SplitDataset",

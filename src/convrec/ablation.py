@@ -8,12 +8,12 @@ latent-factor form out_w[:, d:] @ p_u + out_b, exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .batch import forward
-from .config import HyperParams
+from .config import HyperParams, Ranking
 from .data import PADDING_INDEX, SplitDataset, pad_left
 from .errors import ConfigError, EmptyDatasetError
 # metrics_for_ranking is unused here, but perfbench hooks it under this module's name
@@ -27,7 +27,7 @@ from .evaluate import (  # noqa: F401
     ranked_order,
 )
 from .model import ComponentMask, ModelParams
-from .training import TrainResult, train
+from .training import train
 
 __all__ = [
     "ComponentMask",
@@ -43,17 +43,12 @@ def popularity_counts(split: SplitDataset) -> np.ndarray:
     return np.bincount(train, minlength=split.item_count + 1)
 
 
-def evaluate_pop(
-    split: SplitDataset,
-    cutoffs=(1, 5, 10),
-    ap_mode: str = "standard",
-    exclude_seen: bool = True,
-) -> EvalReport:
-    """POP baseline metrics on the test part: every user gets the training-count score row,
-    ranked by one sort of it (see evaluate_scores)."""
+def evaluate_pop(split: SplitDataset, ranking: Ranking = Ranking()) -> EvalReport:
+    """POP baseline metrics on the test part, as ``ranking`` defines them: every user gets the
+    training-count score row, ranked by one sort of it (see evaluate_scores)."""
     row = popularity_counts(split).astype(float)
     row[0] = -np.inf
-    return evaluate_scores(split, SharedRow(row, ranked_order(row)), cutoffs, ap_mode, exclude_seen)
+    return evaluate_scores(split, SharedRow(row, ranked_order(row)), ranking)
 
 
 @dataclass
@@ -79,42 +74,30 @@ def run_ablation(
     split: SplitDataset,
     hp: HyperParams,
     masks: list[str],
-    seed: int,
-    epochs: int,
-    batch_size: int = 100,
-    patience: int = 5,
-    cutoffs=(1, 5, 10),
-    exclude_history_negatives: bool = False,
-    ap_mode: str = "standard",
-    exclude_seen: bool = True,
+    ranking: Ranking = Ranking(),
+    **train_keys,
 ) -> list[AblationRow]:
     """Train one model per mask from the same seed and data; report test MAP.
 
     The special mask name "pop" evaluates the popularity baseline instead of
-    training a model. The training keys go to train, the metric keys to
-    train's validation, evaluate and evaluate_pop. Cutoff 1 is always
-    evaluated, for the Prec@1 column.
+    training a model. ``train_keys`` (seed, epochs, batch_size, patience and,
+    optionally, exclude_history_negatives) go to train, and the seed to every
+    row. ``ranking`` goes to train, evaluate and evaluate_pop, with cutoff 1
+    always evaluated, for the Prec@1 column.
     """
-    cutoffs = (1, *cutoffs)  # evaluate_scores reports a repeated cutoff once
+    evaluated = replace(ranking, cutoffs=(1, *ranking.cutoffs))
     plan = resolve_masks(masks)  # every code, and the test part, is checked before the first model trains
     if not any(split.test[u] for u in split.users()):
         raise EmptyDatasetError("no users with a nonempty test part")
     rows: list[AblationRow] = []
     for mask in plan:
         if mask is None:
-            report = evaluate_pop(split, cutoffs=cutoffs, ap_mode=ap_mode, exclude_seen=exclude_seen)
-            rows.append(AblationRow("pop", report.mean_ap, report.precision[1], 0, seed))
+            report, epochs = evaluate_pop(split, evaluated), 0
         else:
-            result: TrainResult = train(
-                split, hp, seed=seed, epochs=epochs, batch_size=batch_size,
-                patience=patience, comp_mask=mask, exclude_history_negatives=exclude_history_negatives,
-                ap_mode=ap_mode, exclude_seen=exclude_seen,
-            )
-            report = evaluate(result.params, hp, split, cutoffs=cutoffs, ap_mode=ap_mode,
-                              exclude_seen=exclude_seen, comp_mask=mask)
-            rows.append(
-                AblationRow(mask.code, report.mean_ap, report.precision[1], len(result.log), seed)
-            )
+            result = train(split, hp, comp_mask=mask, ranking=ranking, **train_keys)
+            report, epochs = evaluate(result.params, hp, split, evaluated, comp_mask=mask), len(result.log)
+        code = "pop" if mask is None else mask.code
+        rows.append(AblationRow(code, report.mean_ap, report.precision[1], epochs, train_keys["seed"]))
     return rows
 
 
@@ -132,7 +115,7 @@ def mask_history_items(
     user_index: int,
     mask_positions: set[int],
     probe_item: int,
-    exclude_seen: bool = True,
+    exclude_seen: bool = Ranking.exclude_seen,
 ) -> tuple[np.ndarray, int]:
     """Mask selected slots of the history window and report the probe's rank.
 

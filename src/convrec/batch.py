@@ -62,17 +62,17 @@ SCORE_MIN_COLUMNS = 1024  # per range
 SCORE_MIN_PART = 1 << 24  # rows x columns x 2d per range
 
 
-def score_column_ranges(rows: int, columns: int, k: int, workers: int | None = None) -> list[tuple[int, int]]:
+def score_column_ranges(rows: int, columns: int, k: int) -> list[tuple[int, int]]:
     """(start, stop) of near-equal ranges of the columns of a (rows, k) x (k, columns) product.
 
-    At most ``workers`` ranges (by default thread_budget(), read only for two
-    rows or more), each of at least SCORE_MIN_COLUMNS columns and
-    SCORE_MIN_PART multiply-adds (about), each cut at a multiple of
-    SCORE_COLUMN_ALIGN; one row is never split.
+    At most thread_budget() ranges (read only for two rows or more), each of
+    at least SCORE_MIN_COLUMNS columns and SCORE_MIN_PART multiply-adds
+    (about), each cut at a multiple of SCORE_COLUMN_ALIGN; one row is never
+    split.
     """
     if rows < 2:
         return [(0, columns)]
-    parts = min(workers or thread_budget(), columns // SCORE_MIN_COLUMNS, rows * columns * k // SCORE_MIN_PART)
+    parts = min(thread_budget(), columns // SCORE_MIN_COLUMNS, rows * columns * k // SCORE_MIN_PART)
     if parts < 2:
         return [(0, columns)]
     half = SCORE_COLUMN_ALIGN // 2
@@ -172,9 +172,8 @@ def forward(
     hp: HyperParams,
     prev_items,
     user_index: int,
-    comp_mask: ComponentMask = FULL_MASK,
 ) -> np.ndarray:
-    """Inference scores over every item for one (user, previous-L-items) pair.
+    """Inference scores over every item for one (user, previous-L-items) pair, every component on.
 
     Runs batch_forward on a batch of one; the row is the caller's to modify.
     The padding score, index 0, is -inf.
@@ -185,7 +184,7 @@ def forward(
     if not 1 <= user_index <= params.user_count:
         raise IndexError(f"user index {user_index} out of range 1..{params.user_count}")
     users = np.array([user_index], dtype=np.int64)
-    return batch_forward(params, hp, prev[None], users, comp_mask).scores[0]
+    return batch_forward(params, hp, prev[None], users).scores[0]
 
 
 def batch_loss(params: ModelParams, hp: HyperParams, bt: BatchTrace,

@@ -76,8 +76,7 @@ def _load_model(path: str, split, cfg: RunConfig):
 def _train_kwargs(cfg: RunConfig) -> dict:
     """train's keyword arguments from the run config: every subcommand that trains passes these."""
     return dict(seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size, patience=cfg.patience,
-                exclude_history_negatives=cfg.exclude_history_negatives, ap_mode=cfg.ap_mode,
-                exclude_seen=cfg.exclude_seen)
+                exclude_history_negatives=cfg.exclude_history_negatives, ranking=cfg.ranking())
 
 
 def _print_config(cfg: RunConfig) -> None:
@@ -129,16 +128,14 @@ def cmd_evaluate(args) -> int:
     _check_out_dirs(args.csv, args.per_user)
     split = _resolve_split(args, cfg)
     params, hp = _load_model(args.checkpoint, split, cfg)
-    report = evaluate(
-        params, hp, split, cutoffs=cfg.eval_cutoffs(), ap_mode=cfg.ap_mode,
-        exclude_seen=cfg.exclude_seen, part=args.part, collect_per_user=bool(args.per_user),
-    )
+    ranking = cfg.ranking()
+    report = evaluate(params, hp, split, ranking, part=args.part, collect_per_user=bool(args.per_user))
     print(report.table())
     if args.csv:
         Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
     if args.per_user:
         with open(args.per_user, "w", encoding="utf-8") as fh:
-            fh.write("user\tAP\thits@{}\n".format(max(cfg.eval_cutoffs())))
+            fh.write("user\tAP\thits@{}\n".format(max(ranking.cutoffs)))
             for user, ap, hits in report.per_user:
                 fh.write(f"{split.user_ids[user]}\t{ap:.6f}\t{hits}\n")
     return 0
@@ -191,7 +188,7 @@ def cmd_ablate(args) -> int:
     _check_out_dirs(args.out)
     split = _resolve_split(args, cfg)
     hp = cfg.hyperparams()
-    rows = ablation.run_ablation(split, hp, masks, **_train_kwargs(cfg), cutoffs=cfg.eval_cutoffs())
+    rows = ablation.run_ablation(split, hp, masks, **_train_kwargs(cfg))
     csv_text = ablation.ablation_csv(rows)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")

@@ -87,6 +87,27 @@ class HyperParams:
         return self.total_h_filters + self.latent_dim * self.num_v_filters
 
 
+@dataclass(frozen=True)
+class Ranking:
+    """How a ranking is scored against the held-out items; the evaluation keys' one home.
+
+    cutoffs         -- the N of Prec@N and Recall@N; a repeated one is kept once, at its first place
+    ap_mode         -- AP's denominator: "standard" min(relevant, eligible), "paper_literal" eligible
+    exclude_seen    -- the user's items before the held-out part never rank
+    """
+
+    cutoffs: tuple[int, ...] = (1, 5, 10)
+    ap_mode: str = "standard"
+    exclude_seen: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "cutoffs", tuple(dict.fromkeys(self.cutoffs)))
+        if not self.cutoffs or not all(type(n) is int and n >= 1 for n in self.cutoffs):
+            raise ConfigError(f"cutoffs (eval_n) must be one or more integers >= 1, got {self.cutoffs}")
+        if self.ap_mode not in AP_MODES:
+            raise ConfigError(f"ap_mode must be one of {AP_MODES}, got {self.ap_mode!r}")
+
+
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
@@ -101,6 +122,8 @@ class RunConfig:
 
     The model keys, with their types and defaults, are the fields of
     HyperParams; ``heights`` is kept as its comma-list text, empty -> 1..order.
+    The evaluation keys take their defaults from Ranking, ``eval_n`` being
+    its cutoffs as comma-list text.
     """
 
     DEFAULTS: dict = {
@@ -112,13 +135,13 @@ class RunConfig:
             for f in fields(HyperParams)
         },
         "exclude_history_negatives": False,
-        "exclude_seen": True,
+        "exclude_seen": Ranking.exclude_seen,
         "batch_size": 100,
         "epochs": 30,
         "patience": 5,
         "seed": 42,
-        "eval_n": "1,5,10",
-        "ap_mode": "standard",
+        "eval_n": ",".join(map(str, Ranking.cutoffs)),
+        "ap_mode": Ranking.ap_mode,
     }
 
     def __init__(self):
@@ -158,9 +181,7 @@ class RunConfig:
             raise ConfigError(f"format must be tsv or csv, got {self.format!r}")
         if self.min_feedback < 1:
             raise ConfigError(f"min_feedback must be >= 1, got {self.min_feedback}")
-        if self.ap_mode not in AP_MODES:
-            raise ConfigError(f"ap_mode must be one of {AP_MODES}, got {self.ap_mode!r}")
-        self.eval_cutoffs()
+        self.ranking()
         self.height_list()
         for key in ("batch_size", "epochs", "patience"):
             if getattr(self, key) < 1:
@@ -183,14 +204,12 @@ class RunConfig:
                 f"heights must be empty or a comma list of integers, got {self.heights!r}"
             ) from None
 
-    def eval_cutoffs(self) -> tuple[int, ...]:
+    def ranking(self) -> Ranking:
         try:
             cutoffs = tuple(int(n) for n in self.eval_n.split(","))
-            if min(cutoffs) >= 1:
-                return cutoffs
         except ValueError:
-            pass
-        raise ConfigError(f"eval_n must be a comma list of integers >= 1, got {self.eval_n!r}")
+            raise ConfigError(f"eval_n must be a comma list of integers >= 1, got {self.eval_n!r}") from None
+        return Ranking(cutoffs, self.ap_mode, self.exclude_seen)
 
     def to_pairs(self) -> dict[str, str]:
         pairs = {}

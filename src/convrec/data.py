@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, EmptyDatasetError, ParseError, open_input
+from .errors import ConfigError, DataError, EmptyDatasetError, ParseError, open_input
 
 PADDING_INDEX = 0
 # the Caser protocol's split of each user's actions, oldest first; the test part takes the last 20%
@@ -82,12 +82,13 @@ def load_interactions(path: str, fmt: str = "tsv") -> Interactions:
     Rows are ``user item timestamp`` or ``user item rating timestamp``; the
     rating, when present, is discarded (all feedback is treated as implicit).
     Lines starting with '#' are skipped. Only \\n, \\r\\n and \\r end a line.
-    Raises DataError if the file cannot be opened or is not UTF-8, ParseError
-    with the offending line number (also for a timestamp that is not finite),
-    EmptyDatasetError if nothing was parsed.
+    Raises ConfigError for a ``fmt`` other than tsv or csv, DataError if the
+    file cannot be opened or is not UTF-8, ParseError with the offending line
+    number (also for a timestamp that is not finite), EmptyDatasetError if
+    nothing was parsed.
     """
     if fmt not in ("tsv", "csv"):
-        raise ValueError(f"format must be tsv or csv, got {fmt!r}")
+        raise ConfigError(f"format must be tsv or csv, got {fmt!r}")
     with open_input(path, DataError) as fh:
         try:
             # text mode turns \r\n and \r into \n, as iterating the file would; str.splitlines() would
@@ -152,10 +153,10 @@ def build_sequences(interactions, min_feedback: int) -> SequenceData:
     ``zip(*rows)``. Rows equal in user, item and timestamp count once. Users and items with fewer than
     ``min_feedback`` rows are removed until a pass removes nothing, so the threshold holds in the output.
     Survivors are numbered from 1 (0 is padding) in order of first appearance; each user's items are
-    ordered by timestamp, ties in input order.
+    ordered by timestamp, ties in input order. A ``min_feedback`` below 1 raises ConfigError.
     """
     if min_feedback < 1:
-        raise ValueError("min_feedback must be >= 1")
+        raise ConfigError(f"min_feedback must be >= 1, got {min_feedback}")
     users, items, timestamps = interactions
     n = len(users)
     # a row's user (item) code is the first row that holds the same user (item)
@@ -210,12 +211,13 @@ def generate_instances(
     A window of ``order + num_targets`` slides over each user's training
     prefix; a shorter prefix yields one left-padded instance whose targets
     are its last min(T, len) actions. Every window of every user is read
-    with one gather from the padded prefixes laid end to end.
+    with one gather from the padded prefixes laid end to end. An order or
+    num_targets below 1, or a part other than "train", raises ConfigError.
     """
     if order < 1 or num_targets < 1:
-        raise ValueError("order and num_targets must be >= 1")
+        raise ConfigError("order and num_targets must be >= 1")
     if part != "train":
-        raise ValueError(f"part must be train, got {part!r}")
+        raise ConfigError(f"part must be train, got {part!r}")
     L, T = order, num_targets
     users = [u for u in split.users() if split.train[u]]
     # left-pad each prefix to at least one window; a prefix shorter than T

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import batch_forward, forward
-from .config import AP_MODES, HyperParams
+from .config import HyperParams, Ranking
 from .data import SplitDataset, history_for, pad_left, run_starts
-from .errors import EmptyDatasetError
+from .errors import ConfigError, EmptyDatasetError
 from .model import FULL_MASK, ComponentMask, ModelParams
 
 SCORE_CHUNK = 512  # users scored per batch_forward call
@@ -87,13 +87,13 @@ def recommend_top_n(
     history,
     user_index: int,
     n: int,
-    exclude_seen: bool = True,
+    exclude_seen: bool = Ranking.exclude_seen,
 ) -> RankedList:
-    """Rank all eligible items from the user's last L actions, keep the top n."""
+    """Rank all eligible items from the user's last L actions, keep the top n; n < 1 raises ConfigError."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError(f"n must be >= 1, got {n}")
     if not len(history):
-        raise ValueError("history must be nonempty")
+        raise EmptyDatasetError("history must be nonempty")
     scores = forward(params, hp, pad_left(list(history), hp.order), user_index)
     if exclude_seen:
         scores[np.asarray(list(history), dtype=np.int64)] = -np.inf
@@ -268,13 +268,11 @@ def _in_order_total(values: np.ndarray) -> float:
 def evaluate_scores(
     split: SplitDataset,
     score_rows,
-    cutoffs=(1, 5, 10),
-    ap_mode: str = "standard",
-    exclude_seen: bool = True,
+    ranking: Ranking = Ranking(),
     part: str = "test",
     collect_per_user: bool = False,
 ) -> EvalReport:
-    """Average per-user metrics against the held-out part of the split.
+    """Average per-user metrics, as ``ranking`` defines them, against the held-out part of the split.
 
     ``score_rows(users, histories)`` returns a writable array with one score
     row per user, with -inf at index 0 and at any item that must never rank.
@@ -287,19 +285,18 @@ def evaluate_scores(
     shared_row_ranks, with no score block at all.
 
     The model and the POP baseline are both evaluated here. Users whose
-    held-out part is empty are excluded from all averages.
+    held-out part is empty are excluded from all averages. A ``part`` other
+    than "test" or "validation" raises ConfigError.
     """
-    if ap_mode not in AP_MODES:
-        raise ValueError(f"ap_mode must be one of {AP_MODES}")
     if part not in ("test", "validation"):
-        raise ValueError(f"part must be 'test' or 'validation', got {part!r}")
+        raise ConfigError(f"part must be 'test' or 'validation', got {part!r}")
     held = split.test if part == "test" else split.validation
     users = [u for u in split.users() if held[u]]
     if not users:
         raise EmptyDatasetError(f"no users with a nonempty {part} part")
     histories = [history_for(split, u, part) for u in users]
     relevant = [set(held[u]) for u in users]
-    cutoffs = tuple(dict.fromkeys(cutoffs))  # a repeated cutoff is reported once
+    cutoffs, ap_mode, exclude_seen = ranking.cutoffs, ranking.ap_mode, ranking.exclude_seen
 
     if isinstance(score_rows, SharedRow):
         rows, items = _flat_pairs(relevant)
@@ -344,14 +341,12 @@ def evaluate(
     params: ModelParams,
     hp: HyperParams,
     split: SplitDataset,
-    cutoffs=(1, 5, 10),
-    ap_mode: str = "standard",
-    exclude_seen: bool = True,
+    ranking: Ranking = Ranking(),
     part: str = "test",
     comp_mask: ComponentMask = FULL_MASK,
     collect_per_user: bool = False,
 ) -> EvalReport:
-    """The model's metrics against the held-out part (see evaluate_scores).
+    """The model's metrics against the held-out part, as ``ranking`` defines them (see evaluate_scores).
 
     Each chunk's product goes through batch_forward, which splits it into
     ranges of item columns, one per CPU where the ranges are large enough;
@@ -365,4 +360,4 @@ def evaluate(
     def score_rows(users, histories):
         return score_matrix(params, hp, histories, users, comp_mask, out=buffer[: len(users)])
 
-    return evaluate_scores(split, score_rows, cutoffs, ap_mode, exclude_seen, part, collect_per_user)
+    return evaluate_scores(split, score_rows, ranking, part, collect_per_user)

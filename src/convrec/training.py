@@ -9,12 +9,12 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .batch import batch_loss_and_grads
-from .config import HyperParams, run_parts, thread_budget
+from .config import HyperParams, Ranking, run_parts, thread_budget
 from .data import SplitDataset, generate_instances
 from .errors import EmptyDatasetError, NonFiniteGradientError, NonFiniteLossError, SamplingError
 from .gradients import GradientSet
@@ -224,20 +224,20 @@ def train(
     hp: HyperParams,
     seed: int,
     epochs: int,
-    batch_size: int = 100,
-    patience: int = 5,
+    batch_size: int,
+    patience: int,
     comp_mask: ComponentMask = FULL_MASK,
     exclude_history_negatives: bool = False,
     progress=None,
-    ap_mode: str = "standard",
-    exclude_seen: bool = True,
+    ranking: Ranking = Ranking(),
 ) -> TrainResult:
     """Train on the split's training part, tracking validation MAP per epoch.
 
     Instances are reshuffled and negatives resampled every epoch; the
     checkpoint with the best validation MAP is returned (final params if the
-    split has no validation data). The validation MAP is measured with
-    ``ap_mode`` and ``exclude_seen``. ``progress`` takes each EpochLog.
+    split has no validation data). The validation MAP and Prec@1 are
+    measured with ``ranking``'s AP mode and exclusion of seen items, whatever
+    its cutoffs. ``progress`` takes each EpochLog.
     """
     # Looked up at call time, not bound at import: the benchmark times the
     # validation pass by patching convrec.evaluate.evaluate.
@@ -299,8 +299,7 @@ def train(
 
         val_map = val_p1 = float("nan")
         if have_validation:
-            report = evaluate(params, hp, split, cutoffs=(1,), ap_mode=ap_mode, exclude_seen=exclude_seen,
-                              part="validation", comp_mask=comp_mask)
+            report = evaluate(params, hp, split, replace(ranking, cutoffs=(1,)), part="validation", comp_mask=comp_mask)
             val_map, val_p1 = report.mean_ap, report.precision[1]
 
         row = EpochLog(epoch, total / n_inst, val_map, val_p1, (time.monotonic() - t0) * 1e3)

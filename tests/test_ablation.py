@@ -10,11 +10,11 @@ from convrec.ablation import (
     popularity_counts,
     run_ablation,
 )
-from convrec.config import HyperParams
+from convrec.config import HyperParams, Ranking
 from convrec.data import build_sequences, chronological_split
 from convrec.errors import ConfigError
 from convrec.evaluate import LONG_ROW, evaluate, ranked_order
-from convrec.batch import forward
+from convrec.batch import batch_forward, forward
 from convrec.model import ComponentMask, init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
 from convrec.training import train
@@ -30,6 +30,11 @@ def test_mask_codes():
         ComponentMask(p=False, h=False, v=False)
 
 
+def _masked_scores(params, hp, prev, user, mask):
+    """The scores over every item of one (user, previous-L-items) pair under ``mask``: a one-row batch."""
+    return batch_forward(params, hp, np.asarray(prev, dtype=np.int64)[None], np.array([user]), mask).scores[0]
+
+
 def test_p_only_equals_latent_factor_form(tiny_params, tiny_hp, tiny_split):
     """With both conv paths off, ranking must equal the plain form
     out_w[:, d:] @ p_u + out_b exactly, for arbitrary (including nonzero-bias)
@@ -38,7 +43,7 @@ def test_p_only_equals_latent_factor_form(tiny_params, tiny_hp, tiny_split):
     rng = np.random.default_rng(0)
     for user in rng.integers(1, tiny_split.user_count + 1, size=20):
         prev = rng.integers(1, tiny_split.item_count + 1, size=tiny_hp.order)
-        scores = forward(tiny_params, tiny_hp, prev, int(user), ComponentMask(p=True, h=False, v=False))
+        scores = _masked_scores(tiny_params, tiny_hp, prev, int(user), ComponentMask(p=True, h=False, v=False))
         direct = tiny_params.out_w[:, d:] @ tiny_params.user_emb[int(user)] + tiny_params.out_b
         direct[0] = -np.inf
         assert np.array_equal(ranked_order(scores), ranked_order(direct))
@@ -54,7 +59,7 @@ def test_v_only_single_filter_matches_weighted_sum_scorer(tiny_split):
     params = init_params(hp, tiny_split.user_count, tiny_split.item_count, rng)
     params.fc_b[:] = rng.normal(size=hp.latent_dim)
     prev, user = [2, 5, 7, 9], 3
-    scores = forward(params, hp, prev, user, ComponentMask(p=True, h=False, v=True))
+    scores = _masked_scores(params, hp, prev, user, ComponentMask(p=True, h=False, v=True))
     # hand scorer: weighted sum of history embeddings -> fc (v slots only) -> output
     agg = sum(params.v_filters[0, l] * params.item_emb[prev[l]] for l in range(4))
     n = 1  # one horizontal filter slot, zeroed by the mask
@@ -74,7 +79,7 @@ def _pop_rank(split, item, user, exclude_seen=True):
     """
     test = [[] for _ in split.test]
     test[user] = [item]
-    ap = evaluate_pop(dataclasses.replace(split, test=test), cutoffs=(1,), exclude_seen=exclude_seen).mean_ap
+    ap = evaluate_pop(dataclasses.replace(split, test=test), Ranking((1,), exclude_seen=exclude_seen)).mean_ap
     return round(1 / ap) if ap else None
 
 
@@ -183,7 +188,7 @@ def test_ablation_determinism():
 
 def test_ablation_csv_shape():
     split = _micro_split()
-    rows = run_ablation(split, HP, ["pop", "p"], seed=2, epochs=1, batch_size=16)
+    rows = run_ablation(split, HP, ["pop", "p"], seed=2, epochs=1, batch_size=16, patience=10)
     text = ablation_csv(rows)
     lines = text.strip().splitlines()
     assert lines[0] == "mask,MAP,Prec@1,epochs,seed"
@@ -246,7 +251,7 @@ def test_mask_all_positions_equals_p_only_when_biases_zero(tiny_hp, tiny_split):
     scores, _ = mask_history_items(
         params, tiny_hp, history, 2, {1, 2, 3, 4}, probe_item=11, exclude_seen=False
     )
-    p_only = forward(params, tiny_hp, [2, 3, 4, 5], 2, ComponentMask(p=True, h=False, v=False))
+    p_only = _masked_scores(params, tiny_hp, [2, 3, 4, 5], 2, ComponentMask(p=True, h=False, v=False))
     assert np.max(np.abs(scores[1:] - p_only[1:])) < 1e-12
 
 

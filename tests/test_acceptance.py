@@ -76,13 +76,13 @@ def test_criterion_3_reduction_identity():
     params = init_params(hp, 100, 200, rng)
     params.fc_b[:] = rng.normal(size=hp.latent_dim)  # biases must not leak through
     params.out_b[1:] = rng.normal(size=200)
-    from convrec.batch import forward
+    from convrec.batch import batch_forward
 
     mask = ComponentMask(p=True, h=False, v=False)
     ok = True
     for user in range(1, 101):
         prev = rng.integers(1, 201, size=hp.order)
-        scores = forward(params, hp, prev, user, mask)
+        scores = batch_forward(params, hp, prev[None], np.array([user]), mask).scores[0]
         direct = params.out_w[:, hp.latent_dim :] @ params.user_emb[user] + params.out_b
         direct[0] = -np.inf
         if not np.array_equal(ranked_order(scores), ranked_order(direct)):

@@ -71,9 +71,18 @@ def test_rewritten_bench_files_do_not_mark_a_checkout_dirty(bench_pairs, tmp_pat
     git("init", "-q")
     (repo / "BENCH_baseline.json").write_text("{}\n")
     (repo / "model.py").write_text("x = 1\n")
+    (repo / "CHANGES.md").write_text("- one\n")
+    (repo / "src").mkdir()
+    (repo / "src" / "kernel.py").write_text("y = 1\n")
     git("add", ".")
     git("commit", "-q", "-m", "seed")
     (repo / "BENCH_baseline.json").write_text('{"runs": []}\n')
+    assert not bench_pairs.uncommitted_changes(repo)
+    (repo / "CHANGES.md").write_text("- one\n- two\n")  # the change log, written while runs go on
+    assert not bench_pairs.uncommitted_changes(repo)
+    (repo / "src" / "kernel.py").write_text("y = 2\n")
+    assert bench_pairs.uncommitted_changes(repo)
+    git("checkout", "--", "src")
     assert not bench_pairs.uncommitted_changes(repo)
     (repo / "model.py").write_text("x = 2\n")
     assert bench_pairs.uncommitted_changes(repo)

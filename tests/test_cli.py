@@ -19,9 +19,10 @@ from convrec import rules
 from convrec.ablation import evaluate_pop
 from convrec.checkpoint import load_checkpoint, save_checkpoint
 from convrec.cli import SUBCOMMANDS, main
-from convrec.config import HyperParams, RunConfig, parse_override_args
+from convrec.config import AP_MODES, HyperParams, Ranking, RunConfig, parse_override_args
 from convrec.data import load_split
-from convrec.evaluate import AP_MODES, evaluate
+from convrec.errors import ConfigError
+from convrec.evaluate import evaluate
 from convrec.model import ComponentMask, init_params
 from convrec.rules import MiningConfig
 from convrec.synthetic import SyntheticSpec, generate_interactions
@@ -339,7 +340,7 @@ def test_ablate_pop_row_follows_the_metric_keys(prepared, tmp_path, key, pop_kwa
     out_csv = str(tmp_path / "ablation.csv")
     assert main(["ablate", "--data-dir", prepared, "--masks", "pop", "--out", out_csv, "--set", key] + BASE) == 0
     split = load_split(str(Path(prepared) / "split.json"))
-    want, default = evaluate_pop(split, **pop_kwargs), evaluate_pop(split)
+    want, default = evaluate_pop(split, Ranking(**pop_kwargs)), evaluate_pop(split)
     # ap_mode and exclude_seen change the metric on this corpus; cutoffs without 1 still report Prec@1
     assert (want.mean_ap != default.mean_ap) == bool(pop_kwargs)
     assert open(out_csv).read().splitlines()[1] == f"pop,{want.mean_ap:.6f},{want.precision[1]:.6f},0,42"
@@ -444,7 +445,7 @@ def test_sweep_ranks_trials_by_the_metric_keys(prepared, capsys):
     header = out.index("val_MAP,best_epoch,ap_mode")
     cfg, split = _run_config(SWEEP_BASE), load_split(str(Path(prepared) / "split.json"))
     want = [train(split, cfg.hyperparams(), seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size,
-                  patience=cfg.patience, ap_mode=mode) for mode in ("standard", "paper_literal")]
+                  patience=cfg.patience, ranking=Ranking(ap_mode=mode)) for mode in ("standard", "paper_literal")]
     assert want[0].best_val_map != want[1].best_val_map
     assert out[header + 1 : header + 3] == [f"{want[0].best_val_map:.6f},{want[0].best_epoch},standard",
                                             f"{want[1].best_val_map:.6f},{want[1].best_epoch},paper_literal"]
@@ -616,6 +617,30 @@ def test_bad_ap_mode_exits_2(prepared, checkpoint, capsys):
 
 def test_run_config_defaults_are_hyperparams_defaults():
     assert RunConfig().hyperparams() == HyperParams()
+
+
+def test_run_config_defaults_are_ranking_defaults():
+    assert RunConfig().ranking() == Ranking()
+
+
+@pytest.mark.parametrize("fields", [dict(cutoffs=()), dict(cutoffs=(0,)), dict(cutoffs=(-3,)), dict(ap_mode="x")])
+def test_ranking_rejects_bad_keys(fields):
+    with pytest.raises(ConfigError, match="ap_mode" if "ap_mode" in fields else "cutoffs"):
+        Ranking(**fields)
+
+
+def test_ranking_keeps_a_repeated_cutoff_once():
+    assert Ranking(cutoffs=(5, 1, 5)).cutoffs == (5, 1)
+
+
+def test_default_resolved_config_text_is_unchanged():
+    assert RunConfig().resolved_text() == (
+        "data = \nformat = tsv\nmin_feedback = 5\nlatent_dim = 50\norder = 5\nnum_targets = 3\nheights = \n"
+        "num_h_filters = 16\nnum_v_filters = 4\nconv_act = relu\nfc_act = relu\nvertical_act = identity\n"
+        "dropout = 0.5\nl2 = 1e-06\nlr = 0.001\nnum_negatives = 3\nnegatives_per_instance = false\n"
+        "exclude_history_negatives = false\nexclude_seen = true\nbatch_size = 100\nepochs = 30\npatience = 5\n"
+        "seed = 42\neval_n = 1,5,10\nap_mode = standard\n"
+    )
 
 
 def test_readme_names_every_config_key():

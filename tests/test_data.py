@@ -21,7 +21,7 @@ from convrec.data import (
     save_split,
     SplitDataset,
 )
-from convrec.errors import ConvrecError, DataError, EmptyDatasetError, ParseError, open_input, utf8_lines
+from convrec.errors import ConfigError, ConvrecError, DataError, EmptyDatasetError, ParseError, open_input, utf8_lines
 from convrec.synthetic import Interaction, SyntheticSpec, generate_interactions
 
 
@@ -474,8 +474,23 @@ def test_instances_match_tuple_oracle_bitwise(prefixes, order, num_targets):
 
 
 def test_only_training_instances_are_generated():
-    with pytest.raises(ValueError, match="train"):
+    with pytest.raises(ConfigError, match="train"):
         generate_instances(_split_with_train([1, 2, 3]), 2, 1, "validation")
+
+
+@pytest.mark.parametrize("order, num_targets", [(0, 1), (2, 0)])
+def test_instance_shape_below_one_is_a_config_error(order, num_targets):
+    with pytest.raises(ConfigError, match="order and num_targets"):
+        generate_instances(_split_with_train([1, 2, 3]), order, num_targets)
+
+
+def test_bad_format_and_min_feedback_are_config_errors(tmp_path):
+    path = tmp_path / "log.tsv"
+    path.write_text("u1\ti1\t1\n")
+    with pytest.raises(ConfigError, match="format"):
+        load_interactions(str(path), "xml")
+    with pytest.raises(ConfigError, match="min_feedback"):
+        build_sequences(load_interactions(str(path)), 0)
 
 
 def test_every_exported_name_resolves():

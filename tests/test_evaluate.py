@@ -10,10 +10,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from convrec.ablation import evaluate_pop, popularity_counts
-from convrec.config import HyperParams, run_parts, thread_budget
+from convrec.config import AP_MODES, HyperParams, Ranking, run_parts, thread_budget
 from convrec.data import SplitDataset, history_for
+from convrec.errors import ConfigError, EmptyDatasetError
 from convrec.evaluate import (
-    AP_MODES,
     LONG_ROW,
     SCORE_CHUNK,
     SharedRow,
@@ -83,8 +83,13 @@ def test_recommend_matches_exhaustive_scoring(tiny_params, tiny_hp, tiny_split):
 
 
 def test_recommend_rejects_bad_n(tiny_params, tiny_hp):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         recommend_top_n(tiny_params, tiny_hp, [1, 2], 1, n=0)
+
+
+def test_recommend_rejects_an_empty_history(tiny_params, tiny_hp):
+    with pytest.raises(EmptyDatasetError, match="history"):
+        recommend_top_n(tiny_params, tiny_hp, [], 1, n=5)
 
 
 # --------------------------------------------------------------------------
@@ -222,9 +227,10 @@ def test_ap_of_many_hits_sums_like_np_sum():
 def _pop_report(split, counts, cutoffs, ap_mode, exclude_seen, part):
     """POP's report on ``part``: the shared count row through evaluate_scores, which
     evaluate_pop gives bit for bit on the test part."""
-    report = evaluate_scores(split, SharedRow(counts, ranked_order(counts)), cutoffs, ap_mode, exclude_seen, part)
+    ranking = Ranking(cutoffs, ap_mode, exclude_seen)
+    report = evaluate_scores(split, SharedRow(counts, ranked_order(counts)), ranking, part)
     if part == "test":
-        assert evaluate_pop(split, cutoffs=cutoffs, ap_mode=ap_mode, exclude_seen=exclude_seen) == report
+        assert evaluate_pop(split, ranking) == report
     return report
 
 
@@ -251,8 +257,8 @@ def test_evaluate_matches_per_user_loop_bitwise(tiny_params, tiny_hp, tiny_split
         monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", block_elements)
         monkeypatch.setattr(evaluation, "LONG_ROW", long_row)
         got = evaluate(
-            tiny_params, tiny_hp, tiny_split, cutoffs=cutoffs, ap_mode=ap_mode,
-            exclude_seen=exclude_seen, part=part, collect_per_user=True,
+            tiny_params, tiny_hp, tiny_split, Ranking(cutoffs, ap_mode, exclude_seen), part=part,
+            collect_per_user=True,
         )
         assert _report_bits(got) == _per_user_report(tiny_split, model_rows, cutoffs, ap_mode, exclude_seen, part)
         assert all(type(ap) is float and type(hits) is int for _, ap, hits in got.per_user)
@@ -320,7 +326,7 @@ def test_shared_row_ranks_match_the_masked_block(case, exclude_seen):
 
 
 def test_unknown_part_is_refused(tiny_params, tiny_hp, tiny_split):
-    with pytest.raises(ValueError, match="part"):
+    with pytest.raises(ConfigError, match="part"):
         evaluate(tiny_params, tiny_hp, tiny_split, part="tset")
 
 
@@ -335,9 +341,18 @@ def test_evaluate_deduplicates_relevant_items(tiny_params, tiny_hp, tiny_split):
     )
 
 
+@pytest.mark.parametrize("run", ["model", "pop"])
+def test_a_cutoff_below_one_is_refused_not_reported_as_nan(tiny_params, tiny_hp, tiny_split, run):
+    with pytest.raises(ConfigError, match="cutoffs"):
+        if run == "model":
+            evaluate(tiny_params, tiny_hp, tiny_split, Ranking(cutoffs=(0, 5)))
+        else:
+            evaluate_pop(tiny_split, Ranking(cutoffs=(0, 5)))
+
+
 def test_repeated_cutoff_counts_once(tiny_params, tiny_hp, tiny_split):
-    once = evaluate(tiny_params, tiny_hp, tiny_split, cutoffs=(5,))
-    twice = evaluate(tiny_params, tiny_hp, tiny_split, cutoffs=(5, 5))
+    once = evaluate(tiny_params, tiny_hp, tiny_split, Ranking(cutoffs=(5,)))
+    twice = evaluate(tiny_params, tiny_hp, tiny_split, Ranking(cutoffs=(5, 5)))
     assert twice.precision == once.precision and twice.recall == once.recall
 
 
@@ -508,7 +523,7 @@ def _reference_evaluate(params, hp, split, cutoffs, ap_mode):
 
 @pytest.mark.parametrize("ap_mode", ["standard", "paper_literal"])
 def test_evaluate_matches_reference(tiny_params, tiny_hp, tiny_split, ap_mode):
-    report = evaluate(tiny_params, tiny_hp, tiny_split, cutoffs=(1, 5, 10), ap_mode=ap_mode)
+    report = evaluate(tiny_params, tiny_hp, tiny_split, Ranking(cutoffs=(1, 5, 10), ap_mode=ap_mode))
     want_prec, want_rec, want_map = _reference_evaluate(
         tiny_params, tiny_hp, tiny_split, (1, 5, 10), ap_mode
     )
@@ -546,7 +561,7 @@ def test_score_shift_invariance(tiny_params, tiny_hp, tiny_split):
 
 
 def test_prec1_is_binary_per_user(tiny_params, tiny_hp, tiny_split):
-    report = evaluate(tiny_params, tiny_hp, tiny_split, cutoffs=(1,), collect_per_user=True)
+    report = evaluate(tiny_params, tiny_hp, tiny_split, Ranking(cutoffs=(1,)), collect_per_user=True)
     users = report.users_evaluated
     total_hits = round(report.precision[1] * users)
     assert 0 <= total_hits <= users
@@ -566,31 +581,38 @@ def test_score_matrix_matches_forward(tiny_params, tiny_hp):
 # --------------------------------------------------------------------------
 # the full-catalog product, split by item columns across threads
 
-def test_column_ranges_cover_the_columns_at_multiples_of_64():
+def _cpus(monkeypatch, count):
+    """score_column_ranges' thread budget pinned to ``count``."""
+    monkeypatch.setattr(batch_module, "thread_budget", lambda: count)
+
+
+def test_column_ranges_cover_the_columns_at_multiples_of_64(monkeypatch):
     for rows, columns, k, workers in [(512, 22482, 100, 2), (488, 22482, 64, 3), (150, 2892, 128, 4), (512, 4096, 100, 8)]:
-        ranges = score_column_ranges(rows, columns, k, workers)
+        _cpus(monkeypatch, workers)
+        ranges = score_column_ranges(rows, columns, k)
         assert 2 <= len(ranges) <= workers
         assert ranges[0][0] == 0 and ranges[-1][1] == columns
         assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
         assert all(start % 64 == 0 and stop - start >= 1024 for start, stop in ranges)
         assert max(b - a for a, b in ranges) - min(b - a for a, b in ranges) <= 64
-    assert score_column_ranges(1, 10**6, 100, 2) == [(0, 10**6)]  # one row is scored by gemv, never split
-    assert score_column_ranges(512, 2047, 100, 2) == [(0, 2047)]  # a range would hold fewer than 1024 columns
+    _cpus(monkeypatch, 2)
+    assert score_column_ranges(1, 10**6, 100) == [(0, 10**6)]  # one row is scored by gemv, never split
+    assert score_column_ranges(512, 2047, 100) == [(0, 2047)]  # a range would hold fewer than 1024 columns
 
 
 @pytest.mark.parametrize("k", [64, 100])
 @pytest.mark.parametrize("items", [501, 22481])  # the bench catalogs
-def test_split_product_has_the_bits_of_the_whole_product(items, k):
+def test_split_product_has_the_bits_of_the_whole_product(items, k, monkeypatch):
     # every chunk size that the rule splits, under the BLAS threading the suite runs
     rng = np.random.default_rng([items, k])
     params = init_params(HyperParams(latent_dim=k // 2), 1, items, rng)
     params.out_b[1:] = rng.normal(scale=0.2, size=items)
     xo = rng.normal(size=(SCORE_CHUNK, k))
-    workers = max(2, thread_budget())
+    _cpus(monkeypatch, max(2, thread_budget()))
     whole, split = np.empty((2, SCORE_CHUNK, items + 1))
     split_rows = []
     for rows in range(1, SCORE_CHUNK + 1):
-        ranges = score_column_ranges(rows, items + 1, k, workers)
+        ranges = score_column_ranges(rows, items + 1, k)
         if len(ranges) == 1:
             continue
         split_rows.append(rows)
@@ -725,4 +747,5 @@ def test_small_catalog_evaluates_without_a_thread(tiny_params, tiny_hp, tiny_spl
     evaluate(tiny_params, tiny_hp, tiny_split)
     assert _threads(calls) <= {threading.get_ident()} and set(counts) == {before}
     # the 501-item bench catalogs (K = 100 and 64) are never split, whatever the CPU count
-    assert all(len(score_column_ranges(rows, 502, k, 64)) == 1 for rows in range(1, SCORE_CHUNK + 1) for k in (64, 100))
+    _cpus(monkeypatch, 64)
+    assert all(len(score_column_ranges(rows, 502, k)) == 1 for rows in range(1, SCORE_CHUNK + 1) for k in (64, 100))

@@ -397,7 +397,9 @@ def test_forward_is_a_batch_row(tiny_hp, tiny_params):
                  ComponentMask(p=False, h=True, v=False)):
         batch = batch_forward(tiny_params, tiny_hp, prev, users, mask).scores
         for b in range(3):
-            one = forward(tiny_params, tiny_hp, prev[b], int(users[b]), mask)
+            # forward scores every component; a masked row is batch_forward's one-row batch
+            one = (forward(tiny_params, tiny_hp, prev[b], int(users[b])) if mask == ComponentMask()
+                   else batch_forward(tiny_params, tiny_hp, prev[b : b + 1], users[b : b + 1], mask).scores[0])
             # BLAS may sum a one-row product in another order: equal up to rounding
             assert one[0] == -np.inf
             assert np.allclose(one[1:], batch[b, 1:], rtol=1e-12, atol=1e-15)

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from convrec.config import HyperParams, thread_budget
+from convrec.config import HyperParams, Ranking, thread_budget
 from convrec.data import chronological_split, build_sequences
 from convrec.evaluate import evaluate
 from convrec.errors import NonFiniteGradientError, NonFiniteLossError, SamplingError
@@ -519,8 +519,8 @@ def test_best_validation_checkpoint_returned():
 @pytest.mark.parametrize("metric_keys", [dict(ap_mode="paper_literal"), dict(exclude_seen=False)])
 def test_validation_map_follows_the_metric_keys(metric_keys):
     split = _micro_split()
-    result = train(split, HP, seed=2, epochs=2, batch_size=32, patience=10, **metric_keys)
-    want = evaluate(result.params, HP, split, part="validation", **metric_keys).mean_ap
+    result = train(split, HP, seed=2, epochs=2, batch_size=32, patience=10, ranking=Ranking(**metric_keys))
+    want = evaluate(result.params, HP, split, Ranking(**metric_keys), part="validation").mean_ap
     assert result.best_val_map == want
     assert want != evaluate(result.params, HP, split, part="validation").mean_ap  # the keys change the metric
 
