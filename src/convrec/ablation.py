@@ -7,7 +7,6 @@ latent-factor form out_w[:, d:] @ p_u + out_b, exactly.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,8 +38,7 @@ __all__ = [
 
 
 def popularity_counts(split: SplitDataset) -> np.ndarray:
-    train = np.fromiter(itertools.chain.from_iterable(map(split.train.__getitem__, split.users())), np.int64)
-    return np.bincount(train, minlength=split.item_count + 1)
+    return np.bincount(split.train.span(1, split.user_count + 1).flat, minlength=split.item_count + 1)
 
 
 def evaluate_pop(split: SplitDataset, ranking: Ranking = Ranking()) -> EvalReport:
@@ -87,7 +85,7 @@ def run_ablation(
     """
     evaluated = replace(ranking, cutoffs=(1, *ranking.cutoffs))
     plan = resolve_masks(masks)  # every code, and the test part, is checked before the first model trains
-    if not any(split.test[u] for u in split.users()):
+    if not split.users_with(split.test).size:
         raise EmptyDatasetError("no users with a nonempty test part")
     rows: list[AblationRow] = []
     for mask in plan:

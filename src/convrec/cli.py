@@ -17,7 +17,7 @@ from pathlib import Path
 from . import ablation, rules
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_override_args, thread_budget
-from .data import build_sequences, chronological_split, load_interactions, load_split, save_split
+from .data import build_sequences, chronological_split, joined, load_interactions, load_split, save_split
 from .errors import CheckpointError, ConfigError, ConvrecError
 from .evaluate import evaluate, recommend_top_n
 from .gradients import TOY_HP, gradient_check
@@ -163,13 +163,10 @@ def cmd_mine_rules(args) -> int:
     cfg = _build_config(args)
     _check_out_dirs(args.out)
     split = _resolve_split(args, cfg)
-    sequences = [
-        split.train[u] + split.validation[u] + split.test[u]
-        for u in split.users()
-        if split.train[u] or split.validation[u] or split.test[u]
-    ]
+    parts = [split.train, split.validation, split.test]
+    sequences = joined(parts, split.users_with(*parts))
     mined = rules.mine_rules(sequences, mining_cfg)
-    csv_text = rules.rules_to_csv(mined, split.item_ids)
+    csv_text = rules.rules_to_csv(mined, list(split.item_ids))
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
     else:

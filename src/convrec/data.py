@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -47,20 +48,122 @@ class SequenceData:
         return len(self.item_ids) - 1
 
 
+class Ragged:
+    """Runs laid end to end: run s is ``flat[offsets[s]:offsets[s + 1]]``, made a Python value only when read."""
+
+    def __init__(self, flat, offsets: np.ndarray):
+        self.flat, self.offsets, self.lengths = flat, offsets, np.diff(offsets)
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __getitem__(self, index):
+        s = range(len(self))[index]
+        return self._run(self.flat[self.offsets[s] : self.offsets[s + 1]])
+
+    def __iter__(self):
+        flat, bounds = self._run(self.flat), self.offsets.tolist()
+        return (flat[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other):
+        same = type(other) is type(self) and np.array_equal(self.offsets, other.offsets)
+        return same and self._equal(self.flat, other.flat)
+
+
+class ItemLists(Ragged):
+    """Item lists laid end to end in one int64 array; a list of ints when read."""
+
+    _run, _equal = staticmethod(np.ndarray.tolist), staticmethod(np.array_equal)
+
+    @classmethod
+    def of(cls, seqs) -> "ItemLists":
+        """``seqs`` if it is ItemLists, else its lists; an item that is not an integer within int64 raises ConfigError."""
+        if isinstance(seqs, ItemLists):
+            return seqs
+        seqs = list(seqs)
+        offsets = np.append(0, np.cumsum(np.fromiter(map(len, seqs), np.int64, len(seqs))))
+        try:
+            flat = np.fromiter(map(operator.index, itertools.chain.from_iterable(seqs)), np.int64, offsets[-1])
+        except (TypeError, OverflowError):
+            raise ConfigError("item ids must be integers within int64") from None
+        return cls(flat, offsets)
+
+    def span(self, lo: int, hi: int) -> "ItemLists":
+        """Lists lo..hi-1, as views."""
+        return ItemLists(self.flat[self.offsets[lo] : self.offsets[hi]], self.offsets[lo : hi + 1] - self.offsets[lo])
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (list, item) pair of every item, list by list."""
+        return np.repeat(np.arange(len(self)), self.lengths), self.flat
+
+    def distinct(self) -> "ItemLists":
+        """Each list's distinct items, ascending."""
+        width = int(self.flat.max(initial=0)) + 1
+        keys = np.sort(self.pairs()[0] * width + self.flat)  # np.unique took 18x as long on 12k keys
+        keys = keys[run_starts(keys)]
+        return ItemLists(keys % width, np.append(0, np.cumsum(np.bincount(keys // width, minlength=len(self)))))
+
+    def last(self, length: int) -> np.ndarray:
+        """(lists, length): each list's last ``length`` items, left-padded as pad_left pads."""
+        at = self.offsets[1:, None] - length + np.arange(length)
+        return np.append(PADDING_INDEX, self.flat)[np.where(at >= self.offsets[:-1, None], at + 1, 0)]
+
+
+class Ids(Ragged):
+    """Ids laid end to end in one str, offsets counting code points; a str when read."""
+
+    _run, _equal = staticmethod(str), staticmethod(operator.eq)
+
+    @classmethod
+    def of(cls, names) -> "Ids":
+        if isinstance(names, Ids):
+            return names
+        names = list(names)
+        return cls("".join(names), np.append(0, np.cumsum(np.fromiter(map(len, names), np.int64, len(names)))))
+
+    def index(self, name: str, start: int = 0) -> int:
+        """The first slot from ``start`` on that holds ``name``, as list.index finds it; ValueError if none does."""
+        slots = np.flatnonzero(self.lengths[start:] == len(name)) + start  # only an id of its length can be it
+        return int(slots[[self.flat[a : a + len(name)] for a in self.offsets[slots].tolist()].index(name)])
+
+
+def _runs(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> ItemLists:
+    """ItemLists whose list k is ``flat[starts[k] : starts[k] + lengths[k]]``."""
+    offsets = np.append(0, np.cumsum(lengths))
+    return ItemLists(flat[np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])], offsets)
+
+
+def joined(parts: list[ItemLists], slots: np.ndarray) -> ItemLists:
+    """List k holds the items of list ``slots[k]`` of each of ``parts`` in turn."""
+    starts = [p.offsets[slots] + base for p, base in zip(parts, np.cumsum([0] + [p.flat.size for p in parts]))]
+    lengths = np.column_stack([p.lengths[slots] for p in parts]).ravel()
+    runs = _runs(np.concatenate([p.flat for p in parts]), np.column_stack(starts).ravel(), lengths)
+    return ItemLists(runs.flat, runs.offsets[:: len(parts)])
+
+
 @dataclass
 class SplitDataset:
-    """Per-user chronological prefix split. Slot 0 of each list is unused."""
+    """Per-user chronological prefix split: one item list per user in each part, slot 0 (user 0) unused and
+    empty. Lists given for a part or an id list are turned into ItemLists or Ids here, once."""
 
-    train: list[list[int]]
-    validation: list[list[int]]
-    test: list[list[int]]
+    train: ItemLists
+    validation: ItemLists
+    test: ItemLists
     user_count: int
     item_count: int
-    user_ids: list[str] = field(default_factory=list)
-    item_ids: list[str] = field(default_factory=list)
+    user_ids: Ids = field(default_factory=list)
+    item_ids: Ids = field(default_factory=list)
+
+    def __post_init__(self):
+        self.train, self.validation, self.test = map(ItemLists.of, (self.train, self.validation, self.test))
+        self.user_ids, self.item_ids = map(Ids.of, (self.user_ids, self.item_ids))
 
     def users(self) -> range:
         return range(1, self.user_count + 1)
+
+    def users_with(self, *parts: ItemLists) -> np.ndarray:
+        """The users, ascending, with an item in any of ``parts``."""
+        return np.flatnonzero(sum(p.lengths[1 : self.user_count + 1] for p in parts)) + 1
 
 
 @dataclass(frozen=True)
@@ -185,14 +288,13 @@ def build_sequences(interactions, min_feedback: int) -> SequenceData:
 
 def chronological_split(seqdata: SequenceData) -> SplitDataset:
     """Per-user prefix split at the ceil(70%) and ceil(80%) boundaries: train, validation, test."""
-    flat, bounds = seqdata.items.tolist(), seqdata.offsets.tolist()
-    parts: tuple[list[list[int]], ...] = ([[]], [[]], [[]])
-    for start, end in zip(bounds, bounds[1:]):
-        # ceil with a small epsilon so float noise at exact boundaries (e.g.
-        # 0.8 * 5 evaluating to 4.0000000000000002) cannot shift the split
-        c1, c2 = (start + math.ceil(r * (end - start) - 1e-9) for r in (TRAIN_SHARE, TRAIN_SHARE + VALIDATION_SHARE))
-        for part, a, b in zip(parts, (start, c1, c2), (c1, c2, end)):
-            part.append(flat[a:b])
+    start, end = seqdata.offsets[:-1], seqdata.offsets[1:]
+    # ceil with a small epsilon so float noise at exact boundaries (e.g.
+    # 0.8 * 5 evaluating to 4.0000000000000002) cannot shift the split
+    c1, c2 = (start + np.ceil(r * (end - start) - 1e-9).astype(np.int64)
+              for r in (TRAIN_SHARE, TRAIN_SHARE + VALIDATION_SHARE))
+    bounds = [start, c1, c2, end]  # slot 0, the unused user 0, is an empty list in each part
+    parts = [_runs(seqdata.items, np.append(0, a), np.append(0, b - a)) for a, b in zip(bounds, bounds[1:])]
     return SplitDataset(*parts, seqdata.user_count, seqdata.item_count, seqdata.user_ids, seqdata.item_ids)
 
 
@@ -219,21 +321,22 @@ def generate_instances(
     if part != "train":
         raise ConfigError(f"part must be train, got {part!r}")
     L, T = order, num_targets
-    users = [u for u in split.users() if split.train[u]]
+    users = split.users_with(split.train)
+    prefixes = joined([split.train], users)
+    n = prefixes.lengths
     # left-pad each prefix to at least one window; a prefix shorter than T
     # becomes L padding items, the prefix, and padding up to T targets
-    padded = [
-        [PADDING_INDEX] * (L + T - len(seq) if len(seq) >= T else L) + seq + [PADDING_INDEX] * (T - len(seq))
-        for seq in (split.train[u] for u in users)
-    ]
-    width = np.fromiter(map(len, padded), np.int64, len(padded))
+    width = np.maximum(n, L + T)
     windows = width - (L + T) + 1
-    flat = np.fromiter(itertools.chain.from_iterable(padded), np.int64, width.sum())
-    starts = np.repeat(np.cumsum(width) - width - (np.cumsum(windows) - windows), windows)
+    begin = np.cumsum(width) - width  # where each padded prefix starts
+    flat = np.zeros(width.sum(), np.int64)
+    left = np.where(n >= T, width - n, L)  # padding before each prefix
+    flat[np.repeat(begin + left - prefixes.offsets[:-1], n) + np.arange(n.sum())] = prefixes.flat
+    starts = np.repeat(begin - (np.cumsum(windows) - windows), windows)
     gathered = flat[(starts + np.arange(starts.size))[:, None] + np.arange(L + T)]
     targets = gathered[:, L:]
     return TrainingInstances(
-        gathered[:, :L], np.repeat(np.asarray(users, dtype=np.int64), windows), targets, (targets != PADDING_INDEX).astype(np.float64)
+        gathered[:, :L], np.repeat(users, windows), targets, (targets != PADDING_INDEX).astype(np.float64)
     )
 
 
@@ -243,24 +346,16 @@ SPLIT_MAGIC, SPLIT_VERSION = b"CSPL", 1
 _HEADER = struct.Struct("<4s8I")  # magic, version, users, items, 2 id block bytes, 3 part lengths
 
 
-def _offsets(seqs) -> np.ndarray:
-    return np.cumsum([0, *map(len, seqs)], dtype="<i4")
-
-
-def _sliced(seq, offsets: np.ndarray) -> list:
-    bounds = offsets.tolist()
-    return [seq[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def save_split(path: str, split: SplitDataset) -> None:
-    blocks = ["".join(ids).encode("utf-8") for ids in (split.user_ids, split.item_ids)]
+    blocks = [ids.flat.encode("utf-8") for ids in (split.user_ids, split.item_ids)]
     parts = [split.train, split.validation, split.test]
-    flat = [np.fromiter(itertools.chain.from_iterable(part), "<i4") for part in parts]
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(SPLIT_MAGIC, SPLIT_VERSION, split.user_count, split.item_count,
-                              *map(len, blocks), *(f.size for f in flat)))
-        for arr in [_offsets(split.user_ids), _offsets(split.item_ids), *map(_offsets, parts), *flat]:
-            fh.write(arr)
+                              *map(len, blocks), *(p.flat.size for p in parts)))
+        for runs in [split.user_ids, split.item_ids, *parts]:
+            fh.write(runs.offsets.astype("<i4"))
+        for part in parts:
+            fh.write(part.flat.astype("<i4"))
         fh.writelines(blocks)
 
 
@@ -285,14 +380,14 @@ def load_split(path: str) -> SplitDataset:
         if need != size:
             raise DataError(f"{path}: the header's sections take {need} bytes, the file has {size}")
         body = fh.read()
-    ints = np.frombuffer(body, "<i4", ends[-1])
+    ints = np.frombuffer(body, "<i4", ends[-1]).astype(np.int64)
     user_off, item_off, *part_offs = np.split(ints[: ends[4]], ends[:4])
     blocks = body[4 * ends[-1] :]
     try:
         user_text, item_text = blocks[:user_bytes].decode("utf-8"), blocks[user_bytes:].decode("utf-8")
     except UnicodeDecodeError:
         raise DataError(f"{path}: an id block is not UTF-8") from None
-    # id offsets count code points, so one decode checks a block and the slices need no search
+    # id offsets count code points, so one decode checks a block and an id is one slice of it
     for off, end in zip([user_off, item_off, *part_offs], [len(user_text), len(item_text), *part_lens]):
         if off[0] != 0 or off[-1] != end or np.any(off[1:] < off[:-1]):
             raise DataError(f"{path}: an offset array does not rise from 0 to the length of its section")
@@ -300,12 +395,4 @@ def load_split(path: str) -> SplitDataset:
     if flat.size and (flat.min() < 1 or flat.max() > items):
         raise DataError(f"{path}: train, validation and test must hold item ids in 1..{items}")
     parts = np.split(flat, [part_lens[0], part_lens[0] + part_lens[1]])
-    return SplitDataset(*(_sliced(part.tolist(), off) for part, off in zip(parts, part_offs)), users, items,
-                        _sliced(user_text, user_off), _sliced(item_text, item_off))
-
-
-def history_for(split: SplitDataset, user: int, part: str) -> list[int]:
-    """Items known before the evaluated part: train (+ validation for test)."""
-    if part == "test":
-        return split.train[user] + split.validation[user]
-    return split.train[user]
+    return SplitDataset(*map(ItemLists, parts, part_offs), users, items, Ids(user_text, user_off), Ids(item_text, item_off))

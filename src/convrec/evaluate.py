@@ -7,14 +7,13 @@ candidate set before ranking; a flag disables that.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .batch import batch_forward, forward
 from .config import HyperParams, Ranking
-from .data import SplitDataset, history_for, pad_left, run_starts
+from .data import ItemLists, SplitDataset, joined, pad_left, run_starts
 from .errors import ConfigError, EmptyDatasetError
 from .model import FULL_MASK, ComponentMask, ModelParams
 
@@ -111,18 +110,19 @@ def recommend_top_n(
 def score_matrix(
     params: ModelParams,
     hp: HyperParams,
-    histories: list[list[int]],
-    users: list[int],
+    histories,
+    users,
     comp_mask: ComponentMask = FULL_MASK,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inference scores over all items for many users, SCORE_CHUNK per batch.
 
-    The scores go into ``out`` when it is given, shape (len(users), item_count + 1).
+    ``histories`` holds each user's items, as lists or as ItemLists. The
+    scores go into ``out`` when it is given, shape (len(users), item_count + 1).
     batch_forward splits each batch's product over up to one thread per CPU
     where its ranges are large enough.
     """
-    prev = np.asarray([pad_left(h, hp.order) for h in histories], dtype=np.int64)
+    prev = ItemLists.of(histories).last(hp.order)
     users_arr = np.asarray(users, dtype=np.int64)
     if out is None:
         out = np.empty((len(users), params.item_count + 1))
@@ -130,13 +130,6 @@ def score_matrix(
         hi = min(lo + SCORE_CHUNK, len(users))
         batch_forward(params, hp, prev[lo:hi], users_arr[lo:hi], comp_mask, out=out[lo:hi])
     return out
-
-
-def _flat_pairs(item_sets) -> tuple[np.ndarray, np.ndarray]:
-    """The (row, item) pairs of one item collection per row, row by row."""
-    sizes = np.fromiter(map(len, item_sets), np.int64, len(item_sets))
-    rows = np.repeat(np.arange(len(item_sets)), sizes)
-    return rows, np.fromiter(itertools.chain.from_iterable(item_sets), np.int64, rows.size)
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:
@@ -178,11 +171,12 @@ def eligible_and_ranks(scores: np.ndarray, rows: np.ndarray, items: np.ndarray):
 def metrics_for_ranking(scores: np.ndarray, relevant, cutoffs, ap_mode: str):
     """Metrics for a block of masked score rows (the model's path).
 
-    ``relevant[i]`` is row i's set of held-out items. Each relevant item's
-    rank is counted by eligible_and_ranks, not read off a sort of the whole
-    row. Returns what ranked_metrics returns.
+    ``relevant`` holds each row's distinct held-out items, as ItemLists or
+    one collection per row. Each relevant item's rank is counted by
+    eligible_and_ranks, not read off a sort of the whole row. Returns what
+    ranked_metrics returns.
     """
-    rows, items = _flat_pairs(relevant)
+    rows, items = ItemLists.of(relevant).pairs()
     eligible, ranks = eligible_and_ranks(scores, rows, items)
     return ranked_metrics(rows, scores[rows, items], ranks, eligible, cutoffs, ap_mode)
 
@@ -274,8 +268,9 @@ def evaluate_scores(
 ) -> EvalReport:
     """Average per-user metrics, as ``ranking`` defines them, against the held-out part of the split.
 
-    ``score_rows(users, histories)`` returns a writable array with one score
-    row per user, with -inf at index 0 and at any item that must never rank.
+    ``score_rows(users, histories)``, given an array of users and their
+    histories as ItemLists, returns a writable array with one score row per
+    user, with -inf at index 0 and at any item that must never rank.
     Users are scored SCORE_CHUNK at a time and ranked a block of rows at a
     time, BLOCK_ELEMENTS // (item_count + 1) rows, at least one; no users x
     items matrix is held.
@@ -291,31 +286,31 @@ def evaluate_scores(
     if part not in ("test", "validation"):
         raise ConfigError(f"part must be 'test' or 'validation', got {part!r}")
     held = split.test if part == "test" else split.validation
-    users = [u for u in split.users() if held[u]]
-    if not users:
+    users = split.users_with(held)
+    if not users.size:
         raise EmptyDatasetError(f"no users with a nonempty {part} part")
-    histories = [history_for(split, u, part) for u in users]
-    relevant = [set(held[u]) for u in users]
+    history = joined([split.train, split.validation] if part == "test" else [split.train], users)
+    relevant = joined([held], users).distinct()
     cutoffs, ap_mode, exclude_seen = ranking.cutoffs, ranking.ap_mode, ranking.exclude_seen
 
     if isinstance(score_rows, SharedRow):
-        rows, items = _flat_pairs(relevant)
-        seen = _flat_pairs(histories if exclude_seen else [])
+        rows, items = relevant.pairs()
+        seen = (history if exclude_seen else history.span(0, 0)).pairs()
         values, eligible, ranks = shared_row_ranks(score_rows.scores, score_rows.order, rows, items, seen,
-                                                   len(users))
+                                                   users.size)
         precision, recall, ap = ranked_metrics(rows, values, ranks, eligible, cutoffs, ap_mode)
     else:
         block_rows = max(1, BLOCK_ELEMENTS // (split.item_count + 1))
         precision, recall, ap = [], [], []
-        for lo in range(0, len(users), SCORE_CHUNK):
-            hi = min(lo + SCORE_CHUNK, len(users))
-            scores = score_rows(users[lo:hi], histories[lo:hi])
+        for lo in range(0, users.size, SCORE_CHUNK):
+            hi = min(lo + SCORE_CHUNK, users.size)
+            scores = score_rows(users[lo:hi], history.span(lo, hi))
             for b in range(lo, hi, block_rows):
                 e = min(b + block_rows, hi)
                 block = scores[b - lo : e - lo]
                 if exclude_seen:
-                    block[_flat_pairs(histories[b:e])] = -np.inf
-                p, r, a = metrics_for_ranking(block, relevant[b:e], cutoffs, ap_mode)
+                    block[history.span(b, e).pairs()] = -np.inf
+                p, r, a = metrics_for_ranking(block, relevant.span(b, e), cutoffs, ap_mode)
                 precision.append(p)
                 recall.append(r)
                 ap.append(a)
@@ -326,8 +321,8 @@ def evaluate_scores(
         top = cutoffs.index(max(cutoffs))
         # precision at the largest cutoff is hits / max_n, exactly, so this recovers the hit count
         hits = np.rint(precision[top] * cutoffs[top]).astype(np.int64)
-        per_user = list(zip(users, ap.tolist(), hits.tolist()))
-    count = len(users)
+        per_user = list(zip(users.tolist(), ap.tolist(), hits.tolist()))
+    count = users.size
     return EvalReport(
         precision={n: _in_order_total(precision[i]) / count for i, n in enumerate(cutoffs)},
         recall={n: _in_order_total(recall[i]) / count for i, n in enumerate(cutoffs)},

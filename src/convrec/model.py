@@ -33,7 +33,7 @@ def activate(x: np.ndarray, kind: str) -> np.ndarray:
         return np.tanh(x)
     if kind == "sigmoid":
         return sigmoid(x)
-    raise ValueError(f"unknown activation {kind!r}")
+    raise ConfigError(f"unknown activation {kind!r}")
 
 
 def activate_grad(pre: np.ndarray, kind: str) -> np.ndarray:
@@ -48,7 +48,7 @@ def activate_grad(pre: np.ndarray, kind: str) -> np.ndarray:
     if kind == "sigmoid":
         s = sigmoid(pre)
         return s * (1.0 - s)
-    raise ValueError(f"unknown activation {kind!r}")
+    raise ConfigError(f"unknown activation {kind!r}")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -200,7 +200,7 @@ def _glorot(rng: np.random.Generator, out: np.ndarray, fan_in: int, fan_out: int
 def init_params(hp: HyperParams, user_count: int, item_count: int, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weights, zero biases, pinned padding rows."""
     if user_count < 1 or item_count < 1:
-        raise ValueError("user_count and item_count must be >= 1")
+        raise ConfigError("user_count and item_count must be >= 1")
     d = hp.latent_dim
     params = ModelParams.empty(param_shapes(hp, user_count, item_count))
     params.fc_b[:] = 0.0
@@ -237,7 +237,7 @@ def horizontal_conv(
         n_h, h, _ = filt.shape
         n_windows = L - h + 1
         if n_windows < 1:
-            raise ValueError(f"filter height {h} exceeds sequence length {L}")
+            raise ConfigError(f"filter height {h} exceeds sequence length {L}")
         idx = np.arange(n_windows)[:, None] + np.arange(h)
         windows = E[:, idx].reshape(B, n_windows, h * d).transpose(1, 0, 2)
         pre = (windows @ filt.reshape(n_h, h * d).T).transpose(1, 2, 0)

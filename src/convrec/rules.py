@@ -7,13 +7,11 @@ confidence is support(rule) / support(antecedent).
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .data import run_starts
+from .data import ItemLists, run_starts
 from .errors import ConfigError
 
 
@@ -49,8 +47,9 @@ class MiningConfig:
 def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:
     """All rules meeting the support and confidence thresholds.
 
-    Item ids must be integers within int64, as ``Rule`` declares; any other
-    item raises ValueError.
+    ``sequences`` is ItemLists or one item list per sequence. Item ids must
+    be integers within int64, as ``Rule`` declares; any other item, or no
+    sequence at all, raises ConfigError.
 
     Antecedents grow one length at a time over arrays of occurrences: each
     occurrence is a pattern code and the flat position of the pattern's last
@@ -61,19 +60,13 @@ def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:
     the pattern grows, an antecedent below minsup is dropped together with
     its whole subtree.
     """
-    seqs = list(sequences)
-    if not seqs:
-        raise ValueError("sequences must be nonempty")
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    try:  # one pass over the items
-        flat = np.fromiter(map(operator.index, chain.from_iterable(seqs)), np.int64, count=int(lengths.sum()))
-    except (TypeError, OverflowError) as exc:
-        raise ValueError("item ids must be integers within int64") from exc
+    seqs = ItemLists.of(sequences)
+    if not len(seqs):
+        raise ConfigError("sequences must be nonempty")
+    seq_of, flat = seqs.pairs()
     if not flat.size:
         return []
-
-    seq_of = np.repeat(np.arange(len(seqs)), lengths)
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(flat.size) - 1  # positions after each one
+    room = np.repeat(seqs.offsets[1:], seqs.lengths) - np.arange(flat.size) - 1  # positions after each one
 
     # length 1: every position, in (item, position) order; an item's code is its place among the distinct items
     end = np.argsort(flat, kind="stable")
@@ -142,9 +135,9 @@ def _to_rules(ids, antecedents, pat, cons, skip, support, conf) -> list[Rule]:
 
 def sequential_intensity(sequences) -> float:
     """Mined-rule count divided by the number of sequences (users), with the paper's setting."""
-    seqs = list(sequences)
-    if not seqs:
-        raise ValueError("user count must be >= 1")
+    seqs = ItemLists.of(sequences)
+    if not len(seqs):
+        raise ConfigError("user count must be >= 1")
     return len(mine_rules(seqs, MiningConfig())) / len(seqs)
 
 

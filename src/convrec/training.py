@@ -251,15 +251,15 @@ def train(
     prev, users, tgt, tgt_mask = instances.prev, instances.users, instances.targets, instances.target_mask
 
     if exclude_history_negatives:  # by user: the sorted distinct training items, padded with item 0
-        distinct = [np.unique(np.asarray(items, dtype=np.int64)) for items in split.train]
-        history_len = np.array([h.size for h in distinct])
+        distinct = split.train.distinct()
+        history_len = distinct.lengths
         history = np.zeros((len(distinct), history_len.max(initial=0)), dtype=np.int64)
-        history[np.arange(history.shape[1]) < history_len[:, None]] = np.concatenate(distinct)
+        history[np.arange(history.shape[1]) < history_len[:, None]] = distinct.flat
 
     rng_init = np.random.default_rng([seed, 1])
     params = init_params(hp, split.user_count, split.item_count, rng_init)
 
-    have_validation = any(split.validation[u] for u in split.users())
+    have_validation = split.users_with(split.validation).size > 0
 
     result = TrainResult(params=params)
     best_params: ModelParams | None = None

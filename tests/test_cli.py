@@ -22,7 +22,7 @@ from convrec.cli import SUBCOMMANDS, main
 from convrec.config import AP_MODES, HyperParams, Ranking, RunConfig, parse_override_args
 from convrec.data import load_split
 from convrec.errors import ConfigError
-from convrec.evaluate import evaluate
+from convrec.evaluate import evaluate, recommend_top_n
 from convrec.model import ComponentMask, init_params
 from convrec.rules import MiningConfig
 from convrec.synthetic import SyntheticSpec, generate_interactions
@@ -172,6 +172,25 @@ def test_recommend_finds_a_real_empty_user_id(tmp_path, capsys):
     capsys.readouterr()
     assert main(["recommend", "--data-dir", data, "--checkpoint", ck, "--user", "", "--N", "2"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_recommend_finds_each_user_whose_id_is_part_of_another(tmp_path, capsys):
+    users = ["11", "1", "211", "21", "\u00e9", "2"]
+    log = tmp_path / "log.tsv"
+    log.write_text("".join(f"{user}\ti{(3 * n + k) % 12}\t{k}\n" for n, user in enumerate(users) for k in range(8)),
+                   encoding="utf-8")
+    data, ck = str(tmp_path / "data"), str(tmp_path / "m.ckpt")
+    assert main(["prepare", "--data", str(log), "--set", "min_feedback=1", "--out", data]) == 0
+    assert main(["train", "--data-dir", data, "--checkpoint", ck, "--quiet"] + BASE) == 0
+    split = load_split(str(Path(data) / "split.json"))
+    params, hp = load_checkpoint(ck)
+    for slot, user in enumerate(users, start=1):  # users are numbered in order of first appearance
+        capsys.readouterr()
+        assert main(["recommend", "--data-dir", data, "--checkpoint", ck, "--user", user, "--N", "3"]) == 0
+        ranked = recommend_top_n(params, hp, split.train[slot] + split.validation[slot] + split.test[slot], slot, 3)
+        assert capsys.readouterr().out == "".join(
+            f"{rank}\t{split.item_ids[item]}\t{score:.6f}\n"
+            for rank, (item, score) in enumerate(zip(ranked.items, ranked.scores), start=1))
 
 
 @pytest.fixture(scope="module")
@@ -759,7 +778,8 @@ def test_json_split_exits_1_naming_prepare(prepared, checkpoint, tmp_path, capsy
     """A split.json in the JSON format of earlier versions is refused with one line."""
     split = load_split(str(Path(prepared) / "split.json"))
     keys = ("user_count", "item_count", "user_ids", "item_ids", "train", "validation", "test")
-    (tmp_path / "split.json").write_text(json.dumps({k: getattr(split, k) for k in keys}))
+    (tmp_path / "split.json").write_text(
+        json.dumps({k: getattr(split, k) if k.endswith("_count") else list(getattr(split, k)) for k in keys}))
     args = {"train": ["--checkpoint", str(tmp_path / "x.ckpt"), "--quiet"] + BASE,
             "evaluate": ["--checkpoint", checkpoint],
             "recommend": ["--checkpoint", checkpoint, "--user", split.user_ids[1]]}[command]

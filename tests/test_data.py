@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import convrec
+from convrec.ablation import evaluate_pop
 from convrec.data import (
+    Ids,
     Interactions,
     build_sequences,
     chronological_split,
@@ -22,7 +25,10 @@ from convrec.data import (
     SplitDataset,
 )
 from convrec.errors import ConfigError, ConvrecError, DataError, EmptyDatasetError, ParseError, open_input, utf8_lines
+from convrec.evaluate import evaluate
+from convrec.model import init_params
 from convrec.synthetic import Interaction, SyntheticSpec, generate_interactions
+from convrec.training import train
 
 
 # --------------------------------------------------------------------------
@@ -366,15 +372,10 @@ def test_split_reconstructs_sequence(n):
 # instance generation
 
 def _split_with_train(*prefixes):
-    """A stand-in split whose users 1..len(prefixes) have these training prefixes."""
-    return type(
-        "S",
-        (),
-        {
-            "train": [[]] + [list(p) for p in prefixes],
-            "users": lambda self: range(1, len(prefixes) + 1),
-        },
-    )()
+    """A split whose users 1..len(prefixes) have these training prefixes and nothing held out."""
+    empty = [[]] * (len(prefixes) + 1)
+    items = max([1, *(i for p in prefixes for i in p)])
+    return SplitDataset([[]] + [list(p) for p in prefixes], empty, empty, len(prefixes), items)
 
 
 def _oracle_instances(split, order, num_targets):
@@ -569,8 +570,8 @@ def test_rewrite_split_without_an_edit_keeps_the_file(tmp_path, tiny_split, rewr
 def test_load_split_keeps_ids_with_separators(tmp_path, tiny_split):
     """Ids may be empty or hold tabs, newlines, the text true or any code point."""
     odd = ["", "\n", "a\tb", "true", "\u00e9\U0001f600", "x\x00y"]
-    split = dataclasses.replace(tiny_split, item_ids=["<pad>"] + odd + tiny_split.item_ids[1 + len(odd):],
-                                user_ids=tiny_split.user_ids[:-2] + ["\n\n", ""])
+    split = dataclasses.replace(tiny_split, item_ids=["<pad>"] + odd + list(tiny_split.item_ids)[1 + len(odd):],
+                                user_ids=list(tiny_split.user_ids)[:-2] + ["\n\n", ""])
     path = str(tmp_path / "split.json")
     save_split(path, split)
     assert load_split(path) == split
@@ -579,7 +580,7 @@ def test_load_split_keeps_ids_with_separators(tmp_path, tiny_split):
 def _json_split(split) -> str:
     """A split as the JSON writer of earlier versions stored it."""
     keys = ("user_count", "item_count", "user_ids", "item_ids", "train", "validation", "test")
-    return json.dumps({k: getattr(split, k) for k in keys})
+    return json.dumps({k: getattr(split, k) if k.endswith("_count") else list(getattr(split, k)) for k in keys})
 
 
 def test_load_split_refuses_missing_and_json_files(tmp_path, tiny_split):
@@ -604,6 +605,60 @@ def test_bench_corpus_split_roundtrip(tmp_path, spec):
     path = str(tmp_path / "split.json")
     save_split(path, split)
     assert load_split(path) == split
+
+
+def test_split_from_lists_from_arrays_and_from_the_file_give_the_same_results(tmp_path, tiny_hp):
+    """One corpus split three ways: as Python lists by the row-wise reference, by chronological_split's
+    cuts of the sequence arrays, and by load_split of the saved file."""
+    rows = generate_interactions(SyntheticSpec(num_users=60, num_items=90, seq_len=16, num_genres=10, num_clusters=5,
+                                               genres_per_cluster=2, num_special_pairs=6, seed=11))
+    from_lists = _reference_split(rows, 1)
+    from_arrays = chronological_split(build_sequences(zip(*rows), 1))
+    path = str(tmp_path / "split.json")
+    save_split(path, from_lists)
+    from_file = load_split(path)
+    for split in (from_arrays, from_file):
+        assert split == from_lists
+        for name in (*PART_NAMES, "user_ids", "item_ids"):
+            assert list(getattr(split, name)) == list(getattr(from_lists, name))
+    params = init_params(tiny_hp, from_lists.user_count, from_lists.item_count, np.random.default_rng(5))
+
+    def results(split):
+        inst = generate_instances(split, tiny_hp.order, tiny_hp.num_targets)
+        trained = train(split, tiny_hp, seed=3, epochs=2, batch_size=32, patience=2, exclude_history_negatives=True)
+        return (evaluate(params, tiny_hp, split, collect_per_user=True), evaluate(params, tiny_hp, split, part="validation"),
+                evaluate_pop(split), [a.tobytes() for a in (inst.prev, inst.users, inst.targets, inst.target_mask)],
+                hashlib.sha256(trained.params.buffer.tobytes()).hexdigest(), [row.train_loss for row in trained.log])
+
+    want = results(from_lists)
+    assert results(from_arrays) == want
+    assert results(from_file) == want
+
+
+ODD_IDS = ["", "11", "1", "211", "21", "2", "12", "\u00e9", "\u65e5\u672c", "a\tb", "x\ny", "\n", "1\t"]
+
+
+def test_an_id_is_found_at_its_own_slot_and_not_across_others(tmp_path):
+    """Ids that are prefixes or substrings of others (1, 11, 21), non-ASCII ids and ids with a tab or a
+    newline are found in the loaded id block, each at its own slot."""
+    empty = [[]] * len(ODD_IDS)
+    path = str(tmp_path / "split.json")
+    save_split(path, SplitDataset(empty, empty, empty, len(ODD_IDS) - 1, 1, ODD_IDS, ["", "i"]))
+    ids = load_split(path).user_ids
+    for slot, name in enumerate(ODD_IDS[1:], start=1):
+        assert ids.index(name, 1) == slot
+    # each of these occurs in the block only across the ends of ids
+    for name in ["112", "111", "2112", "y\n", "\n1", "\u00e9\u65e5"]:
+        assert name in ids.flat
+        with pytest.raises(ValueError):
+            ids.index(name, 1)
+
+
+def test_the_empty_id_is_found_only_as_an_empty_slot():
+    ids = Ids.of(["", "a", "", "b"])
+    assert ids.index("") == 0 and ids.index("", 1) == 2
+    with pytest.raises(ValueError):
+        Ids.of(["", "a", "b"]).index("", 1)
 
 
 def test_missing_interaction_log_is_data_error(tmp_path):
@@ -661,19 +716,34 @@ def test_load_split_on_random_bytes_raises_only_convrec_errors(input_file, raw):
 
 
 @st.composite
-def splits(draw):
+def split_lists(draw):
+    """SplitDataset's arguments, every part and id list as Python lists."""
     users, items = draw(st.integers(1, 6)), draw(st.integers(1, 9))
     parts = [[[]] + [draw(st.lists(st.integers(1, items), max_size=5)) for _ in range(users)] for _ in range(3)]
-    return SplitDataset(*parts, user_count=users, item_count=items,
-                        user_ids=[""] + draw(st.lists(st.text(max_size=5), min_size=users, max_size=users)),
-                        item_ids=[""] + draw(st.lists(st.text(max_size=5), min_size=items, max_size=items)))
+    return dict(zip(PART_NAMES, parts), user_count=users, item_count=items,
+                user_ids=[""] + draw(st.lists(st.text(max_size=5), min_size=users, max_size=users)),
+                item_ids=[""] + draw(st.lists(st.text(max_size=5), min_size=items, max_size=items)))
+
+
+def splits():
+    return split_lists().map(lambda lists: SplitDataset(**lists))
+
+
+PART_NAMES = ("train", "validation", "test")
 
 
 @settings(max_examples=100, deadline=None)
-@given(split=splits())
-def test_save_split_load_split_roundtrip(input_file, split):
+@given(lists=split_lists())
+def test_save_split_load_split_roundtrip(input_file, lists):
+    split = SplitDataset(**lists)
     save_split(str(input_file), split)
-    assert load_split(str(input_file)) == split
+    loaded = load_split(str(input_file))
+    assert loaded == split
+    for name in (*PART_NAMES, "user_ids", "item_ids"):
+        want, got = lists[name], getattr(loaded, name)
+        assert len(got) == len(want) and list(got) == want
+        assert [got[i] for i in range(len(want))] == want == [got[i] for i in np.arange(len(want))]
+        assert [got[-i] for i in range(1, len(want) + 1)] == [want[-i] for i in range(1, len(want) + 1)]
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 
 from convrec.ablation import evaluate_pop, popularity_counts
 from convrec.config import AP_MODES, HyperParams, Ranking, run_parts, thread_budget
-from convrec.data import SplitDataset, history_for
+from convrec.data import ItemLists, SplitDataset
 from convrec.errors import ConfigError, EmptyDatasetError
 from convrec.evaluate import (
     LONG_ROW,
@@ -130,11 +130,16 @@ def _sorted_metrics(scores, relevant, cutoffs, ap_mode):
     return _metrics_from_positions(hit_ranks, len(relevant), n_eligible, cutoffs, ap_mode)
 
 
+def _history(split, u, part):
+    """User u's items known before the evaluated part: train, and validation too for test."""
+    return split.train[u] + (split.validation[u] if part == "test" else [])
+
+
 def _per_user_report(split, score_rows, cutoffs, ap_mode, exclude_seen, part):
     """evaluate_scores as one loop over users, summing each metric in user order."""
     held = split.test if part == "test" else split.validation
     users = [u for u in split.users() if held[u]]
-    histories = [history_for(split, u, part) for u in users]
+    histories = [_history(split, u, part) for u in users]
     prec_sum = {n: 0.0 for n in cutoffs}
     rec_sum = {n: 0.0 for n in cutoffs}
     ap_sum = 0.0
@@ -308,9 +313,9 @@ def shared_rows(draw):
 def test_shared_row_ranks_match_the_masked_block(case, exclude_seen):
     row, histories, relevant = case
     block = np.tile(row, (len(histories), 1))
-    seen = evaluation._flat_pairs(histories if exclude_seen else [])
+    seen = ItemLists.of(histories if exclude_seen else []).pairs()
     block[seen] = -np.inf
-    rows, items = evaluation._flat_pairs(relevant)
+    rows, items = ItemLists.of(relevant).pairs()
     want_eligible, want_ranks = eligible_and_ranks(block, rows, items)
 
     values, eligible, ranks = shared_row_ranks(row, ranked_order(row), rows, items, seen, len(histories))
@@ -497,7 +502,7 @@ def test_recall_monotone_in_n():
 # evaluate() against a straight-line per-user script
 
 def _reference_evaluate(params, hp, split, cutoffs, ap_mode):
-    from convrec.data import history_for, pad_left
+    from convrec.data import pad_left
 
     prec = {n: [] for n in cutoffs}
     rec = {n: [] for n in cutoffs}
@@ -506,7 +511,7 @@ def _reference_evaluate(params, hp, split, cutoffs, ap_mode):
         relevant = set(split.test[u])
         if not relevant:
             continue
-        hist = history_for(split, u, "test")
+        hist = _history(split, u, "test")
         scores = forward(params, hp, pad_left(hist, hp.order), u)
         scores[np.asarray(hist, dtype=np.int64)] = -np.inf
         eligible = [i for i in range(1, split.item_count + 1) if np.isfinite(scores[i])]
@@ -697,7 +702,7 @@ def test_recommend_scores_the_whole_catalog_once_on_the_calling_thread(tiny_para
 def test_one_thread_scores_many_rows_in_one_whole_catalog_product(large_split, two_cpus, monkeypatch):
     params = init_params(LARGE_HP, large_split.user_count, large_split.item_count, np.random.default_rng(23))
     users = list(large_split.users())
-    histories = [history_for(large_split, u, "test") for u in users]
+    histories = [_history(large_split, u, "test") for u in users]
     calls = _recording_columns(monkeypatch)
     split = score_matrix(params, LARGE_HP, histories, users)
     assert len(calls) == 2  # 150 rows of 2,892 columns are two ranges on two CPUs

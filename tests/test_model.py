@@ -10,8 +10,11 @@ import hypothesis.strategies as st
 from convrec.batch import batch_forward, forward
 from convrec.checkpoint import load_checkpoint, save_checkpoint
 from convrec.config import HyperParams
+from convrec.errors import ConfigError
 from convrec.model import (
     ComponentMask,
+    activate,
+    activate_grad,
     dropout_mask_for,
     horizontal_conv,
     init_params,
@@ -58,6 +61,18 @@ def test_init_biases_zero():
     p = _params(HP)
     assert not p.fc_b.any()
     assert not p.out_b.any()
+
+
+@pytest.mark.parametrize("users,items", [(0, 12), (5, 0)])
+def test_init_params_refuses_an_empty_table_as_a_config_error(users, items):
+    with pytest.raises(ConfigError, match=">= 1"):
+        init_params(HP, users, items, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("fn", [activate, activate_grad])
+def test_unknown_activation_is_a_config_error(fn):
+    with pytest.raises(ConfigError, match="unknown activation 'swish'"):
+        fn(np.zeros(3), "swish")
 
 
 def _address(arr):
@@ -183,6 +198,11 @@ def test_horizontal_full_height_single_window():
     pooled, pre, argmax = _hconv(E, filt, "identity")
     assert pre[0].shape == (1, 1)
     assert pooled[0] == pytest.approx(np.sum(E * filt[0][0]), abs=1e-12)
+
+
+def test_filter_taller_than_the_sequence_is_a_config_error():
+    with pytest.raises(ConfigError, match="filter height 3 exceeds sequence length 2"):
+        horizontal_conv(np.zeros((1, 2, 3)), [np.zeros((1, 3, 3))], "relu")
 
 
 def test_horizontal_tie_breaks_to_smallest_window():

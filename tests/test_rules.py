@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from convrec.data import ItemLists
 from convrec.errors import ConfigError
 from convrec.rules import MiningConfig, Rule, _pair_order, mine_rules, rules_to_csv, sequential_intensity
 
@@ -165,9 +166,20 @@ def test_pair_order_falls_back_to_lexsort_past_int64():
 
 @pytest.mark.parametrize("bad", [[[1, 2.5]], [["a", "b"]], [[1], [None]], [[2**64, 1]], [[[1, 2]]],
                                  [[2**63, 2**63 + 1]] * 2])
-def test_non_integer_items_raise_value_error(bad):
-    with pytest.raises(ValueError, match="integers"):
+def test_non_integer_items_raise_config_error(bad):
+    with pytest.raises(ConfigError, match="integers"):
         mine_rules(bad, MiningConfig(minsup=1))
+
+
+def test_no_sequences_is_a_config_error():
+    with pytest.raises(ConfigError, match="nonempty"):
+        mine_rules([], MiningConfig())
+
+
+def test_item_lists_mine_as_their_lists():
+    seqs = [[1, 2, 3, 1, 2, 3], [], [2, 3, 1, 2], [3, 1, 2, 3, 1]]
+    cfg = MiningConfig(max_order=3, max_skip=1, minsup=2, minconf=0.1)
+    assert mine_rules(ItemLists.of(seqs), cfg) == mine_rules(seqs, cfg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,7 +215,7 @@ def test_intensity_definition():
 
 
 def test_intensity_empty_corpus_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="user count"):
         sequential_intensity([])
 
 
