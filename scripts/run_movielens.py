@@ -36,10 +36,9 @@ def main() -> int:
 
     interactions = load_interactions(args.data, fmt="tsv")
     data = build_sequences(interactions, min_feedback=5)
-    print(f"{data.user_count} users, {data.item_count} items after filtering")
+    print(f"{len(data.user_ids) - 1} users, {len(data.item_ids) - 1} items after filtering")
     if not args.skip_intensity:
-        flat, bounds = data.items.tolist(), data.offsets.tolist()
-        si = sequential_intensity(flat[a:b] for a, b in zip(bounds, bounds[1:]))
+        si = sequential_intensity(data.seqs.span(1, len(data.seqs)))  # slot 0 is no user's sequence
         print(f"sequential intensity: {si:.4f}")
     split = chronological_split(data)
 

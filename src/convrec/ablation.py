@@ -11,9 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .batch import forward
 from .config import HyperParams, Ranking
-from .data import PADDING_INDEX, SplitDataset, pad_left
+from .data import SplitDataset
 from .errors import ConfigError, EmptyDatasetError
 # metrics_for_ranking is unused here, but perfbench hooks it under this module's name
 from .evaluate import (  # noqa: F401
@@ -22,6 +21,7 @@ from .evaluate import (  # noqa: F401
     eligible_and_ranks,
     evaluate,
     evaluate_scores,
+    history_scores,
     metrics_for_ranking,
     ranked_order,
 )
@@ -125,12 +125,7 @@ def mask_history_items(
         raise ConfigError(f"mask positions must lie in 1..{hp.order}")
     if not 1 <= probe_item <= params.item_count:
         raise ConfigError(f"probe item {probe_item} must lie in 1..{params.item_count}")
-    window = np.asarray(pad_left(list(history), hp.order), dtype=np.int64)
-    window[[p - 1 for p in mask_positions]] = PADDING_INDEX
-    scores = forward(params, hp, window, user_index)
-    if exclude_seen:
-        seen = np.asarray(list(history), dtype=np.int64)
-        scores[seen] = -np.inf
+    scores = history_scores(params, hp, history, user_index, mask_positions, exclude_seen)
     if not np.isfinite(scores[probe_item]):
         raise ConfigError(f"probe item {probe_item} is excluded from ranking")
     _, rank = eligible_and_ranks(scores[None], np.zeros(1, dtype=np.int64), np.array([probe_item]))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HyperParams, run_parts, thread_budget
+from .errors import ConfigError
 from .gradients import GradientSet, RowScatter
 from .model import (
     FULL_MASK,
@@ -176,13 +177,14 @@ def forward(
     """Inference scores over every item for one (user, previous-L-items) pair, every component on.
 
     Runs batch_forward on a batch of one; the row is the caller's to modify.
-    The padding score, index 0, is -inf.
+    The padding score, index 0, is -inf. An item outside 0..item_count or a
+    user outside 1..user_count raises ConfigError.
     """
     prev = np.asarray(prev_items, dtype=np.int64)
     if prev.min() < 0 or prev.max() > params.item_count:
-        raise IndexError(f"item index out of range 0..{params.item_count}")
+        raise ConfigError(f"item index out of range 0..{params.item_count}")
     if not 1 <= user_index <= params.user_count:
-        raise IndexError(f"user index {user_index} out of range 1..{params.user_count}")
+        raise ConfigError(f"user index {user_index} out of range 1..{params.user_count}")
     users = np.array([user_index], dtype=np.int64)
     return batch_forward(params, hp, prev[None], users).scores[0]
 

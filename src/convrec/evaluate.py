@@ -13,7 +13,7 @@ import numpy as np
 
 from .batch import batch_forward, forward
 from .config import HyperParams, Ranking
-from .data import ItemLists, SplitDataset, joined, pad_left, run_starts
+from .data import PADDING_INDEX, ItemLists, SplitDataset, joined, run_starts
 from .errors import ConfigError, EmptyDatasetError
 from .model import FULL_MASK, ComponentMask, ModelParams
 
@@ -80,6 +80,22 @@ def ranked_order(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(scores.size), -scores))
 
 
+def history_scores(params: ModelParams, hp: HyperParams, history, user_index: int, masked, exclude_seen: bool):
+    """forward's scores from the history's last L items, left-padded, the 1-based slots in ``masked`` set to
+    padding, and the history's items at -inf if ``exclude_seen``; an item outside 1..item_count raises ConfigError."""
+    items = np.asarray(history, dtype=np.int64)
+    if items.size and (items.min() < 1 or items.max() > params.item_count):
+        raise ConfigError(f"history items must lie in 1..{params.item_count}")
+    window = np.zeros(hp.order, dtype=np.int64)
+    window[hp.order - min(items.size, hp.order) :] = items[-hp.order :]
+    if masked:
+        window[[p - 1 for p in masked]] = PADDING_INDEX
+    scores = forward(params, hp, window, user_index)
+    if exclude_seen:
+        scores[items] = -np.inf
+    return scores
+
+
 def recommend_top_n(
     params: ModelParams,
     hp: HyperParams,
@@ -93,9 +109,7 @@ def recommend_top_n(
         raise ConfigError(f"n must be >= 1, got {n}")
     if not len(history):
         raise EmptyDatasetError("history must be nonempty")
-    scores = forward(params, hp, pad_left(list(history), hp.order), user_index)
-    if exclude_seen:
-        scores[np.asarray(list(history), dtype=np.int64)] = -np.inf
+    scores = history_scores(params, hp, history, user_index, (), exclude_seen)
     n = min(n, int(np.isfinite(scores).sum()))
     if n == 0:
         return RankedList(np.empty(0, dtype=np.int64), np.empty(0))
@@ -168,15 +182,14 @@ def eligible_and_ranks(scores: np.ndarray, rows: np.ndarray, items: np.ndarray):
     return eligible, _row_counts(ahead) + 1
 
 
-def metrics_for_ranking(scores: np.ndarray, relevant, cutoffs, ap_mode: str):
+def metrics_for_ranking(scores: np.ndarray, relevant: ItemLists, cutoffs, ap_mode: str):
     """Metrics for a block of masked score rows (the model's path).
 
-    ``relevant`` holds each row's distinct held-out items, as ItemLists or
-    one collection per row. Each relevant item's rank is counted by
-    eligible_and_ranks, not read off a sort of the whole row. Returns what
-    ranked_metrics returns.
+    ``relevant`` holds each row's distinct held-out items. Each relevant
+    item's rank is counted by eligible_and_ranks, not read off a sort of the
+    whole row. Returns what ranked_metrics returns.
     """
-    rows, items = ItemLists.of(relevant).pairs()
+    rows, items = relevant.pairs()
     eligible, ranks = eligible_and_ranks(scores, rows, items)
     return ranked_metrics(rows, scores[rows, items], ranks, eligible, cutoffs, ap_mode)
 

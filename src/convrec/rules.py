@@ -94,7 +94,8 @@ def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:
             if not s_pat.size:
                 break
             cons = code[s_end + skip + 1]
-            order = _pair_order(s_pat, sup_x.size, cons, ids.size)
+            # both codes lie below len(flat), so the key fits int64 up to about 3.0e9 items
+            order = np.argsort(s_pat * ids.size + cons, kind="stable")
             s_pat, s_end, cons = s_pat[order], s_end[order], cons[order]
             first = run_starts(s_pat, cons)
             starts = np.flatnonzero(first)
@@ -113,13 +114,6 @@ def mine_rules(sequences, cfg: MiningConfig) -> list[Rule]:
         rules.extend(_to_rules(ids, antecedents, *map(np.concatenate, zip(*found))))
         antecedents, sup_x, pat, end = extended
     return rules
-
-
-def _pair_order(major: np.ndarray, major_bound: int, minor: np.ndarray, minor_bound: int) -> np.ndarray:
-    """Stable order of the rows by (major, minor), both nonnegative and below their bounds."""
-    if major_bound * minor_bound <= np.iinfo(np.int64).max:
-        return np.argsort(major * minor_bound + minor, kind="stable")
-    return np.lexsort((minor, major))
 
 
 def _to_rules(ids, antecedents, pat, cons, skip, support, conf) -> list[Rule]:

@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 class Interaction(NamedTuple):
     """One generated log row; ``build_sequences(zip(*rows), n)`` reads a list of them."""
@@ -61,9 +63,9 @@ def generate_interactions(spec: SyntheticSpec = SyntheticSpec()) -> list[Interac
     rng = np.random.default_rng(spec.seed)
     items_per_genre = spec.num_items // spec.num_genres
     if items_per_genre < 1:
-        raise ValueError("need at least one item per genre")
+        raise ConfigError("need at least one item per genre")
     if spec.num_clusters * spec.genres_per_cluster != spec.num_genres:
-        raise ValueError("clusters must partition the genres")
+        raise ConfigError("clusters must partition the genres")
 
     successor, skip_map, pair_target = build_transition(spec, rng)
     # clusters partition the genres and users spread evenly across clusters,

@@ -36,6 +36,12 @@ def tiny_split() -> SplitDataset:
     return chronological_split(build_sequences(zip(*rows), 1))
 
 
+def pad_left(items, length: int) -> tuple[int, ...]:
+    """Reference window: the last ``length`` items, left-padded with the padding index 0."""
+    items = tuple(items)[-length:]
+    return (0,) * (length - len(items)) + items
+
+
 # 150 users on the 50000-item generator see 2,891 items: with latent_dim 64
 # the Adam buffer holds more than two parts of training.ADAM_MIN_PART
 LARGE_HP = HyperParams(latent_dim=64, order=3, num_targets=1, heights=(1, 2, 3), num_h_filters=2,

@@ -262,6 +262,13 @@ def test_probe_item_outside_the_items_rejected(tiny_params, tiny_hp, offset):
         mask_history_items(tiny_params, tiny_hp, [1, 2], 1, set(), probe_item=probe)
 
 
+@pytest.mark.parametrize("first", [-1, 0, 121])
+def test_history_item_outside_the_items_rejected(tiny_params, tiny_hp, first):
+    assert tiny_params.item_count == 120
+    with pytest.raises(ConfigError, match=r"history items must lie in 1\.\.120"):
+        mask_history_items(tiny_params, tiny_hp, [first, 2, 3], 1, set(), probe_item=5)
+
+
 def test_mask_positions_validated(tiny_params, tiny_hp):
     with pytest.raises(ConfigError):
         mask_history_items(tiny_params, tiny_hp, [1, 2], 1, {0}, probe_item=5)

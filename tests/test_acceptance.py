@@ -14,7 +14,7 @@ from convrec.ablation import evaluate_pop
 from convrec.checkpoint import load_checkpoint
 from convrec.cli import main as cli_main
 from convrec.config import HyperParams, thread_budget
-from convrec.data import build_sequences, chronological_split
+from convrec.data import ItemLists, build_sequences, chronological_split
 from convrec.evaluate import evaluate, metrics_for_ranking, ranked_order
 from convrec.gradients import gradient_check
 from convrec.model import FULL_MASK, ComponentMask, init_params, vertical_conv
@@ -113,7 +113,7 @@ def _metrics_of_list(ranked, relevant, n, mode="standard"):
     n..1 there and -inf in every other column, so n items are eligible."""
     row = np.full((1, max(ranked + list(relevant)) + 1), -np.inf)
     row[0, ranked[:n]] = np.arange(n, 0, -1)
-    precision, recall, ap = metrics_for_ranking(row, [relevant], (n,), mode)
+    precision, recall, ap = metrics_for_ranking(row, ItemLists.of([relevant]), (n,), mode)
     return float(precision[0, 0]), float(recall[0, 0]), float(ap[0])
 
 

@@ -458,6 +458,18 @@ def test_sweep_grid_key_without_values_exits_2(prepared, capsys, monkeypatch, sp
     assert calls == []
 
 
+@pytest.mark.parametrize("data_dir, grid, line", [
+    (False, ["--grid", "lr=0.1"], "sweep requires --data-dir (run prepare first)"),
+    (True, ["--grid", "lr"], "--grid expects key=v1,v2,... got 'lr'"),
+    (True, [], "sweep needs at least one --grid key=v1,v2"),
+])
+def test_sweep_without_a_data_dir_or_a_grid_exits_2(prepared, capsys, monkeypatch, data_dir, grid, line):
+    calls = _count_calls(monkeypatch, "convrec.cli.train")
+    assert main(["sweep", *(["--data-dir", prepared] if data_dir else []), *grid] + SWEEP_BASE) == 2
+    assert _one_error_line(capsys) == f"config error: {line}"
+    assert calls == []
+
+
 def test_sweep_ranks_trials_by_the_metric_keys(prepared, capsys):
     assert main(["sweep", "--data-dir", prepared, "--grid", "ap_mode=standard,paper_literal"] + SWEEP_BASE) == 0
     out = capsys.readouterr().out.splitlines()
@@ -602,15 +614,20 @@ def test_bad_heights_exit_2(prepared, tmp_path, capsys, value):
     assert len(err) == 1 and "heights" in err[0]
 
 
-@pytest.mark.parametrize("args", [["--seed", "-1"], ["--set", "seed=-1"], ["--set", "epochs=0"],
-                                  ["--set", "patience=0"], ["--set", "patience=-3"]])
-def test_out_of_range_training_keys_exit_2(prepared, tmp_path, capsys, args):
+@pytest.mark.parametrize("args, word", [
+    (["--seed", "-1"], "seed"), (["--set", "seed=-1"], "seed"), (["--set", "epochs=0"], "epochs"),
+    (["--set", "patience=0"], "patience"), (["--set", "patience=-3"], "patience"),
+    (["--set", "num_targets=0"], "num_targets"), (["--set", "heights=9"], "height"),
+    (["--set", "num_h_filters=0"], "filter counts"), (["--set", "dropout=1"], "dropout"), (["--set", "l2=-1"], "l2"),
+    (["--set", "lr=-1"], "lr"), (["--set", "num_negatives=0"], "num_negatives"), (["--set", "epochs=abc"], "epochs"),
+    (["--set", "foo"], "key=value"),
+])
+def test_out_of_range_training_keys_exit_2(prepared, tmp_path, capsys, args, word):
     ckpt = tmp_path / "x.ckpt"
     code = main(["train", "--data-dir", prepared, "--checkpoint", str(ckpt), "--quiet"] + BASE + args)
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
-    key = args[1].lstrip("-").split("=")[0] if args[0] == "--set" else "seed"
-    assert len(err) == 1 and err[0].startswith("config error") and key in err[0]
+    assert len(err) == 1 and err[0].startswith("config error") and word in err[0]
     assert not ckpt.exists()
 
 
@@ -723,6 +740,14 @@ def test_non_utf8_config_file_exits_2(tmp_path, capsys):
     code = main(["train", "--config", str(cfg), "--checkpoint", str(tmp_path / "x.ckpt")])
     assert code == 2
     assert _one_error_line(capsys).startswith(f"config error: {cfg}: not UTF-8 text")
+
+
+def test_config_file_line_without_equals_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("latent_dim = 4\norder\n", encoding="utf-8")
+    code = main(["train", "--config", str(cfg), "--checkpoint", str(tmp_path / "x.ckpt")])
+    assert code == 2
+    assert _one_error_line(capsys) == f"config error: {cfg}:2: expected 'key = value', got 'order'"
 
 
 def test_missing_split_exits_1(tmp_path, capsys):

@@ -20,7 +20,6 @@ from convrec.data import (
     generate_instances,
     load_interactions,
     load_split,
-    pad_left,
     save_split,
     SplitDataset,
 )
@@ -29,6 +28,7 @@ from convrec.evaluate import evaluate
 from convrec.model import init_params
 from convrec.synthetic import Interaction, SyntheticSpec, generate_interactions
 from convrec.training import train
+from tests.conftest import pad_left
 
 
 # --------------------------------------------------------------------------
@@ -116,8 +116,7 @@ def _rows(pairs, start_ts=0):
 
 def _sequences(data):
     """(user index, item indices oldest first) for each user of a SequenceData."""
-    flat, bounds = data.items.tolist(), data.offsets.tolist()
-    return [(u, flat[a:b]) for u, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1)]
+    return list(enumerate(data.seqs))[1:]
 
 
 def test_threshold_removes_small_user():
@@ -133,8 +132,8 @@ def test_threshold_removes_small_user():
 def test_min_feedback_one_keeps_everything():
     pairs = [("u1", "a"), ("u2", "b"), ("u1", "c")]
     data = build_sequences(_rows(pairs), min_feedback=1)
-    assert data.user_count == 2
-    assert data.item_count == 3
+    assert len(data.seqs) == len(data.user_ids) == 3 and data.seqs[0] == []
+    assert len(data.item_ids) == 4
     seq = {data.user_ids[u]: [data.item_ids[i] for i in items] for u, items in _sequences(data)}
     assert seq == {"u1": ["a", "c"], "u2": ["b"]}
 
@@ -168,7 +167,7 @@ def test_filter_cascade_runs_to_fixpoint():
     data = build_sequences(_rows(pairs), min_feedback=2)
     assert "u2" not in data.user_ids
     assert "x" not in data.item_ids and "b" not in data.item_ids
-    assert sorted(data.user_ids[1:]) == ["u1", "u3"]
+    assert sorted(data.user_ids) == ["", "u1", "u3"]
 
 
 def _brute_force_filter(pairs, n):
@@ -326,7 +325,7 @@ def test_ids_are_numbered_by_first_appearance_after_filtering():
     # the first rows of u1 and of item b are filtered out, so u2 and item a come first
     rows = [("u9", "b", 0.0), ("u1", "x", 0.0), ("u2", "a", 1.0), ("u2", "b", 2.0), ("u1", "a", 3.0), ("u1", "b", 4.0)]
     data = build_sequences(_columns(rows), min_feedback=2)
-    assert data.user_ids == ["", "u2", "u1"] and data.item_ids == ["", "a", "b"]
+    assert list(data.user_ids) == ["", "u2", "u1"] and list(data.item_ids) == ["", "a", "b"]
     assert chronological_split(data) == _reference_split(rows, 2)
 
 
@@ -605,6 +604,14 @@ def test_bench_corpus_split_roundtrip(tmp_path, spec):
     path = str(tmp_path / "split.json")
     save_split(path, split)
     assert load_split(path) == split
+
+
+@pytest.mark.parametrize("spec, message", [(SyntheticSpec(num_items=40), "at least one item per genre"),
+                                           (SyntheticSpec(num_clusters=3), "clusters must partition the genres")],
+                         ids=["items-per-genre", "cluster-partition"])
+def test_generator_rejects_a_spec_it_cannot_build(spec, message):
+    with pytest.raises(ConfigError, match=message):
+        generate_interactions(spec)
 
 
 def test_split_from_lists_from_arrays_and_from_the_file_give_the_same_results(tmp_path, tiny_hp):

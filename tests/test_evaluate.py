@@ -29,7 +29,7 @@ from convrec.evaluate import (
 )
 from convrec.batch import forward, score_column_ranges
 from convrec.model import init_params
-from tests.conftest import LARGE_HP
+from tests.conftest import LARGE_HP, pad_left
 
 # the module, which the package's evaluate function shadows as an attribute
 evaluation = importlib.import_module("convrec.evaluate")
@@ -90,6 +90,16 @@ def test_recommend_rejects_bad_n(tiny_params, tiny_hp):
 def test_recommend_rejects_an_empty_history(tiny_params, tiny_hp):
     with pytest.raises(EmptyDatasetError, match="history"):
         recommend_top_n(tiny_params, tiny_hp, [], 1, n=5)
+
+
+@pytest.mark.parametrize("first", [-1, 0, 21, 99])
+def test_recommend_rejects_a_history_item_outside_the_items(tiny_hp, first):
+    # numpy would read -1 as item 20 and drop it from the ranking, and 99 would raise IndexError
+    hp = dataclasses.replace(tiny_hp, order=3, heights=(1, 2, 3))
+    params = init_params(hp, 2, 20, np.random.default_rng(4))
+    assert len(recommend_top_n(params, hp, [1, 4, 5, 6], 1, n=20).items) == 16
+    with pytest.raises(ConfigError, match=r"history items must lie in 1\.\.20"):
+        recommend_top_n(params, hp, [first, 4, 5, 6], 1, n=20)
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +215,7 @@ def test_counted_ranks_match_full_sort(block, ap_mode):
     width = scores.shape[1]
     # precision at every n pins down every hit rank; the long rows use every 7th
     cutoffs = tuple(range(1, width + 1)) if width <= LONG_ROW else tuple(range(1, width + 1, 7))
-    precision, recall, ap = metrics_for_ranking(scores, relevant, cutoffs, ap_mode)
+    precision, recall, ap = metrics_for_ranking(scores, ItemLists.of(relevant), cutoffs, ap_mode)
     assert precision.shape == recall.shape == (len(cutoffs), len(relevant))
     for i, (row, rel) in enumerate(zip(scores, relevant)):
         got = (
@@ -224,7 +234,7 @@ def test_ap_of_many_hits_sums_like_np_sum():
     scores = rng.permutation(np.arange(400.0)).reshape(2, 200)
     scores[:, 0] = -np.inf
     relevant = [set(range(1, 200, 2)), set(range(3, 40))]
-    _, _, ap = metrics_for_ranking(scores, relevant, (1,), "standard")
+    _, _, ap = metrics_for_ranking(scores, ItemLists.of(relevant), (1,), "standard")
     for i in range(2):
         assert float(ap[i]).hex() == _row_metrics(scores[i], relevant[i], (1,), "standard")[2].hex()
 
@@ -326,7 +336,7 @@ def test_shared_row_ranks_match_the_masked_block(case, exclude_seen):
     assert ranks[ranked].tolist() == want_ranks[ranked].tolist()
     cutoffs = (1, 3, 10)
     got = ranked_metrics(rows, values, ranks, eligible, cutoffs, "standard")
-    want = metrics_for_ranking(block, relevant, cutoffs, "standard")
+    want = metrics_for_ranking(block, ItemLists.of(relevant), cutoffs, "standard")
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -422,7 +432,7 @@ def _metrics_of_list(ranked, relevant, n, mode="standard"):
     there and -inf in every other column, so n items are eligible."""
     row = np.full((1, max(list(ranked) + list(relevant)) + 1), -np.inf)
     row[0, ranked[:n]] = np.arange(n, 0, -1)
-    precision, recall, ap = metrics_for_ranking(row, [relevant], (n,), mode)
+    precision, recall, ap = metrics_for_ranking(row, ItemLists.of([relevant]), (n,), mode)
     return float(precision[0, 0]), float(recall[0, 0]), float(ap[0])
 
 
@@ -502,8 +512,6 @@ def test_recall_monotone_in_n():
 # evaluate() against a straight-line per-user script
 
 def _reference_evaluate(params, hp, split, cutoffs, ap_mode):
-    from convrec.data import pad_left
-
     prec = {n: [] for n in cutoffs}
     rec = {n: [] for n in cutoffs}
     aps = []
@@ -575,8 +583,6 @@ def test_prec1_is_binary_per_user(tiny_params, tiny_hp, tiny_split):
 def test_score_matrix_matches_forward(tiny_params, tiny_hp):
     hist = [[1, 2, 3], [4, 5, 6, 7, 8]]
     mat = score_matrix(tiny_params, tiny_hp, hist, [1, 2])
-    from convrec.data import pad_left
-
     for row, (h, u) in enumerate(zip(hist, [1, 2])):
         want = forward(tiny_params, tiny_hp, pad_left(h, tiny_hp.order), u)
         fin = np.isfinite(want)

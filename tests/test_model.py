@@ -156,13 +156,13 @@ def test_lookup_row_order_oldest_first():
 
 def test_lookup_out_of_range():
     p = _params(HP)
-    with pytest.raises(IndexError):
+    with pytest.raises(ConfigError, match="item index"):
         forward(p, HP, [1, 2, 3, 999], 1)
-    with pytest.raises(IndexError):
+    with pytest.raises(ConfigError, match="item index"):
         forward(p, HP, [1, 2, -1, 4], 1)
-    with pytest.raises(IndexError):
+    with pytest.raises(ConfigError, match="user index"):
         forward(p, HP, [1, 2, 3, 4], 0)
-    with pytest.raises(IndexError):
+    with pytest.raises(ConfigError, match="user index"):
         forward(p, HP, [1, 2, 3, 4], p.user_count + 1)
 
 

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from convrec.data import ItemLists
 from convrec.errors import ConfigError
-from convrec.rules import MiningConfig, Rule, _pair_order, mine_rules, rules_to_csv, sequential_intensity
+from convrec.rules import MiningConfig, Rule, mine_rules, rules_to_csv, sequential_intensity
 
 
 # --------------------------------------------------------------------------
@@ -152,16 +152,6 @@ def test_ids_past_naive_int64_keys_match_oracle():
     rules = mine_rules(seqs, cfg)
     assert rules
     assert_same_rules(rules, brute_force_rules(seqs, cfg))
-
-
-def test_pair_order_falls_back_to_lexsort_past_int64():
-    rng = np.random.default_rng(5)
-    major = np.sort(rng.integers(0, 4, size=200))
-    minor = rng.integers(0, 3, size=200)
-    want = np.lexsort((minor, major))
-    # the combined key (major * 3 + minor) and the lexsort fallback give one stable order
-    assert np.array_equal(_pair_order(major, 4, minor, 3), want)
-    assert np.array_equal(_pair_order(major, 2**40, minor, 2**40), want)
 
 
 @pytest.mark.parametrize("bad", [[[1, 2.5]], [["a", "b"]], [[1], [None]], [[2**64, 1]], [[[1, 2]]],

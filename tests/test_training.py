@@ -509,6 +509,17 @@ def test_pinned_rows_zero_after_training():
     assert not result.params.user_emb[0].any()
 
 
+def test_early_stopping_returns_the_best_epoch_of_a_shorter_run():
+    # validation MAP peaks at epoch 5 and falls in epochs 6 and 7, so training stops at 7 of 12
+    split = _micro_split()
+    hp = dataclasses.replace(HP, lr=1e-2)
+    result = train(split, hp, seed=0, epochs=12, batch_size=32, patience=2)
+    assert len(result.log) == result.best_epoch + 2 < 12
+    fresh = train(split, hp, seed=0, epochs=result.best_epoch, batch_size=32, patience=2)
+    assert fresh.best_epoch == result.best_epoch
+    assert result.params.buffer.tobytes() == fresh.params.buffer.tobytes()
+
+
 def test_best_validation_checkpoint_returned():
     split = _micro_split()
     result = train(split, HP, seed=2, epochs=4, batch_size=32, patience=10)
