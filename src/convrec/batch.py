@@ -96,7 +96,7 @@ class BatchTrace:
     E: np.ndarray  # (B, L, d)
     p_u: np.ndarray  # (B, d)
     hpre: list[np.ndarray] | None  # per height: (B, n_h, W)
-    hamax: list[np.ndarray] | None  # per height: (B, n_h)
+    hamax: list[np.ndarray] | None  # per height: (B, n_h); only with score_ids
     ot_pre: np.ndarray | None  # raw vertical sums, (B, n_v * d)
     dropout_mask: np.ndarray | None
     x: np.ndarray | None  # (B, K) FC input after dropout
@@ -132,7 +132,7 @@ def batch_forward(
 
     hpre = hamax = None
     if comp_mask.h:
-        o, hpre, hamax = horizontal_conv(E, params.h_filters, hp.conv_act)
+        o, hpre, hamax = horizontal_conv(E, params.h_filters, hp.conv_act, argmax=score_ids is not None)
     else:
         o = np.zeros((B, hp.total_h_filters))
 

@@ -250,6 +250,8 @@ def run_parts(run, parts: int) -> None:
     part starts no thread. The first error, by part, is raised only after
     every part has stopped.
     """
+    if parts == 1:
+        return run(0)
     errors = [None] * parts
 
     def other(part):

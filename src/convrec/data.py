@@ -41,6 +41,8 @@ class Ragged:
 
     def __getitem__(self, index):
         s = range(len(self))[index]
+        if isinstance(s, range):  # a slice: the list of the runs it selects
+            return [self[i] for i in s]
         return self._run(self.flat[self.offsets[s] : self.offsets[s + 1]])
 
     def __iter__(self):

@@ -185,16 +185,12 @@ class ModelParams:
             getattr(self, name)[0] = 0.0
 
 
-DRAW_BLOCK = 65536  # elements per block of initial draws
-
-
 def _glorot(rng: np.random.Generator, out: np.ndarray, fan_in: int, fan_out: int) -> None:
-    """Uniform draws into ``out`` a block at a time: the same stream as one draw, without a full-size temporary."""
+    """rng.uniform(-a, a) drawn into ``out`` in place: the same bits and stream, without a temporary."""
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    flat = out.reshape(-1)
-    for start in range(0, flat.size, DRAW_BLOCK):
-        block = flat[start : start + DRAW_BLOCK]
-        block[:] = rng.uniform(-a, a, size=block.size)
+    rng.random(out=out)
+    out *= 2 * a
+    out += -a
 
 
 def init_params(hp: HyperParams, user_count: int, item_count: int, rng: np.random.Generator) -> ModelParams:
@@ -220,17 +216,18 @@ def init_params(hp: HyperParams, user_count: int, item_count: int, rng: np.rando
 # convolution layers and dropout
 
 def horizontal_conv(
-    E: np.ndarray, h_filters: list[np.ndarray], conv_act: str
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    E: np.ndarray, h_filters: list[np.ndarray], conv_act: str, argmax: bool = True
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray] | None]:
     """Slide each h x d filter over the rows of every E in a (B, L, d) batch.
 
-    Per height the windows are gathered once, im2col style, and scored by one
-    stacked matmul (W, B, h*d) @ (h*d, n_h). Returns the activated values
-    max-pooled over windows, (B, n) with heights ascending, and per height the
-    pre-activations (B, n_h, W) and the winning window of each filter (B, n_h).
-    Ties in the max go to the smallest window index (np.argmax semantics),
-    which fixes the backprop routing deterministically.
+    Per height the windows are a strided (W, B, h*d) view of E, made
+    contiguous once, and scored by one stacked matmul with the (h*d, n_h)
+    filters. Returns the activated values max-pooled over windows, (B, n)
+    with heights ascending, per height the pre-activations (B, n_h, W) and,
+    if ``argmax`` (only the backward reads it), per height the winning window
+    of each filter (B, n_h), ties to the smallest window index, else None.
     """
+    E = np.ascontiguousarray(E)
     B, L, d = E.shape
     pooled, pre_list, amax_list = [], [], []
     for filt in h_filters:
@@ -238,14 +235,14 @@ def horizontal_conv(
         n_windows = L - h + 1
         if n_windows < 1:
             raise ConfigError(f"filter height {h} exceeds sequence length {L}")
-        idx = np.arange(n_windows)[:, None] + np.arange(h)
-        windows = E[:, idx].reshape(B, n_windows, h * d).transpose(1, 0, 2)
+        windows = np.ndarray((n_windows, B, h * d), E.dtype, E, strides=(E.strides[1], E.strides[0], E.strides[2]))
         pre = (windows @ filt.reshape(n_h, h * d).T).transpose(1, 2, 0)
         vals = activate(pre, conv_act)
         pooled.append(vals.max(axis=2))
         pre_list.append(pre)
-        amax_list.append(vals.argmax(axis=2))
-    return np.concatenate(pooled, axis=1), pre_list, amax_list
+        if argmax:
+            amax_list.append(vals.argmax(axis=2))
+    return np.concatenate(pooled, axis=1), pre_list, amax_list if argmax else None
 
 
 def vertical_conv(E: np.ndarray, v_filters: np.ndarray) -> np.ndarray:

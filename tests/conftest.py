@@ -6,7 +6,7 @@ import pytest
 
 from convrec.config import HyperParams
 from convrec.data import SplitDataset, build_sequences, chronological_split
-from convrec.model import init_params
+from convrec.model import activate, init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
 
 
@@ -40,6 +40,29 @@ def pad_left(items, length: int) -> tuple[int, ...]:
     """Reference window: the last ``length`` items, left-padded with the padding index 0."""
     items = tuple(items)[-length:]
     return (0,) * (length - len(items)) + items
+
+
+def im2col_conv(E, h_filters, conv_act):
+    """Reference horizontal conv: per height, every window gathered into a copy
+    (im2col) and scored by one stacked matmul. Returns (pre-activations (B,
+    n_h, W), pooled (B, n_h), argmax (B, n_h)) per height."""
+    B, L, d = E.shape
+    out = []
+    for filt in h_filters:
+        n_h, h, _ = filt.shape
+        idx = np.arange(L - h + 1)[:, None] + np.arange(h)
+        windows = E[:, idx].reshape(B, L - h + 1, h * d).transpose(1, 0, 2)
+        pre = (windows @ filt.reshape(n_h, h * d).T).transpose(1, 2, 0)
+        vals = activate(pre, conv_act)
+        out.append((pre, vals.max(axis=2), vals.argmax(axis=2)))
+    return out
+
+
+# the acceptance suite's planted-pattern gate hyperparameters
+GATE_HP = HyperParams(
+    latent_dim=32, order=5, num_targets=2, heights=(1, 2, 3, 4, 5),
+    num_h_filters=4, num_v_filters=2, dropout=0.5, l2=1e-6, lr=1e-3,
+)
 
 
 # 150 users on the 50000-item generator see 2,891 items: with latent_dim 64

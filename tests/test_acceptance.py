@@ -21,6 +21,7 @@ from convrec.model import FULL_MASK, ComponentMask, init_params, vertical_conv
 from convrec.rules import MiningConfig, mine_rules
 from convrec.synthetic import SyntheticSpec, generate_interactions
 from convrec.training import map_trials, train
+from tests.conftest import GATE_HP
 
 
 def _report(number: int, passed: bool, detail: str = "") -> None:
@@ -177,10 +178,6 @@ def test_criterion_5_rule_miner_oracle():
 # --------------------------------------------------------------------------
 # 6 & 7. planted-pattern end-to-end gates
 
-GATE_HP = HyperParams(
-    latent_dim=32, order=5, num_targets=2, heights=(1, 2, 3, 4, 5),
-    num_h_filters=4, num_v_filters=2, dropout=0.5, l2=1e-6, lr=1e-3,
-)
 GATE_SEEDS = (1, 2, 3, 4, 5)
 
 

@@ -15,6 +15,7 @@ from convrec.ablation import evaluate_pop
 from convrec.data import (
     Ids,
     Interactions,
+    ItemLists,
     build_sequences,
     chronological_split,
     generate_instances,
@@ -666,6 +667,14 @@ def test_the_empty_id_is_found_only_as_an_empty_slot():
     assert ids.index("") == 0 and ids.index("", 1) == 2
     with pytest.raises(ValueError):
         Ids.of(["", "a", "b"]).index("", 1)
+
+
+@pytest.mark.parametrize("index", [slice(0, 2), slice(1, None), slice(-2, None), slice(None, -1), slice(None, None, 2),
+                                   slice(None, None, -1), slice(3, 0, -2), slice(5, 9), slice(2, 1)])
+def test_a_slice_of_runs_is_the_list_of_the_runs_it_selects(index):
+    lists, names = [[1, 2], [3], [], [4, 5, 6]], ["a", "bc", "", "d"]
+    assert ItemLists.of(lists)[index] == lists[index]
+    assert Ids.of(names)[index] == names[index]
 
 
 def test_missing_interaction_log_is_data_error(tmp_path):

@@ -228,6 +228,22 @@ def test_counted_ranks_match_full_sort(block, ap_mode):
             assert got == (prec, rec, want_ap.hex()), oracle.__name__
 
 
+@settings(max_examples=150, deadline=None)
+@given(score_blocks(), st.integers(0, 2**32 - 1))
+def test_ranks_above_minus_inf_match_a_reference_counter(block, seed):
+    """Each pair's rank where its value is above -inf, with the pairs in any order, against a count of its row."""
+    scores, relevant = block
+    rows, items = ItemLists.of(relevant).pairs()
+    shuffle = np.random.default_rng(seed).permutation(rows.size)
+    rows, items = rows[shuffle], items[shuffle]
+    eligible, ranks = eligible_and_ranks(scores, rows, items)
+    assert eligible.tolist() == np.isfinite(scores).sum(axis=1).tolist()
+    for r, i, rank in zip(rows.tolist(), items.tolist(), ranks.tolist()):
+        row, v = scores[r], scores[r, i]
+        if v > -np.inf:
+            assert rank == 1 + np.count_nonzero(row > v) + np.count_nonzero(row[:i] == v)
+
+
 def test_ap_of_many_hits_sums_like_np_sum():
     # past 8 terms np.sum adds pairwise; the block AP must keep that order
     rng = np.random.default_rng(5)

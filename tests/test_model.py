@@ -24,6 +24,7 @@ from convrec.model import (
     vertical_conv,
 )
 from convrec.training import AdamState
+from tests.conftest import GATE_HP, im2col_conv
 
 
 def _params(hp, users=5, items=12, seed=0, random_biases=False):
@@ -61,6 +62,33 @@ def test_init_biases_zero():
     p = _params(HP)
     assert not p.fc_b.any()
     assert not p.out_b.any()
+
+
+def _uniform_init(hp, users, items, rng):
+    """Reference initialization: one rng.uniform(-a, a) draw per table, in layout order."""
+    d, k = hp.latent_dim, hp.fc_input_dim
+
+    def glorot(shape, fan_in, fan_out):
+        a = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-a, a, size=shape)
+
+    user, item = glorot((users + 1, d), users + 1, d), glorot((items + 1, d), items + 1, d)
+    h_filters = [glorot((hp.num_h_filters, h, d), h * d, 1) for h in hp.heights]
+    v_filters, fc_w = glorot((hp.num_v_filters, hp.order), hp.order, 1), glorot((d, k), k, d)
+    out_w = glorot((items + 1, 2 * d), 2 * d, items + 1)
+    for table in (user, item, out_w):
+        table[0] = 0.0
+    tables = [user, item, *h_filters, v_filters, fc_w, np.zeros(d), out_w, np.zeros(items + 1)]
+    return np.concatenate([t.ravel() for t in tables])
+
+
+@pytest.mark.parametrize("hp", [HyperParams(), GATE_HP], ids=["default", "gate"])
+def test_init_params_draws_the_bits_of_rng_uniform(hp):
+    """In-place draws keep every bit of rng.uniform(-a, a) and leave the stream where it would."""
+    rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
+    params = init_params(hp, 2000, 500, rng)
+    assert params.buffer.tobytes() == _uniform_init(hp, 2000, 500, reference_rng).tobytes()
+    assert rng.random() == reference_rng.random()
 
 
 @pytest.mark.parametrize("users,items", [(0, 12), (5, 0)])
@@ -232,6 +260,27 @@ def test_horizontal_conv_equals_window_loop(B):
     assert pooled.tobytes() == np.concatenate(want, axis=1).tobytes()
 
 
+@pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("hp", [HyperParams(), GATE_HP], ids=["default", "gate"])
+@pytest.mark.parametrize("B", [1, 2, 7, 100, 464, 512])
+def test_strided_windows_match_the_im2col_gather(B, hp, contiguous):
+    """The windows read in place give the bits of the gathered copy they replace."""
+    rng = np.random.default_rng(B)
+    filters = [rng.normal(size=(hp.num_h_filters, h, hp.latent_dim)) for h in hp.heights]
+    E = rng.normal(size=(B, hp.order, hp.latent_dim))
+    if not contiguous:
+        E = np.repeat(E, 2, axis=2)[:, :, ::2]
+        assert not E.flags.c_contiguous
+    pooled, pre, amax = horizontal_conv(E, filters, hp.conv_act)
+    want = im2col_conv(E, filters, hp.conv_act)
+    assert pooled.tobytes() == np.concatenate([w[1] for w in want], axis=1).tobytes()
+    for j, (w_pre, _, w_amax) in enumerate(want):
+        assert pre[j].tobytes() == w_pre.tobytes()
+        assert np.array_equal(amax[j], w_amax)
+    inference = horizontal_conv(E, filters, hp.conv_act, argmax=False)
+    assert inference[0].tobytes() == pooled.tobytes() and inference[2] is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_max_pool_dominance(seed):
@@ -358,14 +407,18 @@ def test_output_scores_subset():
 
 def test_trace_dimensions(tiny_hp, tiny_params, tiny_split):
     B = 3
-    bt = batch_forward(tiny_params, tiny_hp, np.tile([1, 2, 3, 4], (B, 1)), np.array([1, 2, 3]))
-    n = tiny_hp.total_h_filters
-    assert [a.shape for a in bt.hamax] == [(B, tiny_hp.num_h_filters)] * len(tiny_hp.heights)
-    assert sum(a.shape[1] for a in bt.hamax) == n
+    prev, users = np.tile([1, 2, 3, 4], (B, 1)), np.array([1, 2, 3])
+    bt = batch_forward(tiny_params, tiny_hp, prev, users)
+    assert bt.hamax is None  # only a backward reads the argmax
+    assert [a.shape for a in bt.hpre] == [(B, tiny_hp.num_h_filters, tiny_hp.order - h + 1) for h in tiny_hp.heights]
     assert bt.ot_pre.shape == (B, tiny_hp.latent_dim * tiny_hp.num_v_filters)
     assert bt.z.shape == (B, tiny_hp.latent_dim)
     assert bt.scores.shape == (B, tiny_split.item_count + 1)
     assert (bt.scores[:, 0] == -np.inf).all()
+    scored = batch_forward(tiny_params, tiny_hp, prev, users, score_ids=np.tile([1, 5, 9], (B, 1)))
+    assert [a.shape for a in scored.hamax] == [(B, tiny_hp.num_h_filters)] * len(tiny_hp.heights)
+    assert sum(a.shape[1] for a in scored.hamax) == tiny_hp.total_h_filters
+    assert scored.scores.shape == (B, 3)
 
 
 def _reference_forward(p, hp, prev, user):
