@@ -22,8 +22,9 @@ SCORE_CHUNK = 512  # users scored per batch_forward call
 # least one: about 1 MB of scores, whatever the catalog size.
 BLOCK_ELEMENTS = 1 << 17
 # Rows longer than this are counted pair by pair against scalars, shorter ones
-# from one sort of the block (at 22,616 items a 5-row block took 259 us pair by
-# pair and 765 us sorted; at 3,707 items, 33 pairs a row, 4.25 and 0.99 ms).
+# from one sort of the block: at 22,616 items a 5-row block took 259 us pair by
+# pair and 765 us sorted, at 3,707 items and 33 pairs a row 4.25 and 0.99 ms.
+# No workload lies between the two, so the crossover is not measured.
 LONG_ROW = 1024
 
 
