@@ -369,6 +369,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # nothing left for the exit flush
         return 1
+    except MemoryError as exc:  # an allocation too large for this machine
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     except OSError as exc:  # an output file that cannot be written
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 1

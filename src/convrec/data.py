@@ -129,7 +129,8 @@ def joined(parts: list[ItemLists], slots: np.ndarray) -> ItemLists:
     """List k holds the items of list ``slots[k]`` of each of ``parts`` in turn."""
     starts = [p.offsets[slots] + base for p, base in zip(parts, np.cumsum([0] + [p.flat.size for p in parts]))]
     lengths = np.column_stack([p.lengths[slots] for p in parts]).ravel()
-    runs = _runs(np.concatenate([p.flat for p in parts]), np.column_stack(starts).ravel(), lengths)
+    flat = parts[0].flat if len(parts) == 1 else np.concatenate([p.flat for p in parts])  # one part: no copy
+    runs = _runs(flat, np.column_stack(starts).ravel(), lengths)
     return ItemLists(runs.flat, runs.offsets[:: len(parts)])
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .batch import batch_loss_and_grads
 from .config import HyperParams, Ranking, run_parts, thread_budget
-from .data import SplitDataset, generate_instances
-from .errors import EmptyDatasetError, NonFiniteGradientError, NonFiniteLossError, SamplingError
+from .data import ItemLists, SplitDataset, generate_instances, joined
+from .errors import ConfigError, EmptyDatasetError, NonFiniteGradientError, NonFiniteLossError, SamplingError
 from .gradients import GradientSet
 from .model import FULL_MASK, ComponentMask, ModelParams, dropout_mask_for, init_params
 
@@ -176,16 +176,17 @@ def sample_negative_batch(
     item_count: int,
     count: int,
     per_instance: bool = False,
-    history: np.ndarray | None = None,
+    history: ItemLists | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform negatives for a batch, rejecting targets (and history if given).
 
-    ``history`` holds one row per batch row: the items that row excludes
-    beyond its targets, padded with item 0. Raises SamplingError before
-    the first draw when some row with a negative slot excludes every item.
-    Slots that still hit excluded items after 200 rejection rounds (a row
-    with only a few eligible items) are drawn uniformly from their row's
-    eligible items, with the same rng.
+    ``history`` holds one item list per batch row, in any order and with
+    repeats: the items that row excludes beyond its targets. Raises
+    ConfigError for an excluded id outside 0..item_count or a history of
+    another row count, and SamplingError before the first draw when some row
+    with a negative slot excludes every item. Slots that still hit excluded
+    items after 200 rejection rounds (a row with only a few eligible items)
+    are drawn uniformly from their row's eligible items, with the same rng.
     """
     n_batch, n_t = targets.shape
     if per_instance:
@@ -195,17 +196,23 @@ def sample_negative_batch(
         slots = count * n_t
         neg_mask = np.repeat(target_mask, count, axis=1)
     live = neg_mask > 0
-    # row b may not draw excluded[b]: its targets, then its history, padded with item 0
-    excluded = targets if history is None else np.concatenate([targets, history], axis=1)
-    if excluded.shape[1] >= item_count:  # a narrower row cannot exclude every item
-        ordered = np.sort(excluded, axis=1)
-        distinct = np.count_nonzero(np.diff(ordered, axis=1, prepend=0), axis=1)
-        full = np.flatnonzero((distinct >= item_count) & live.any(axis=1))
+    if history is None:  # an empty list per row
+        history = ItemLists(np.zeros(0, np.int64), np.zeros(n_batch + 1, np.int64))
+    if len(history) != n_batch:
+        raise ConfigError(f"history has {len(history)} lists for a batch of {n_batch} rows")
+    if any(a.size and (a.min() < 0 or a.max() > item_count) for a in (targets, history.flat)):
+        raise ConfigError(f"excluded item ids must lie in 0..{item_count}")
+    excluded = np.zeros((n_batch, item_count + 1), dtype=bool)  # row b may not draw item i where [b, i] is set
+    row_of = np.arange(n_batch)[:, None]
+    excluded[row_of, targets] = True
+    excluded[history.pairs()] = True
+    if n_t + history.lengths.max(initial=0) >= item_count:  # a narrower row cannot exclude every item
+        full = np.flatnonzero((np.count_nonzero(excluded[:, 1:], axis=1) >= item_count) & live.any(axis=1))
         if full.size:
             raise SamplingError(f"row {full[0]} of the batch excludes every item; no negative can be drawn")
     neg = rng.integers(1, item_count + 1, size=(n_batch, slots))
     for rounds_left in range(200, -1, -1):
-        bad = (neg[:, :, None] == excluded[:, None, :]).any(axis=2) & live
+        bad = excluded[row_of, neg] & live
         if not bad.any():
             break
         if rounds_left:
@@ -213,7 +220,7 @@ def sample_negative_batch(
             neg[where] = rng.integers(1, item_count + 1, size=where[0].size)
             continue
         for b in np.flatnonzero(bad.any(axis=1)):  # 200 rounds left these rows with excluded draws
-            eligible = np.setdiff1d(np.arange(1, item_count + 1), excluded[b])
+            eligible = np.flatnonzero(~excluded[b, 1:]) + 1
             neg[b, bad[b]] = eligible[rng.integers(0, eligible.size, size=np.count_nonzero(bad[b]))]
     neg[~live] = 0
     return neg, neg_mask
@@ -250,12 +257,6 @@ def train(
         raise EmptyDatasetError("no training instances")
     prev, users, tgt, tgt_mask = instances.prev, instances.users, instances.targets, instances.target_mask
 
-    if exclude_history_negatives:  # by user: the sorted distinct training items, padded with item 0
-        distinct = split.train.distinct()
-        history_len = distinct.lengths
-        history = np.zeros((len(distinct), history_len.max(initial=0)), dtype=np.int64)
-        history[np.arange(history.shape[1]) < history_len[:, None]] = distinct.flat
-
     rng_init = np.random.default_rng([seed, 1])
     params = init_params(hp, split.user_count, split.item_count, rng_init)
 
@@ -274,18 +275,9 @@ def train(
         total = 0.0
         for start in range(0, n_inst, batch_size):
             rows = perm[start : start + batch_size]
-            batch_history = None
-            if exclude_history_negatives:
-                u = users[rows]
-                batch_history = history[u, : history_len[u].max()]
+            history = joined([split.train], users[rows]) if exclude_history_negatives else None
             neg, neg_mask = sample_negative_batch(
-                erng,
-                tgt[rows],
-                tgt_mask[rows],
-                split.item_count,
-                hp.num_negatives,
-                hp.negatives_per_instance,
-                batch_history,
+                erng, tgt[rows], tgt_mask[rows], split.item_count, hp.num_negatives, hp.negatives_per_instance, history
             )
             dmask = dropout_mask_for(hp, erng, len(rows))
             loss, grads = batch_loss_and_grads(

@@ -6,6 +6,7 @@ import pytest
 
 from convrec.config import HyperParams
 from convrec.data import SplitDataset, build_sequences, chronological_split
+from convrec.errors import SamplingError
 from convrec.model import activate, init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
 
@@ -56,6 +57,45 @@ def im2col_conv(E, h_filters, conv_act):
         vals = activate(pre, conv_act)
         out.append((pre, vals.max(axis=2), vals.argmax(axis=2)))
     return out
+
+
+def padded_sampler(rng, targets, target_mask, item_count, count, per_instance=False, history=None):
+    """Reference negative sampler: each row's exclusions as one row of a matrix padded with item 0 (its
+    targets, then its ``history`` list), tested by a broadcast compare as wide as the widest row, a
+    sort-and-diff distinct count and ``np.setdiff1d``."""
+    n_batch, n_t = targets.shape
+    if per_instance:
+        slots = count
+        neg_mask = np.ones((n_batch, slots))
+    else:
+        slots = count * n_t
+        neg_mask = np.repeat(target_mask, count, axis=1)
+    live = neg_mask > 0
+    excluded = targets
+    if history is not None:
+        block = np.zeros((n_batch, history.lengths.max(initial=0)), dtype=np.int64)
+        block[np.arange(block.shape[1]) < history.lengths[:, None]] = history.flat
+        excluded = np.concatenate([targets, block], axis=1)
+    if excluded.shape[1] >= item_count:
+        ordered = np.sort(excluded, axis=1)
+        distinct = np.count_nonzero(np.diff(ordered, axis=1, prepend=0), axis=1)
+        full = np.flatnonzero((distinct >= item_count) & live.any(axis=1))
+        if full.size:
+            raise SamplingError(f"row {full[0]} of the batch excludes every item; no negative can be drawn")
+    neg = rng.integers(1, item_count + 1, size=(n_batch, slots))
+    for rounds_left in range(200, -1, -1):
+        bad = (neg[:, :, None] == excluded[:, None, :]).any(axis=2) & live
+        if not bad.any():
+            break
+        if rounds_left:
+            where = np.nonzero(bad)
+            neg[where] = rng.integers(1, item_count + 1, size=where[0].size)
+            continue
+        for b in np.flatnonzero(bad.any(axis=1)):
+            eligible = np.setdiff1d(np.arange(1, item_count + 1), excluded[b])
+            neg[b, bad[b]] = eligible[rng.integers(0, eligible.size, size=np.count_nonzero(bad[b]))]
+    neg[~live] = 0
+    return neg, neg_mask
 
 
 # the acceptance suite's planted-pattern gate hyperparameters

@@ -697,6 +697,21 @@ def _one_error_line(capsys) -> str:
     return err[0]
 
 
+@pytest.mark.parametrize("exc", [  # the first has the text of numpy's error for an array it cannot allocate
+    MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,) and data type float64"),
+    MemoryError()], ids=["numpy", "bare"])
+def test_memory_error_is_one_error_line(exc, monkeypatch, capsys):
+    # an allocation that gets past every size check: one line and exit 1, no traceback
+    def load_checkpoint(path):
+        raise exc
+
+    monkeypatch.setattr("convrec.cli.load_checkpoint", load_checkpoint)
+    assert main(["inspect", "--checkpoint", "model.ckpt"]) == 1
+    line = _one_error_line(capsys)
+    assert line == (f"error: {exc}" if str(exc) else "error: out of memory")
+    assert "Traceback" not in line
+
+
 @pytest.mark.parametrize("command", ["evaluate", "recommend"])
 @pytest.mark.parametrize("extra_users,extra_items", [(0, 30), (0, -1), (5, 0)])
 def test_checkpoint_for_another_split_exits_1(prepared, tmp_path, capsys, command, extra_users, extra_items):

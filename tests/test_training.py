@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from convrec.config import HyperParams, Ranking, thread_budget
-from convrec.data import chronological_split, build_sequences
+from convrec.data import ItemLists, chronological_split, build_sequences
 from convrec.evaluate import evaluate
-from convrec.errors import NonFiniteGradientError, NonFiniteLossError, SamplingError
+from convrec.errors import ConfigError, NonFiniteGradientError, NonFiniteLossError, SamplingError
 from convrec.gradients import GradientSet
 from convrec.model import ModelParams, init_params
 from convrec.synthetic import SyntheticSpec, generate_interactions
 from convrec.training import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, ADAM_MIN_PART, AdamState, adam_step,
                               map_trials, sample_negative_batch, train)
-from tests.conftest import LARGE_HP
+from tests.conftest import LARGE_HP, padded_sampler
 
 training = importlib.import_module("convrec.training")
 
@@ -298,12 +298,12 @@ def test_negative_batch_history_exclusion():
     rng = np.random.default_rng(1)
     tgt = np.array([[2]], dtype=np.int64)
     tmask = np.ones((1, 1))
-    hist = np.array([[1, 3, 4, 5, 6, 7, 8]])
+    hist = ItemLists.of([[1, 3, 4, 5, 6, 7, 8]])
     neg, _ = sample_negative_batch(rng, tgt, tmask, item_count=10, count=50, history=hist)
     assert set(np.unique(neg)) <= {9, 10}
 
 
-@pytest.mark.parametrize("history", [None, np.array([[2, 4], [1, 3]])], ids=["targets", "history"])
+@pytest.mark.parametrize("history", [None, ItemLists.of([[2, 4], [1, 3]])], ids=["targets", "history"])
 def test_negative_batch_sampling_error_when_every_item_excluded(history):
     # row 1 excludes every item: by its targets alone, or by targets plus history
     tgt = np.array([[1, 0, 0], [1, 2, 3]] if history is None else [[1, 0, 0], [2, 4, 0]], dtype=np.int64)
@@ -319,7 +319,7 @@ def test_negative_batch_sampling_error_when_every_item_excluded(history):
 def test_negative_batch_history_with_repeats_leaves_an_item_free():
     # the row is as wide as the catalog, but its repeats leave item 5 eligible
     tgt = np.array([[1]], dtype=np.int64)
-    hist = np.array([[2, 2, 3, 4]])
+    hist = ItemLists.of([[2, 2, 3, 4]])
     neg, _ = sample_negative_batch(np.random.default_rng(0), tgt, np.ones((1, 1)), item_count=5, count=4,
                                    history=hist)
     assert (neg == 5).all()
@@ -337,7 +337,7 @@ def test_negative_batch_few_eligible_items_never_raises():
     # only item 1000 is eligible; 200 rejection rounds miss it for most seeds,
     # and the slots left are drawn from the eligible set instead of raising
     tgt = np.array([[1]], dtype=np.int64)
-    hist = np.arange(2, 1000)[None, :]
+    hist = ItemLists.of([range(2, 1000)])
     for seed in range(50):
         neg, _ = sample_negative_batch(np.random.default_rng(seed), tgt, np.ones((1, 1)), item_count=1000,
                                        count=3, history=hist)
@@ -346,21 +346,13 @@ def test_negative_batch_few_eligible_items_never_raises():
 
 def test_negative_batch_eligible_set_draws_cover_every_eligible_item():
     tgt = np.array([[1]], dtype=np.int64)
-    hist = np.setdiff1d(np.arange(2, 1000), [500])[None, :]  # items 500 and 1000 stay eligible
+    hist = ItemLists.of([np.setdiff1d(np.arange(2, 1000), [500])])  # items 500 and 1000 stay eligible
     drawn = np.concatenate([
         sample_negative_batch(np.random.default_rng(seed), tgt, np.ones((1, 1)), item_count=1000, count=4,
                               history=hist)[0].ravel()
         for seed in range(30)
     ])
     assert set(drawn.tolist()) == {500, 1000}
-
-
-def _padded(rows):
-    """The rows left-aligned in one matrix, padded with item 0."""
-    sizes = np.array([r.size for r in rows])
-    block = np.zeros((len(rows), sizes.max()), dtype=np.int64)
-    block[np.arange(block.shape[1]) < sizes[:, None]] = np.concatenate(rows)
-    return block
 
 
 def _draw_digest():
@@ -375,11 +367,11 @@ def _draw_digest():
         targets[target_mask == 0] = 0
         history = None
         if case % 2:
-            history = _padded([gen.integers(1, item_count + 1, size=int(gen.integers(1, 40)))
-                               for _ in range(n_batch)])
+            history = ItemLists.of([gen.integers(1, item_count + 1, size=int(gen.integers(1, 40)))
+                                    for _ in range(n_batch)])
         calls = [(item_count, targets, target_mask, int(gen.integers(1, 4)), case % 3 == 0, history)]
         if case < 4:  # one row eligible for only item 1000: the rounds run out and the fallback draws
-            calls.append((1000, np.array([[1]]), np.ones((1, 1)), 3, case % 2 == 1, np.arange(2, 1000)[None, :]))
+            calls.append((1000, np.array([[1]]), np.ones((1, 1)), 3, case % 2 == 1, ItemLists.of([range(2, 1000)])))
         for item_count, targets, target_mask, count, per_instance, history in calls:
             rng = np.random.default_rng(case)
             try:
@@ -414,6 +406,82 @@ def test_exclude_history_training_draws_are_pinned(monkeypatch):
     assert digest.hexdigest() == "10dca074f2b24f7064b7f33a95543ae346221c9998eaa0827f11ff366b059f0a"
 
 
+def _random_sampler_case(gen, case):
+    """A random batch for the sampler, with its history lists unsorted, with repeats and some empty; some rows
+    have no live slot, some exclude every item (SamplingError), and some leave one or two items of 1000 eligible
+    (the fallback)."""
+    kind = case % 5
+    item_count = 1000 if kind == 4 else int(gen.integers(2, 61))
+    n_batch, n_t = int(gen.integers(1, 9)), int(gen.integers(1, 4))
+    targets = gen.integers(1, item_count + 1, size=(n_batch, n_t))
+    target_mask = (gen.random((n_batch, n_t)) < 0.7).astype(float)
+    target_mask[gen.random(n_batch) < 0.2] = 0.0  # rows without a live slot unless drawn per instance
+    targets[target_mask == 0] = 0
+    lists = [gen.integers(1, item_count + 1, size=int(gen.integers(0, 2 * item_count))) for _ in range(n_batch)]
+    if kind == 3:  # a row that excludes every item, in shuffled order, some items twice
+        lists[int(gen.integers(n_batch))] = np.concatenate([gen.permutation(item_count) + 1, lists[0][:3]])
+    if kind == 4:  # rows that leave one or two items eligible, so the rounds often run out
+        lists = [gen.permutation(np.setdiff1d(np.arange(1, 1001), gen.integers(1, 1001, size=2)))
+                 for _ in range(n_batch)]
+        targets[:] = 0
+    history = None if kind == 0 else ItemLists.of(lists)
+    return targets, target_mask, item_count, int(gen.integers(1, 4)), bool(gen.random() < 0.3), history
+
+
+def test_negative_batch_matches_the_padded_broadcast_reference(monkeypatch):
+    # the draws, masks, rng state after the call and SamplingError text of the
+    # padded-matrix sampler, from one boolean mask per batch
+    gen = np.random.default_rng(28)
+    outcomes = {"drawn": 0, "raised": 0, "fell back": 0}
+    setdiff1d = np.setdiff1d
+
+    def fallback(*args):  # the reference calls it only when 200 rounds leave a row with excluded draws
+        outcomes["fell back"] += 1
+        return setdiff1d(*args)
+
+    monkeypatch.setattr(np, "setdiff1d", fallback)
+    for case in range(300):
+        targets, target_mask, item_count, count, per_instance, history = _random_sampler_case(gen, case)
+        results = []
+        for sampler in (padded_sampler, sample_negative_batch):
+            rng = np.random.default_rng(case)
+            try:
+                results.append(sampler(rng, targets, target_mask, item_count, count, per_instance, history))
+            except SamplingError as err:
+                results.append(str(err))
+            results.append(rng.bit_generator.state)
+        ref, ref_state, new, new_state = results
+        assert new_state == ref_state, case
+        if isinstance(ref, str):
+            assert new == ref, case
+            outcomes["raised"] += 1
+            continue
+        assert new[0].dtype == ref[0].dtype and np.array_equal(new[0], ref[0]), case
+        assert np.array_equal(new[1], ref[1]), case
+        outcomes["drawn"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+@pytest.mark.parametrize("where,item", [("targets", -1), ("targets", 11), ("history", -1), ("history", 11)])
+def test_negative_batch_rejects_an_excluded_id_outside_the_items(where, item):
+    tgt = np.array([[3, 0], [4, 5]], dtype=np.int64)
+    lists = [[1, 2], [6]]
+    if where == "targets":
+        tgt[0, 1] = item
+    else:
+        lists[1].append(item)
+    with pytest.raises(ConfigError, match=r"0\.\.10"):
+        sample_negative_batch(np.random.default_rng(0), tgt, (tgt > 0).astype(float), item_count=10, count=2,
+                              history=ItemLists.of(lists))
+
+
+def test_negative_batch_rejects_a_history_of_another_row_count():
+    tgt = np.array([[3], [4]], dtype=np.int64)
+    with pytest.raises(ConfigError, match="1 lists for a batch of 2 rows"):
+        sample_negative_batch(np.random.default_rng(0), tgt, np.ones((2, 1)), item_count=10, count=2,
+                              history=ItemLists.of([[1, 2]]))
+
+
 def test_negative_batch_frequencies_uniform():
     tgt = np.array([[5]], dtype=np.int64)
     neg, _ = sample_negative_batch(np.random.default_rng(7), tgt, np.ones((1, 1)), item_count=20,
@@ -444,6 +512,24 @@ def _micro_split(seed=5, users=30):
                       num_clusters=3, genres_per_cluster=2, num_special_pairs=4, seed=seed)
     )
     return chronological_split(build_sequences(zip(*rows), 1))
+
+
+@pytest.mark.parametrize("exclude", [True, False])
+def test_exclude_history_training_draws_no_item_of_the_users_history(exclude, monkeypatch):
+    # every step's users and negatives, as batch_loss_and_grads receives them
+    split = _micro_split(users=20)
+    steps = []
+    real_loss = training.batch_loss_and_grads
+
+    def recording(params, hp, prev, users, tgt, tgt_mask, neg, neg_mask, *rest):
+        steps.append((users.copy(), neg.copy(), neg_mask > 0))
+        return real_loss(params, hp, prev, users, tgt, tgt_mask, neg, neg_mask, *rest)
+
+    monkeypatch.setattr(training, "batch_loss_and_grads", recording)
+    train(split, HP, seed=3, epochs=2, batch_size=16, patience=2, exclude_history_negatives=exclude)
+    hits = sum(neg[b, live[b]].tolist().count(item) for users, neg, live in steps
+               for b, u in enumerate(users.tolist()) for item in set(split.train[u]))
+    assert steps and (hits == 0 if exclude else hits > 0)  # without the exclusion the history is drawn
 
 
 def test_training_is_bitwise_deterministic():
